@@ -163,6 +163,18 @@ class EvalReport:
     seed: int
     n_examples: int
     categories: tuple
+    fold_epochs: tuple[tuple[int, ...], ...]  # epochs_run of each fold model
+    max_epochs: int
+
+    @property
+    def models(self) -> int:
+        return sum(len(epochs) for epochs in self.fold_epochs)
+
+    @property
+    def models_capped(self) -> int:
+        """One-vs-rest fold models whose training ran to the epoch cap."""
+        return sum(e >= self.max_epochs
+                   for epochs in self.fold_epochs for e in epochs)
 
     def lines(self) -> list[str]:
         out = [
@@ -194,12 +206,14 @@ def cross_validate(vectors: Sequence[FeatureVector],
     correct_total = 0
     fold_svs = []
     fold_accs = []
+    fold_epochs = []
     for fold in folds:
         test = set(fold)
         train_idx = [i for i in range(len(labels)) if i not in test]
         model = train([vectors[i] for i in train_idx],
                       [labels[i] for i in train_idx],
                       C=C, seed=seed, max_epochs=max_epochs, tol=tol)
+        fold_epochs.append(tuple(model.epochs_run))
         fold_svs.append(_support_vector_count(
             model, _densify([vectors[i] for i in train_idx], model.feature_ids),
             [labels[i] for i in train_idx]))
@@ -221,4 +235,6 @@ def cross_validate(vectors: Sequence[FeatureVector],
         seed=seed,
         n_examples=len(labels),
         categories=tuple(sorted(set(labels))),
+        fold_epochs=tuple(fold_epochs),
+        max_epochs=max_epochs,
     )

@@ -332,6 +332,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     labels, vectors = formats.load_vectors(args.vectors)
     report = cross_validate(vectors, labels, k=cfg.k, C=cfg.C, seed=cfg.seed)
     _write_lines(args.out, report.lines())
+    if report.models_capped:
+        print(f"note: {report.models_capped} of {report.models} one-vs-rest "
+              f"models stopped at the {report.max_epochs}-epoch cap",
+              file=sys.stderr)
     return EXIT_OK
 
 

@@ -6,14 +6,29 @@ linked by a direct synset relation (f1), by a two-step relation path
 (f2), and how often the two sides share a Kāng Xī radical (r).  The raw
 score 0.5*log(1+f1) + 0.25*log(1+f2) + 0.25*r (natural log) is divided
 by its maximum over all edges so values land in [0, 1].
+
+The counts are two sparse products.  Let L_c be the synset weight vector
+of class c: L_c[y] is the number of (lemma word of synset y, member of c)
+pairs whose member character occurs in the word.  Let R be the relation
+multiplicity matrix: R[x, y] counts the relations x -> y, one per
+relation type.  Then
+
+    f1(sub, sup) = L_sub R L_sup^T        f2(sub, sup) = L_sub R^2 L_sup^T
+
+in exact integers.  ``annotate_semanticity`` builds L once per class
+from the store's char -> synset index, and L_sub R and L_sub R^2 once
+per subcharacter class, each step at most one pass over the relations.
+An edge then costs one sparse dot product over L_sup, at most the number
+of synsets, where scanning every relation per edge cost O(edges x
+relations x lemmas).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .charstore import AllographClass
 from .errors import DataError, InputError
@@ -38,9 +53,10 @@ class SynsetStore:
         self._lemmas: dict[str, frozenset[str]] = {}
         self._relations: list[SemRelation] = []
         self._relation_set: set[SemRelation] = set()
-        self._out: dict[str, list[SemRelation]] = defaultdict(list)
+        self._successors: dict[str, Counter[str]] = defaultdict(Counter)
         self._word_index: dict[str, set[str]] = defaultdict(set)
-        self._char_index: dict[str, set[str]] = defaultdict(set)
+        # char -> synset id -> number of the synset's lemma words holding it
+        self._char_index: dict[str, Counter[str]] = defaultdict(Counter)
 
     def add_synset(self, synset_id: str, lemmas: Iterable[str]) -> None:
         lemmaset = frozenset(w for w in lemmas if w)
@@ -51,8 +67,8 @@ class SynsetStore:
         self._lemmas[synset_id] = lemmaset
         for w in lemmaset:
             self._word_index[w].add(synset_id)
-            for ch in w:
-                self._char_index[ch].add(synset_id)
+            for ch in set(w):
+                self._char_index[ch][synset_id] += 1
 
     def add_relation(self, source: str, relation_type: str, target: str) -> None:
         if source not in self._lemmas:
@@ -63,7 +79,7 @@ class SynsetStore:
         if rel not in self._relation_set:
             self._relation_set.add(rel)
             self._relations.append(rel)
-            self._out[source].append(rel)
+            self._successors[source][target] += 1
 
     @property
     def synset_ids(self) -> list[str]:
@@ -79,14 +95,21 @@ class SynsetStore:
     def relations(self) -> list[SemRelation]:
         return list(self._relations)
 
-    def outgoing(self, synset_id: str) -> list[SemRelation]:
-        return list(self._out.get(synset_id, ()))
-
     def synsets_of_word(self, word: str) -> set[str]:
         return set(self._word_index.get(word, ()))
 
     def synsets_containing_char(self, char: str) -> set[str]:
         return set(self._char_index.get(char, ()))
+
+    def lemma_char_counts(self, char: str) -> Mapping[str, int]:
+        """Synset id -> number of its lemma words containing ``char``
+        (read-only view)."""
+        return self._char_index.get(char, {})
+
+    def successor_counts(self, synset_id: str) -> Mapping[str, int]:
+        """Target synset id -> number of relations ``synset_id -> target``,
+        one per relation type (read-only view)."""
+        return self._successors.get(synset_id, {})
 
 
 def annotate_classes(
@@ -112,12 +135,50 @@ def annotate_classes(
     return out
 
 
-def _char_word_pairs(store: SynsetStore, synset_id: str,
-                     members: frozenset[int]) -> int:
-    """Number of (word, member) pairs with the member character occurring
-    inside a lemma word of the synset."""
-    chars = [chr(cp) for cp in members]
-    return sum(1 for w in store.lemmas(synset_id) for ch in chars if ch in w)
+def _lemma_weights(members: frozenset[int],
+                   store: SynsetStore) -> dict[str, int]:
+    """L_c: synset id -> number of (lemma word, member) pairs whose member
+    character occurs in the word."""
+    weights: dict[str, int] = defaultdict(int)
+    for cp in members:
+        for synset_id, n in store.lemma_char_counts(chr(cp)).items():
+            weights[synset_id] += n
+    return weights
+
+
+def _relation_step(weights: Mapping[str, int],
+                   store: SynsetStore) -> dict[str, int]:
+    """The row vector ``weights`` times the relation multiplicity R."""
+    out: dict[str, int] = defaultdict(int)
+    for synset_id, w in weights.items():
+        for target, n in store.successor_counts(synset_id).items():
+            out[target] += w * n
+    return out
+
+
+def _dot(a: Mapping[str, int], b: Mapping[str, int]) -> int:
+    if len(a) > len(b):
+        a, b = b, a
+    return sum(w * b[k] for k, w in a.items() if k in b)
+
+
+def _relation_counts(pairs: Iterable[tuple[AllographClass, AllographClass]],
+                     store: SynsetStore) -> Iterator[tuple[int, int]]:
+    """(f1, f2) of each (sub, sup) pair, in order: L_sub R L_sup^T and
+    L_sub R^2 L_sup^T, with L and the L_sub R^k products cached per
+    class."""
+    lemma: dict[AllographClass, dict[str, int]] = {}
+    steps: dict[AllographClass, tuple[dict[str, int], dict[str, int]]] = {}
+    for sub, sup in pairs:
+        if sub not in steps:
+            if sub not in lemma:
+                lemma[sub] = _lemma_weights(sub.members, store)
+            one = _relation_step(lemma[sub], store)
+            steps[sub] = one, _relation_step(one, store)
+        if sup not in lemma:
+            lemma[sup] = _lemma_weights(sup.members, store)
+        one, two = steps[sub]
+        yield _dot(one, lemma[sup]), _dot(two, lemma[sup])
 
 
 def count_f1(sub: AllographClass, sup: AllographClass,
@@ -129,13 +190,7 @@ def count_f1(sub: AllographClass, sup: AllographClass,
     occurring in word1 (a lemma of synset1), and c a member of the
     containing class occurring in word2 (a lemma of synset2).
     """
-    total = 0
-    for rel in store.relations:
-        left = _char_word_pairs(store, rel.source, sub.members)
-        if not left:
-            continue
-        total += left * _char_word_pairs(store, rel.target, sup.members)
-    return total
+    return next(_relation_counts([(sub, sup)], store))[0]
 
 
 def count_f2(sub: AllographClass, sup: AllographClass,
@@ -143,14 +198,7 @@ def count_f2(sub: AllographClass, sup: AllographClass,
     """Like ``count_f1`` but over two-step relation paths
     synset1 -> mid -> synset2 (any relation types); one-step pairs do not
     count here.  Distinct intermediate synsets yield distinct tuples."""
-    total = 0
-    for first in store.relations:
-        left = _char_word_pairs(store, first.source, sub.members)
-        if not left:
-            continue
-        for second in store.outgoing(first.target):
-            total += left * _char_word_pairs(store, second.target, sup.members)
-    return total
+    return next(_relation_counts([(sub, sup)], store))[1]
 
 
 def radical_agreement(sub: AllographClass, sup: AllographClass,
@@ -214,16 +262,18 @@ def annotate_semanticity(
     """Compute f1/f2/r for every edge from raw resources, then the
     normalized semanticity."""
     by_id = {cls.id: cls for cls in classes}
+    edges = g.edges()
     f1: dict[tuple[int, int], int] = {}
     f2: dict[tuple[int, int], int] = {}
     r: dict[tuple[int, int], float] = {}
-    for sub_id, sup_id in g.edges():
-        sub, sup = by_id[sub_id], by_id[sup_id]
-        if store is not None:
-            f1[(sub_id, sup_id)] = count_f1(sub, sup, store)
-            f2[(sub_id, sup_id)] = count_f2(sub, sup, store)
-        if radicals:
-            r[(sub_id, sup_id)] = radical_agreement(sub, sup, radicals)
+    if store is not None:
+        pairs = [(by_id[sub_id], by_id[sup_id]) for sub_id, sup_id in edges]
+        for key, (n1, n2) in zip(edges, _relation_counts(pairs, store)):
+            f1[key], f2[key] = n1, n2
+    if radicals:
+        for sub_id, sup_id in edges:
+            r[(sub_id, sup_id)] = radical_agreement(
+                by_id[sub_id], by_id[sup_id], radicals)
     return semanticity(g, f1, f2, r, coefficients)
 
 

@@ -167,7 +167,7 @@ def _components_match(a: StrokePairSignature, b: StrokePairSignature,
         if isinstance(va, str) or isinstance(vb, str):
             if va != vb:  # E matches only E
                 return False
-        elif abs(va - vb) > tolerance:
+        elif not abs(va - vb) <= tolerance:  # a NaN difference mismatches
             return False
     return True
 
@@ -241,9 +241,12 @@ def parse_stroke_spec(spec: str) -> list[Stroke]:
                 raise InputError(f"malformed coordinates in stroke {item!r}")
             try:
                 xs, ys = pt.split(",")
-                points.append((float(xs), float(ys)))
+                x, y = float(xs), float(ys)
             except ValueError:
                 raise InputError(f"malformed point {pt!r} in stroke {item!r}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise InputError(f"non-finite point {pt!r} in stroke {item!r}")
+            points.append((x, y))
         strokes.append(Stroke(normalize_stroke_type(type_token), tuple(points)))
     if not strokes:
         raise InputError("empty stroke description")

@@ -116,6 +116,17 @@ def test_cross_validate_reproducible():
     assert c.fold_accuracies is not None  # different seed still valid
 
 
+def test_cross_validate_reports_epochs_and_capped_models():
+    vectors, labels = separable_corpus(n_per_class=10, n_classes=3)
+    capped = cross_validate(vectors, labels, k=5, seed=0, max_epochs=1)
+    assert capped.fold_epochs == ((1, 1, 1),) * 5
+    assert (capped.models, capped.models_capped) == (15, 15)
+    free = cross_validate(vectors, labels, k=5, seed=0)
+    assert free.models == 15
+    assert all(1 < e < free.max_epochs for fold in free.fold_epochs for e in fold)
+    assert free.models_capped == 0
+
+
 def test_scale_invariance_of_predictions():
     vectors, labels = separable_corpus(n_per_class=10, n_classes=2, seed=2)
     base = train(vectors, labels, C=1.0)

@@ -1,8 +1,10 @@
+import functools
 import os
 
 import pytest
 
-from sinograph import formats
+from sinograph import cli, formats
+from sinograph.classify import cross_validate
 from sinograph.cli import main
 
 # three characters where A's strokes are a prefix of B's and B's of C's,
@@ -74,6 +76,18 @@ def test_build_graph_codepoint_filter(chain_inputs, capsys):
                  capsys.readouterr().out.strip().splitlines())
     assert stats["characters"] == "2"
     assert stats["classes"] == "2"
+
+
+def test_build_graph_rejects_nan_coordinate(tmp_path, capsys):
+    # unchecked, the NaN component matches anything and this unrelated
+    # pair yields the inclusion 4E00 -> 4E01
+    strokes = write(tmp_path / "strokes.tsv",
+                    "4E00\tH:(nan,5)-(9,5);S:(5,9)-(5,1)\n"
+                    "4E01\tP:(1,1)-(2,2);H:(1,5)-(9,5);S:(2,9)-(3,1)\n")
+    rc = main(["build-graph", "--strokes", strokes,
+               "--out", str(tmp_path / "g.snap")])
+    assert rc == 2
+    assert "strokes.tsv:1:" in capsys.readouterr().err
 
 
 def test_usage_error_exit_1(capsys):
@@ -193,6 +207,30 @@ def test_features_and_evaluate_separable(chain_inputs, tmp_path, capsys):
     assert rc == 0
     report = open(tmp_path / "report.txt", encoding="utf-8").read()
     assert "mean_accuracy\t1.000000" in report
+
+
+def test_evaluate_notes_models_at_epoch_cap(tmp_path, capsys, monkeypatch):
+    labels = ["one", "two"] * 10
+    base = {"one": 0, "two": 2}
+    vectors = [{base[lab]: 0.9 + 0.01 * (i % 7),
+                base[lab] + 1: 0.3 + 0.01 * (i % 5)}
+               for i, lab in enumerate(labels)]
+    vec_path = str(tmp_path / "vec.txt")
+    with open(vec_path, "w", encoding="utf-8") as fh:
+        formats.write_vectors(fh, labels, vectors)
+    report = str(tmp_path / "report.txt")
+    assert main(["evaluate", "--vectors", vec_path, "--out", report]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "")
+    monkeypatch.setattr(cli, "cross_validate",
+                        functools.partial(cross_validate, max_epochs=1))
+    assert main(["evaluate", "--vectors", vec_path, "--out", report]) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("note: 20 of 20 one-vs-rest models stopped at the "
+                   "1-epoch cap\n")
+    with open(report, encoding="utf-8") as fh:
+        assert fh.read().startswith("examples\t20\n")
 
 
 def test_query_unknown(chain_inputs, capsys):

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sinograph.charstore import AllographClass
 from sinograph.errors import DataError, InputError
@@ -10,6 +12,7 @@ from sinograph.graphcore import from_edges
 from sinograph.semantics import (
     SynsetStore,
     annotate_classes,
+    annotate_semanticity,
     count_f1,
     count_f2,
     most_semantic_chain,
@@ -160,6 +163,117 @@ def test_counts_match_brute_force_on_random_toy_wordnets():
         f1_want, f2_want = brute_force_counts(sub, sup, store)
         assert count_f1(sub, sup, store) == f1_want
         assert count_f2(sub, sup, store) == f2_want
+
+
+# The per-edge relation scan that the sparse products replaced, kept as
+# the oracle for them.
+
+def oracle_char_word_pairs(store, synset_id, members):
+    chars = [chr(cp) for cp in members]
+    return sum(1 for w in store.lemmas(synset_id) for ch in chars if ch in w)
+
+
+def oracle_f1(sub, sup, store):
+    total = 0
+    for rel in store.relations:
+        left = oracle_char_word_pairs(store, rel.source, sub.members)
+        if not left:
+            continue
+        total += left * oracle_char_word_pairs(store, rel.target, sup.members)
+    return total
+
+
+def oracle_f2(sub, sup, store):
+    total = 0
+    for first in store.relations:
+        left = oracle_char_word_pairs(store, first.source, sub.members)
+        if not left:
+            continue
+        for second in store.relations:
+            if second.source == first.target:
+                total += left * oracle_char_word_pairs(store, second.target,
+                                                       sup.members)
+    return total
+
+
+ALPHABET = "石礦中介物"
+
+
+@st.composite
+def semantic_cases(draw):
+    """Small synset stores over a five-character alphabet, allographic
+    classes over the same characters, an inclusion graph on the classes
+    and a radical map; the store may be absent and the map empty."""
+    word = st.text(alphabet=ALPHABET, min_size=1, max_size=4)
+    n_syn = draw(st.integers(1, 6))
+    synsets = {f"s{i}": draw(st.lists(word, min_size=1, max_size=4))
+               for i in range(n_syn)}
+    ids = st.sampled_from(sorted(synsets))
+    relations = draw(st.lists(st.tuples(ids, st.sampled_from("tu"), ids),
+                              max_size=10))
+    chars = draw(st.lists(st.sampled_from(ALPHABET), min_size=2, max_size=5,
+                          unique=True))
+    cuts = draw(st.lists(st.booleans(), min_size=len(chars) - 1,
+                         max_size=len(chars) - 1))
+    groups, current = [], [ord(chars[0])]
+    for ch, cut in zip(chars[1:], cuts):
+        if cut:
+            groups.append(current)
+            current = []
+        current.append(ord(ch))
+    groups.append(current)
+    classes = [cls(i, *members) for i, members in enumerate(groups)]
+    pairs = [(a, b) for a in range(len(classes)) for b in range(len(classes))
+             if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True)) \
+        if pairs else []
+    radicals = draw(st.dictionaries(st.sampled_from([ord(c) for c in chars]),
+                                    st.integers(1, 3)))
+    with_store = draw(st.booleans())
+    return synsets, relations, classes, edges, radicals, with_store
+
+
+@settings(max_examples=150, deadline=None)
+@given(semantic_cases())
+@example((  # allographs; one character in several lemmas of one synset;
+    # two relation types between one pair; a self-relation and a cycle
+    # through the source; a synset without relations
+    {"a": ["石头", "石器", "介石"], "m": ["中"], "b": ["礦物", "物"],
+     "lone": ["石礦"]},
+    [("a", "t", "b"), ("a", "u", "b"), ("a", "t", "a"), ("a", "t", "m"),
+     ("m", "t", "a"), ("m", "u", "b"), ("b", "t", "b")],
+    [cls(0, ord("石"), ord("介")), cls(1, ord("礦"), ord("物")),
+     cls(2, ord("中"))],
+    [(0, 1), (2, 1), (0, 2)],
+    {ord("石"): 1, ord("礦"): 1, ord("物"): 2},
+    True,
+))
+@example(({"a": ["石"]}, [("a", "t", "a")],
+          [cls(0, ord("石")), cls(1, ord("礦"))], [(0, 1)], {}, False))
+def test_annotate_semanticity_matches_relation_scan(case):
+    synsets, relations, classes, edges, radicals, with_store = case
+    store = toy_store(synsets, relations) if with_store else None
+    got = from_edges(edges, nodes=range(len(classes)))
+    annotate_semanticity(got, classes, store, radicals)
+
+    want = from_edges(edges, nodes=range(len(classes)))
+    f1, f2, r = {}, {}, {}
+    for a, b in edges:
+        sub, sup = classes[a], classes[b]
+        if store is not None:
+            f1[(a, b)] = oracle_f1(sub, sup, store)
+            f2[(a, b)] = oracle_f2(sub, sup, store)
+            assert count_f1(sub, sup, store) == f1[(a, b)]
+            assert count_f2(sub, sup, store) == f2[(a, b)]
+        if radicals:
+            r[(a, b)] = radical_agreement(sub, sup, radicals)
+    semanticity(want, f1, f2, r)
+
+    assert got.meta == want.meta
+    for key in edges:
+        g_edge, w_edge = got.edge(*key), want.edge(*key)
+        assert (g_edge.f1, g_edge.f2, g_edge.r, g_edge.s_raw, g_edge.s) == \
+            (w_edge.f1, w_edge.f2, w_edge.r, w_edge.s_raw, w_edge.s)
 
 
 def test_radical_agreement_cases():

@@ -8,6 +8,7 @@ from sinograph.strokesig import (
     E,
     CharSignature,
     Stroke,
+    StrokePairSignature,
     char_signature,
     detect_inclusions,
     pair_signature,
@@ -209,3 +210,18 @@ def test_parse_stroke_spec_roundtrip():
         parse_stroke_spec("ZZZ:(0,0)-(1,1)")
     with pytest.raises(InputError):
         parse_stroke_spec("H:(0,0)")
+
+
+@pytest.mark.parametrize("point", ["(nan,5)", "(1,inf)", "(-inf,2)", "(NaN,NaN)"])
+def test_parse_stroke_spec_rejects_non_finite(point):
+    with pytest.raises(InputError, match="non-finite"):
+        parse_stroke_spec(f"H:{point}-(9,5);S:(5,9)-(5,1)")
+
+
+def test_nan_component_does_not_match():
+    finite = StrokePairSignature(1.0, 1.0, 1.0, 1.0)
+    holed = StrokePairSignature(math.nan, 1.0, 1.0, 1.0)
+    for a, b in ((holed, finite), (finite, holed), (holed, holed)):
+        inner = CharSignature(("H", "S"), (a,))
+        outer = CharSignature(("H", "S", "P"), (b, finite))
+        assert not signature_contains(inner, outer, 1e9)
