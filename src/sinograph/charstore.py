@@ -58,14 +58,11 @@ class Sinograph:
     codepoint: int
     readings: list[Reading] = field(default_factory=list)
     kangxi_radical: int | None = None
-    stroke_count: int = 0
 
     def __post_init__(self) -> None:
         if self.kangxi_radical is not None and not 1 <= self.kangxi_radical <= 214:
             raise InputError(
                 f"radical index must be in 1..214, got {self.kangxi_radical}")
-        if self.stroke_count < 0:
-            raise InputError("stroke_count must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -208,11 +205,6 @@ class CharacterStore:
         if not 1 <= radical <= 214:
             raise InputError(f"radical index must be in 1..214, got {radical}")
         self.sinograph(codepoint).kangxi_radical = radical
-
-    def set_stroke_count(self, codepoint: int, count: int) -> None:
-        if count < 0:
-            raise InputError("stroke count must be nonnegative")
-        self.sinograph(codepoint).stroke_count = count
 
     def readings(self, codepoint: int, language: Language) -> list[Reading]:
         """All readings of ``codepoint`` in ``language`` (may be empty)."""

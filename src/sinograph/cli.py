@@ -166,8 +166,6 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
                    if args.ufl else None)
     chars = set(strokes) | {cp for pair in variant_pairs for cp in pair}
     store = CharacterStore(chars, variant_pairs, frequencies)
-    for cp, s in strokes.items():
-        store.set_stroke_count(cp, len(s))
 
     lifted = lift_to_classes(char_reduced.edges(), store.classes)
     reduced = transitive_reduce(lifted)

@@ -22,6 +22,7 @@ The snapshot is line oriented with a version header and three sections
 from __future__ import annotations
 
 import io
+import math
 from typing import Mapping, Sequence, TextIO
 
 from .charstore import AllographClass, Language, Reading
@@ -235,9 +236,12 @@ def parse_vectors(text: str, path: str = "vectors"
         for cell in cells.split():
             try:
                 cid_tok, w_tok = cell.split(":")
-                vec[int(cid_tok)] = float(w_tok)
+                cid, w = int(cid_tok), float(w_tok)
             except ValueError:
                 raise InputError(f"{path}:{lineno}: bad cell {cell!r}") from None
+            if not math.isfinite(w):
+                raise InputError(f"{path}:{lineno}: non-finite weight {cell!r}")
+            vec[cid] = w
         labels.append(label)
         vectors.append(vec)
     return labels, vectors
@@ -298,6 +302,12 @@ def save_snapshot(path: str, g: InclusionGraph,
 def parse_snapshot(text: str, path: str = "snapshot"
                    ) -> tuple[InclusionGraph, list[AllographClass],
                               dict[int, set[str]]]:
+    """Read a snapshot written by ``write_snapshot``.
+
+    Class ids must be unique, each codepoint must belong to one class
+    only, and every edge endpoint must be a class declared earlier in
+    NODES; any other content raises ``InputError`` naming the line.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != SNAPSHOT_HEADER:
         raise InputError(f"{path}: missing {SNAPSHOT_HEADER!r} header")
@@ -305,6 +315,7 @@ def parse_snapshot(text: str, path: str = "snapshot"
     g = InclusionGraph()
     classes: list[AllographClass] = []
     annotations: dict[int, set[str]] = {}
+    class_of: dict[int, int] = {}
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
@@ -319,13 +330,24 @@ def parse_snapshot(text: str, path: str = "snapshot"
             elif section == "NODES":
                 cid_tok, members_tok, rep_tok, synsets_tok = fields
                 cid = int(cid_tok)
+                if cid in g:
+                    raise InputError(f"class id {cid} declared twice")
                 members = frozenset(int(m, 16) for m in members_tok.split())
+                for cp in members:
+                    if cp in class_of:
+                        raise InputError(f"codepoint {cp:X} is in classes "
+                                         f"{class_of[cp]} and {cid}")
+                    class_of[cp] = cid
                 classes.append(AllographClass(cid, members, int(rep_tok, 16)))
                 g.add_node(cid)
                 if synsets_tok != MISSING:
                     annotations[cid] = set(synsets_tok.split("|"))
             elif section == "EDGES":
                 sub, sup = int(fields[0]), int(fields[1])
+                if sub not in g or sup not in g:
+                    missing = sup if sub in g else sub
+                    raise InputError(f"edge endpoint {missing} is not a "
+                                     f"declared node")
                 data = EdgeData()
                 i = 2
                 for lang in _SNAPSHOT_LANGS:
@@ -344,10 +366,10 @@ def parse_snapshot(text: str, path: str = "snapshot"
                 g.add_edge(sub, sup, data)
             else:
                 raise InputError("content before any section header")
+        except InputError as exc:  # before ValueError, its base class
+            raise InputError(f"{path}:{lineno}: {exc}") from None
         except (ValueError, IndexError):
             raise InputError(f"{path}:{lineno}: malformed {section} line") from None
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
     return g, classes, annotations
 
 

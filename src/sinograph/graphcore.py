@@ -139,15 +139,19 @@ class InclusionGraph:
         return order
 
     def _find_cycle(self, candidates: set[int]) -> list[int]:
+        # Every candidate kept a positive in-degree, so it has a
+        # predecessor among the candidates and a walk over predecessors
+        # must close a cycle; a walk over successors can instead stop at
+        # a node that only lies downstream of one.
         start = min(candidates)
         seen: dict[int, int] = {}
         path = [start]
         seen[start] = 0
         node = start
         while True:
-            node = min(s for s in self._succ[node] if s in candidates)
+            node = min(p for p in self._pred[node] if p in candidates)
             if node in seen:
-                return path[seen[node]:] + [node]
+                return (path[seen[node]:] + [node])[::-1]
             seen[node] = len(path)
             path.append(node)
 
@@ -203,21 +207,29 @@ def transitive_reduce(g: InclusionGraph) -> InclusionGraph:
     retain their attributes.  Raises DataError on a cyclic input.
     """
     order = g.topological_order()
-    # descendants computed in reverse topological order
-    desc: dict[int, set[int]] = {}
-    for node in reversed(order):
-        d: set[int] = set()
-        for s in g.successors(node):
-            d.add(s)
-            d |= desc[s]
-        desc[node] = d
+    # Descendant sets are int bitsets.  A node's bit is its position in
+    # reverse topological order, so descendants get lower bits and the
+    # sets near the sinks stay small.  below[a] ORs the descendants of
+    # all of a's successors, the target c of an edge (a, c) included:
+    # in a DAG c does not descend from itself, so c is in below[a] iff a
+    # reaches c by a path of length at least 2.
+    pos: dict[int, int] = {}
+    desc: dict[int, int] = {}
+    below: dict[int, int] = {}
+    for i, node in enumerate(reversed(order)):
+        pos[node] = i
+        via = direct = 0
+        for s in g._succ[node]:
+            via |= desc[s]
+            direct |= 1 << pos[s]
+        below[node] = via
+        desc[node] = via | direct
 
     reduced = InclusionGraph()
     for n in g.nodes:
         reduced.add_node(n)
     for a, c in g.edges():
-        redundant = any(c in desc[b] for b in g.successors(a) if b != c)
-        if not redundant:
+        if not below[a] >> pos[c] & 1:
             reduced.add_edge(a, c, g.edge(a, c).copy())
     reduced.meta = dict(g.meta)
     return reduced

@@ -9,12 +9,18 @@ component's representation reappear verbatim wherever the component is
 embedded inside a larger character.
 
 Subcharacter inclusion is then detected as a contiguous match of one
-character's full representation inside another's.
+character's full representation inside another's.  A match needs the
+inner character's stroke types to equal a contiguous window of the
+outer character's exactly, so mining indexes the characters by their
+stroke-type sequence and looks up only the windows of each outer
+character, at the lengths inner characters have; each hit is then
+verified with the tolerance check of ``signature_contains``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -205,18 +211,32 @@ def detect_inclusions(
     contiguous block inside that of c.  Single-stroke characters match
     wherever their stroke type occurs, which deliberately over-generates;
     transitive reduction downstream prunes the shortcuts.
+
+    Candidates come from an index of the signatures keyed by their
+    stroke-type sequence: for each outer character, every contiguous
+    window of its stroke types, at each length some shorter signature
+    has, is looked up.  Since ``signature_contains`` requires the stroke
+    types to equal such a window exactly, no inclusion is missed; each
+    distinct candidate pair is then verified by ``signature_contains``.
     """
     if tolerance < 0:
         raise InputError("tolerance must be nonnegative")
-    # candidates grouped by length: an inner signature must be strictly
-    # shorter than the outer one
-    by_cp = sorted(sigs.items())
+    by_types: dict[tuple[str, ...], list[int]] = defaultdict(list)
+    for cp, sig in sigs.items():
+        by_types[sig.stroke_types].append(cp)
+    lengths = sorted({len(types) for types in by_types})
     found: set[tuple[int, int]] = set()
-    for sub_cp, sub_sig in by_cp:
-        for super_cp, super_sig in by_cp:
-            if sub_cp == super_cp or len(sub_sig) >= len(super_sig):
-                continue
-            if signature_contains(sub_sig, super_sig, tolerance):
+    for super_cp, super_sig in sigs.items():
+        types = super_sig.stroke_types
+        n = len(types)
+        candidates: set[int] = set()
+        for k in lengths:
+            if k >= n:  # only strictly shorter signatures can be included
+                break
+            for offset in range(n - k + 1):
+                candidates.update(by_types.get(types[offset:offset + k], ()))
+        for sub_cp in candidates:
+            if signature_contains(sigs[sub_cp], super_sig, tolerance):
                 found.add((sub_cp, super_cp))
     return found
 

@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 
 import pytest
@@ -243,3 +244,34 @@ def test_query_unknown(chain_inputs, capsys):
 
 def test_evaluate_missing_vectors_exit_2(tmp_path):
     assert main(["evaluate", "--vectors", str(tmp_path / "missing")]) == 2
+
+
+@pytest.mark.parametrize("old, new, problem", [
+    ("1\t2\t", "1\t9\t", "edge endpoint 9 is not a declared node"),
+    ("2\t4E02\t", "1\t4E02\t", "class id 1 declared twice"),
+    ("2\t4E02\t", "2\t4E01 4E02\t", "codepoint 4E01 is in classes 1 and 2"),
+])
+def test_chains_rejects_inconsistent_snapshot(chain_inputs, capsys,
+                                              old, new, problem):
+    with open(_annotate(chain_inputs), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(old))
+    lines[lineno - 1] = new + lines[lineno - 1][len(old):]
+    bad = write(chain_inputs["dir"] / "bad.snap", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["chains", "--snapshot", bad, "--kind", "semantic", "--all"])
+    assert rc == 2
+    assert f"{bad}:{lineno}: {problem}" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_non_finite_weight(tmp_path, capsys):
+    labels = ["one", "two"] * 10
+    vectors = [{0 if lab == "one" else 1: 1.0} for lab in labels]
+    vectors[3] = {0: math.nan}
+    vec_path = str(tmp_path / "vec.txt")
+    with open(vec_path, "w", encoding="utf-8") as fh:
+        formats.write_vectors(fh, labels, vectors)
+    rc = main(["evaluate", "--vectors", vec_path, "--k", "2",
+               "--out", str(tmp_path / "report.txt")])
+    assert rc == 2
+    assert f"{vec_path}:5: non-finite weight '0:nan'" in capsys.readouterr().err

@@ -3,11 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import zipf
 
 from sinograph.charstore import build_allograph_classes
 from sinograph.errors import DataError, InputError
 from sinograph.graphcore import (
+    EdgeData,
     InclusionGraph,
     degree_statistics,
     fit_power_law,
@@ -56,6 +59,60 @@ def brute_force_reduction(g):
     return kept
 
 
+def set_based_reduction(g):
+    """Reference: descendant sets, and an edge (a, c) is dropped iff c
+    descends from another successor of a."""
+    desc = {}
+    for node in reversed(g.topological_order()):
+        d = set()
+        for s in g.successors(node):
+            d.add(s)
+            d |= desc[s]
+        desc[node] = d
+    return {(a, c) for a, c in g.edges()
+            if not any(c in desc[b] for b in g.successors(a) if b != c)}
+
+
+@st.composite
+def labelled_dags(draw):
+    """A random DAG whose node ids are unrelated to its topological
+    order; each edge carries its own f1 so attributes can be traced."""
+    ids = draw(st.lists(st.integers(-50, 10_000), min_size=1, max_size=40,
+                        unique=True))
+    n = len(ids)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=4 * n))
+    g = from_edges([], nodes=ids)
+    for i, j in pairs:  # an edge always runs from earlier to later in ids
+        if i < j:
+            g.add_edge(ids[i], ids[j], EdgeData(f1=i * n + j))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_dags())
+def test_bitset_reduction_equals_set_based(g):
+    reduced = transitive_reduce(g)
+    assert set(reduced.edges()) == set_based_reduction(g)
+    assert reduced.nodes == g.nodes
+    for a, c in reduced.edges():
+        assert reduced.edge(a, c).f1 == g.edge(a, c).f1
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_dags(), st.data())
+def test_bitset_reduction_rejects_a_cycle(g, data):
+    edges = g.edges()
+    if not edges:
+        a, b = min(g.nodes), max(g.nodes) + 1
+        g.add_edge(a, b)
+        edges = [(a, b)]
+    a, c = data.draw(st.sampled_from(edges))
+    g.add_edge(c, a)  # closes the cycle a -> ... -> c -> a
+    with pytest.raises(DataError, match="cycle"):
+        transitive_reduce(g)
+
+
 def test_triangle_reduced():
     g = from_edges([(1, 2), (2, 3), (1, 3)])
     assert transitive_reduce(g).edges() == [(1, 2), (2, 3)]
@@ -87,7 +144,11 @@ def test_reduction_idempotent():
 
 def test_cycle_reported_with_witness():
     g = from_edges([(1, 2), (2, 3), (3, 1)])
-    with pytest.raises(DataError, match="cycle"):
+    with pytest.raises(DataError, match="cycle: 1 -> 2 -> 3 -> 1"):
+        transitive_reduce(g)
+    # the lowest id lies downstream of the cycle and has no successor
+    g = from_edges([(1, 2), (2, 1), (1, 0)])
+    with pytest.raises(DataError, match="cycle: 1 -> 2 -> 1"):
         transitive_reduce(g)
 
 

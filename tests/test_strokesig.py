@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinograph.errors import InputError
 from sinograph.strokesig import (
@@ -225,3 +227,100 @@ def test_nan_component_does_not_match():
         inner = CharSignature(("H", "S"), (a,))
         outer = CharSignature(("H", "S", "P"), (b, finite))
         assert not signature_contains(inner, outer, 1e9)
+
+
+def all_pairs_inclusions(sigs, tolerance):
+    """Reference: test every ordered pair of distinct characters."""
+    return {(sub, sup)
+            for sub, sub_sig in sigs.items()
+            for sup, sup_sig in sigs.items()
+            if sub != sup and signature_contains(sub_sig, sup_sig, tolerance)}
+
+
+TOLERANCES = (0.0, 0.05, 0.5)
+# a few stroke types, so stroke-type windows recur across characters
+TYPES = st.sampled_from(("H", "S", "P"))
+COMPONENT = st.one_of(st.just(E), st.sampled_from((0.0, 1.0)),
+                      st.floats(0.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def pair_sigs(draw, n):
+    return tuple(StrokePairSignature(*draw(st.tuples(*[COMPONENT] * 4)))
+                 for _ in range(n))
+
+
+@st.composite
+def random_sig(draw, min_len=1, max_len=5):
+    types = tuple(draw(st.lists(TYPES, min_size=min_len, max_size=max_len)))
+    return CharSignature(types, draw(pair_sigs(len(types) - 1)))
+
+
+@st.composite
+def near_copy(draw, sig, tolerance):
+    """``sig``'s pair signatures, each with at most one component moved
+    to or just past the tolerance boundary, or swapped with E."""
+    out = []
+    for pair in sig.pair_sigs:
+        comps = list(pair.as_tuple())
+        i = draw(st.integers(0, 3))
+        how = draw(st.sampled_from(("same", "edge", "past", "E")))
+        if how == "E":
+            comps[i] = 1.0 if comps[i] == E else E
+        elif how != "same" and comps[i] != E:
+            step = tolerance if how == "edge" else tolerance + 1e-3
+            comps[i] = max(0.0, comps[i] + draw(st.sampled_from((-1, 1))) * step)
+        out.append(StrokePairSignature(*comps))
+    return tuple(out)
+
+
+@st.composite
+def inventories(draw):
+    """Characters, some embedding others' blocks nearly or exactly, and
+    the tolerance to mine them with."""
+    tolerance = draw(st.sampled_from(TOLERANCES))
+    sigs = draw(st.lists(random_sig(), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 6))):
+        inner = draw(st.sampled_from(sigs))
+        how = draw(st.sampled_from(("embed", "identical", "repeat")))
+        if how == "identical":  # an equal-length copy: identity, not inclusion
+            sigs.append(inner)
+            continue
+        left = draw(random_sig(0, 2))
+        right = draw(random_sig(0, 2))
+        blocks = [CharSignature(inner.stroke_types,
+                                draw(near_copy(inner, tolerance)))]
+        if how == "repeat":
+            # the same stroke-type window twice, only the later one exact
+            blocks.append(inner)
+        types, pairs = left.stroke_types, left.pair_sigs
+        for block in blocks + [right]:
+            if not block.stroke_types:
+                continue
+            if types:  # the pair joining the previous block to this one
+                pairs += draw(pair_sigs(1))
+            types += block.stroke_types
+            pairs += block.pair_sigs
+        sigs.append(CharSignature(types, pairs))
+    cps = draw(st.lists(st.integers(0, 0xFFFF), min_size=len(sigs),
+                        max_size=len(sigs), unique=True))
+    return dict(zip(cps, sigs)), tolerance
+
+
+@settings(max_examples=300, deadline=None)
+@given(inventories())
+def test_indexed_detection_equals_all_pairs(case):
+    sigs, tolerance = case
+    assert detect_inclusions(sigs, tolerance) == \
+        all_pairs_inclusions(sigs, tolerance)
+
+
+def test_match_at_a_later_repeated_window():
+    inner = CharSignature(("H", "S"), (StrokePairSignature(1.0, 2.0, E, 0.5),))
+    wrong = StrokePairSignature(1.0, 2.2, E, 0.5)
+    joint = StrokePairSignature(0.3, 0.3, 0.3, 0.3)
+    outer = CharSignature(("H", "S", "H", "S"),
+                          (wrong, joint) + inner.pair_sigs)
+    sigs = {1: inner, 2: outer}
+    assert detect_inclusions(sigs, 0.1) == {(1, 2)}
+    assert detect_inclusions(sigs, 0.1) == all_pairs_inclusions(sigs, 0.1)
