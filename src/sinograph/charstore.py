@@ -1,4 +1,4 @@
-"""Character store: codepoints, readings, radicals and allographic classes.
+"""Character store: codepoints, readings and allographic classes.
 
 An *allographic class* groups a character with its graphical variants
 (simplified/traditional forms, combining shapes).  Classes are the
@@ -57,12 +57,6 @@ class Sinograph:
 
     codepoint: int
     readings: list[Reading] = field(default_factory=list)
-    kangxi_radical: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kangxi_radical is not None and not 1 <= self.kangxi_radical <= 214:
-            raise InputError(
-                f"radical index must be in 1..214, got {self.kangxi_radical}")
 
 
 @dataclass(frozen=True)
@@ -201,19 +195,7 @@ class CharacterStore:
     def add_reading(self, codepoint: int, reading: Reading) -> None:
         self.sinograph(codepoint).readings.append(reading)
 
-    def set_radical(self, codepoint: int, radical: int) -> None:
-        if not 1 <= radical <= 214:
-            raise InputError(f"radical index must be in 1..214, got {radical}")
-        self.sinograph(codepoint).kangxi_radical = radical
-
     def readings(self, codepoint: int, language: Language) -> list[Reading]:
         """All readings of ``codepoint`` in ``language`` (may be empty)."""
         return [r for r in self.sinograph(codepoint).readings
                 if r.language is language]
-
-    def radical(self, codepoint: int) -> int | None:
-        return self.sinograph(codepoint).kangxi_radical
-
-    def radical_map(self) -> dict[int, int]:
-        return {cp: s.kangxi_radical for cp, s in self._chars.items()
-                if s.kangxi_radical is not None}

@@ -5,7 +5,11 @@ full-batch projected subgradient descent on the regularized hinge loss
 
     J(w, b) = (lambda/2) ||w||^2 + mean_i max(0, 1 - y_i (w.x_i + b))
 
-with lambda = 1 / (C n).  Full-batch updates make training deterministic;
+with lambda = 1 / (C n).  The K one-vs-rest models share X and differ
+only in their labels, so they train together: each epoch is one (K x d)
+full-batch update, and each model (row) is frozen at the epoch where its
+own objective converges, which leaves every row's iteration that of a
+model trained alone.  Full-batch updates make training deterministic;
 the seed only drives fold assignment.  The reported support-vector count
 is the number of training examples whose hinge margin is active
 (y f(x) <= 1 + 1e-6) at convergence for at least one category, summed
@@ -59,33 +63,60 @@ def _densify(vectors: Sequence[FeatureVector],
     return X
 
 
-def _train_binary(X: np.ndarray, y: np.ndarray, C: float,
-                  max_epochs: int, tol: float) -> tuple[np.ndarray, float, int]:
-    """Pegasos-style full-batch training of one binary classifier."""
-    n, d = X.shape
+def _train_one_vs_rest(X: np.ndarray, Y: np.ndarray, C: float,
+                       max_epochs: int, tol: float
+                       ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Pegasos-style full-batch training of K binary classifiers at once.
+
+    Row k of the (K, n) label matrix ``Y`` holds the +-1 labels of
+    category k.  Each epoch takes one subgradient step for every live
+    row, projects each row onto the radius 1/sqrt(lambda), and computes
+    the (K, n) margins once: they give the objective and the next
+    epoch's active set.  A row whose relative objective change falls
+    below ``tol`` is frozen at that epoch, so every row follows the
+    iteration it would follow if trained alone.
+    """
+    n = X.shape[0]
+    K = Y.shape[0]
     lam = 1.0 / (C * n)
     radius = 1.0 / math.sqrt(lam)
-    w = np.zeros(d)
-    b = 0.0
-    prev_obj = math.inf
-    epoch = 0
+    XT = np.ascontiguousarray(X.T)
+    W = np.zeros((K, X.shape[1]))
+    b = np.zeros(K)
+    epochs = [max_epochs] * K
+    # Live rows: their indices into W, and their weights, bias, labels,
+    # margins and previous objective.
+    rows = np.arange(K)
+    Wl, bl, Yl, Ml = np.zeros_like(W), np.zeros(K), Y, np.zeros_like(Y)
+    prev_obj = np.full(K, math.inf)
     for epoch in range(1, max_epochs + 1):
-        margins = y * (X @ w + b)
-        active = margins < 1.0
+        A = np.where(Ml < 1.0, Yl, 0.0)
         eta = 1.0 / (lam * epoch)
-        grad_w = lam * w - (X[active].T @ y[active]) / n
-        grad_b = -np.sum(y[active]) / n
-        w = w - eta * grad_w
-        b = b - eta * grad_b
-        norm = np.linalg.norm(w)
-        if norm > radius:
-            w *= radius / norm
-        obj = 0.5 * lam * float(w @ w) + float(
-            np.mean(np.maximum(0.0, 1.0 - y * (X @ w + b))))
-        if abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-12):
-            break
+        Wl = Wl - eta * (lam * Wl - (A @ X) / n)
+        bl = bl - eta * (-A.sum(axis=1) / n)
+        norm = np.sqrt(np.einsum("kd,kd->k", Wl, Wl))
+        over = norm > radius
+        if over.any():
+            Wl[over] *= (radius / norm[over])[:, None]
+        Ml = Yl * (Wl @ XT + bl[:, None])
+        # sum / n is np.mean's arithmetic without its per-call overhead
+        obj = 0.5 * lam * np.einsum("kd,kd->k", Wl, Wl) + (
+            np.maximum(0.0, 1.0 - Ml).sum(axis=1) / n)
+        done = np.abs(prev_obj - obj) < tol * np.maximum(np.abs(prev_obj), 1e-12)
         prev_obj = obj
-    return w, b, epoch
+        if done.any():
+            W[rows[done]] = Wl[done]
+            b[rows[done]] = bl[done]
+            for k in rows[done]:
+                epochs[k] = epoch
+            live = ~done
+            rows, Wl, bl, Yl, Ml, prev_obj = (
+                rows[live], Wl[live], bl[live], Yl[live], Ml[live], prev_obj[live])
+            if not rows.size:
+                break
+    W[rows] = Wl
+    b[rows] = bl
+    return W, b, epochs
 
 
 def train(vectors: Sequence[FeatureVector], labels: Sequence[Hashable],
@@ -100,15 +131,9 @@ def train(vectors: Sequence[FeatureVector], labels: Sequence[Hashable],
         raise InputError("need at least two categories to train")
     feature_ids = sorted({fid for vec in vectors for fid in vec})
     X = _densify(vectors, feature_ids)
-    weights = np.zeros((len(categories), len(feature_ids)))
-    bias = np.zeros(len(categories))
-    epochs = []
-    for k, cat in enumerate(categories):
-        y = np.where(np.asarray([lab == cat for lab in labels]), 1.0, -1.0)
-        w, b, ep = _train_binary(X, y, C, max_epochs, tol)
-        weights[k] = w
-        bias[k] = b
-        epochs.append(ep)
+    Y = np.array([[1.0 if lab == cat else -1.0 for lab in labels]
+                  for cat in categories])
+    weights, bias, epochs = _train_one_vs_rest(X, Y, C, max_epochs, tol)
     return LinearModel(categories, feature_ids, weights, bias, C, seed, epochs)
 
 
@@ -210,19 +235,17 @@ def cross_validate(vectors: Sequence[FeatureVector],
     for fold in folds:
         test = set(fold)
         train_idx = [i for i in range(len(labels)) if i not in test]
-        model = train([vectors[i] for i in train_idx],
-                      [labels[i] for i in train_idx],
+        train_labels = [labels[i] for i in train_idx]
+        model = train([vectors[i] for i in train_idx], train_labels,
                       C=C, seed=seed, max_epochs=max_epochs, tol=tol)
         fold_epochs.append(tuple(model.epochs_run))
-        fold_svs.append(_support_vector_count(
-            model, _densify([vectors[i] for i in train_idx], model.feature_ids),
-            [labels[i] for i in train_idx]))
         cols = [col_of[fid] for fid in model.feature_ids]
-        correct = 0
-        for i in fold:
-            scores = model.weights @ X_all[i, cols] + model.bias
-            if model.categories[int(np.argmax(scores))] == labels[i]:
-                correct += 1
+        fold_svs.append(_support_vector_count(
+            model, X_all[np.ix_(train_idx, cols)], train_labels))
+        scores = X_all[np.ix_(fold, cols)] @ model.weights.T + model.bias
+        best = np.argmax(scores, axis=1)  # ties go to the first category
+        correct = sum(model.categories[j] == labels[i]
+                      for i, j in zip(fold, best.tolist()))
         fold_accs.append(correct / len(fold))
         correct_total += correct
     return EvalReport(

@@ -241,7 +241,13 @@ def parse_vectors(text: str, path: str = "vectors"
                 raise InputError(f"{path}:{lineno}: bad cell {cell!r}") from None
             if not math.isfinite(w):
                 raise InputError(f"{path}:{lineno}: non-finite weight {cell!r}")
+            if cid in vec:
+                raise InputError(f"{path}:{lineno}: feature {cid} repeated")
             vec[cid] = w
+        # An infinite ||x||^2 would overflow the classifier's margins.
+        if not math.isfinite(sum(w * w for w in vec.values())):
+            raise InputError(f"{path}:{lineno}: squared norm of the weights "
+                             f"is not finite")
         labels.append(label)
         vectors.append(vec)
     return labels, vectors

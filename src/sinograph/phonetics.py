@@ -37,8 +37,6 @@ FEATURE_WEIGHTS = (4.0, 1.0, 4.0, 1.0, 5.0, 1.0, 1.0)
 #: mismatch.
 TONE_PENALTY_FACTOR = 0.1
 
-UNKNOWN = None  # alias used in signatures: a distance that cannot be computed
-
 
 @dataclass(frozen=True)
 class SyllableFeatures:
@@ -216,7 +214,7 @@ def class_distance(store: CharacterStore, class_a: int, class_b: int,
     readings_b = [r for cp in store.class_by_id(class_b).members
                   for r in store.readings(cp, language)]
     if not readings_a or not readings_b:
-        return UNKNOWN
+        return None
     table = table or default_table()
     return min(reading_distance(ra, rb, table)
                for ra in readings_a for rb in readings_b)

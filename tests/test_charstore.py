@@ -125,13 +125,3 @@ def test_store_readings_by_language():
     store.add_reading(0x4EBA, Reading(Language.JAPANESE_ON, ("nin",)))
     assert len(store.readings(0x4EBA, Language.MANDARIN)) == 1
     assert store.readings(0x4EBA, Language.JAPANESE_KUN) == []
-
-
-def test_radical_bounds():
-    store = CharacterStore({1})
-    store.set_radical(1, 214)
-    with pytest.raises(InputError):
-        store.set_radical(1, 0)
-    with pytest.raises(InputError):
-        store.set_radical(1, 215)
-    assert store.radical(1) == 214

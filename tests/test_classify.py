@@ -1,10 +1,18 @@
+import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sinograph.classify import (
+    DEFAULT_MAX_EPOCHS,
+    DEFAULT_TOL,
+    MARGIN_SLACK,
     LinearModel,
+    _densify,
     cross_validate,
     predict,
     stratified_folds,
@@ -143,3 +151,146 @@ def test_chance_level_on_shuffled_labels():
     rng.shuffle(shuffled)
     report = cross_validate(vectors, shuffled, k=10, seed=0)
     assert abs(report.mean_accuracy - 0.2) <= 0.05
+
+
+# -- the per-model trainer, kept as the oracle of the batched one ------------
+
+def train_binary(X, y, C, max_epochs, tol):
+    """Pegasos-style full-batch training of one binary classifier."""
+    n, d = X.shape
+    lam = 1.0 / (C * n)
+    radius = 1.0 / math.sqrt(lam)
+    w = np.zeros(d)
+    b = 0.0
+    prev_obj = math.inf
+    epoch = 0
+    for epoch in range(1, max_epochs + 1):
+        margins = y * (X @ w + b)
+        active = margins < 1.0
+        eta = 1.0 / (lam * epoch)
+        grad_w = lam * w - (X[active].T @ y[active]) / n
+        grad_b = -np.sum(y[active]) / n
+        w = w - eta * grad_w
+        b = b - eta * grad_b
+        norm = np.linalg.norm(w)
+        if norm > radius:
+            w *= radius / norm
+        obj = 0.5 * lam * float(w @ w) + float(
+            np.mean(np.maximum(0.0, 1.0 - y * (X @ w + b))))
+        if abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-12):
+            break
+        prev_obj = obj
+    return w, b, epoch
+
+
+def per_model_train(vectors, labels, C=1.0, max_epochs=DEFAULT_MAX_EPOCHS,
+                    tol=DEFAULT_TOL):
+    """One-vs-rest models trained one category at a time."""
+    categories = sorted(set(labels))
+    feature_ids = sorted({fid for vec in vectors for fid in vec})
+    X = _densify(vectors, feature_ids)
+    weights = np.zeros((len(categories), len(feature_ids)))
+    bias = np.zeros(len(categories))
+    epochs = []
+    for k, cat in enumerate(categories):
+        y = np.where(np.asarray([lab == cat for lab in labels]), 1.0, -1.0)
+        weights[k], bias[k], ep = train_binary(X, y, C, max_epochs, tol)
+        epochs.append(ep)
+    return LinearModel(categories, feature_ids, weights, bias, C, 0, epochs)
+
+
+def per_model_cross_validate(vectors, labels, k, seed, C, max_epochs, tol):
+    """Fold accuracies, support-vector counts and epochs of the oracle."""
+    accuracies, support_vectors, epochs = [], [], []
+    for fold in stratified_folds(labels, k, seed):
+        test = set(fold)
+        idx = [i for i in range(len(labels)) if i not in test]
+        tr_vectors = [vectors[i] for i in idx]
+        tr_labels = [labels[i] for i in idx]
+        model = per_model_train(tr_vectors, tr_labels, C=C,
+                                max_epochs=max_epochs, tol=tol)
+        X = _densify(tr_vectors, model.feature_ids)
+        active = np.zeros(len(idx), dtype=bool)
+        for row, cat in enumerate(model.categories):
+            y = np.where(np.asarray([lab == cat for lab in tr_labels]), 1.0, -1.0)
+            active |= y * (X @ model.weights[row] + model.bias[row]) \
+                <= 1.0 + MARGIN_SLACK
+        support_vectors.append(int(active.sum()))
+        vocab = set(model.feature_ids)  # unseen test features score 0
+        accuracies.append(sum(
+            predict(model, {f: w for f, w in vectors[i].items() if f in vocab})
+            == labels[i] for i in fold) / len(fold))
+        epochs.append(tuple(model.epochs_run))
+    return tuple(accuracies), tuple(support_vectors), tuple(epochs)
+
+
+def max_abs_diff(a, b):
+    return float(np.max(np.abs(a - b), initial=0.0))
+
+
+@st.composite
+def training_sets(draw, min_per_category=1):
+    """K = 2..6 categories over up to 6 features.  Rows may be all zero
+    or repeat an earlier row under another label (contradictory labels);
+    a small epoch cap and a loose tolerance let some rows stop at the cap
+    while others converge, at different epochs."""
+    K = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 6))
+    labels = [f"c{i % K}" for i in range(K * min_per_category)]
+    labels += draw(st.lists(st.sampled_from([f"c{i}" for i in range(K)]),
+                            max_size=20))
+    weight = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda w: w != 0.0)
+    vectors = []
+    for _ in labels:
+        if vectors and draw(st.integers(0, 4)) == 0:
+            vectors.append(dict(draw(st.sampled_from(vectors))))
+        else:
+            vectors.append(draw(st.dictionaries(st.integers(0, d - 1), weight,
+                                                max_size=d)))
+    C = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    max_epochs = draw(st.sampled_from([1, 3, 20, 300]))
+    tol = draw(st.sampled_from([1e-2, 1e-3, DEFAULT_TOL]))
+    return vectors, labels, C, max_epochs, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(training_sets())
+@example(([{0: 1.0}, {0: 1.0}, {}, {1: 0.5}, {}, {0: -1.0, 1: 1.0}],
+          ["c0", "c1", "c2", "c0", "c1", "c2"], 1.0, 20, 1e-2))
+def test_batched_training_equals_per_model(case):
+    vectors, labels, C, max_epochs, tol = case
+    got = train(vectors, labels, C=C, max_epochs=max_epochs, tol=tol)
+    want = per_model_train(vectors, labels, C=C, max_epochs=max_epochs, tol=tol)
+    assert got.categories == want.categories
+    assert got.feature_ids == want.feature_ids
+    assert list(got.epochs_run) == want.epochs_run
+    assert max_abs_diff(got.weights, want.weights) <= 1e-9
+    assert max_abs_diff(got.bias, want.bias) <= 1e-9
+
+
+def test_rows_freeze_at_their_own_epoch():
+    # Three of five rows converge, each at its own epoch, and two stop
+    # at the cap.  Every row must match its model trained alone.
+    vectors, labels = separable_corpus(n_per_class=8, n_classes=5, seed=3)
+    labels[0], labels[9] = labels[9], labels[0]
+    got = train(vectors, labels, max_epochs=500)
+    want = per_model_train(vectors, labels, max_epochs=500)
+    assert want.epochs_run == [380, 500, 460, 414, 500]
+    assert list(got.epochs_run) == want.epochs_run
+    assert max_abs_diff(got.weights, want.weights) <= 1e-9
+    assert max_abs_diff(got.bias, want.bias) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda k: st.tuples(st.just(k), training_sets(min_per_category=k),
+                        st.integers(0, 3))))
+def test_cross_validate_equals_per_model_loop(case):
+    k, (vectors, labels, C, max_epochs, tol), seed = case
+    report = cross_validate(vectors, labels, k=k, C=C, seed=seed,
+                            max_epochs=max_epochs, tol=tol)
+    accuracies, support_vectors, epochs = per_model_cross_validate(
+        vectors, labels, k, seed, C, max_epochs, tol)
+    assert report.fold_epochs == epochs
+    assert report.fold_accuracies == accuracies
+    assert report.fold_support_vectors == support_vectors

@@ -275,3 +275,31 @@ def test_evaluate_rejects_non_finite_weight(tmp_path, capsys):
                "--out", str(tmp_path / "report.txt")])
     assert rc == 2
     assert f"{vec_path}:5: non-finite weight '0:nan'" in capsys.readouterr().err
+
+
+def _evaluate_with_line(tmp_path, line):
+    """``evaluate`` on 20 clean two-category vectors whose fourth line
+    (line 5 of the file) is replaced by ``line``."""
+    lines = [f"{lab}\t{0 if lab == 'one' else 1}:1.0"
+             for lab in ["one", "two"] * 10]
+    lines[3] = line
+    vec_path = str(tmp_path / "vec.txt")
+    write(vec_path, formats.VECTORS_HEADER + "\n" + "\n".join(lines) + "\n")
+    rc = main(["evaluate", "--vectors", vec_path, "--k", "2",
+               "--out", str(tmp_path / "report.txt")])
+    return rc, vec_path
+
+
+def test_evaluate_rejects_repeated_feature(tmp_path, capsys):
+    rc, vec_path = _evaluate_with_line(tmp_path, "two\t1:0.1 3:0.2 1:0.5")
+    assert rc == 2
+    assert f"{vec_path}:5: feature 1 repeated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cells", ["1:1e308 3:1e308", "1:1e200 3:1e200",
+                                   "1:1e155"])
+def test_evaluate_rejects_infinite_norm(tmp_path, capsys, cells):
+    rc, vec_path = _evaluate_with_line(tmp_path, "two\t" + cells)
+    assert rc == 2
+    assert (f"{vec_path}:5: squared norm of the weights is not finite"
+            in capsys.readouterr().err)
