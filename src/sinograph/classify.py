@@ -26,11 +26,13 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DataError, InputError
 
 FeatureVector = Mapping[int, float]
 
 MARGIN_SLACK = 1e-6
+DEFAULT_K = 10
+DEFAULT_C = 1.0
 DEFAULT_MAX_EPOCHS = 2000
 DEFAULT_TOL = 1e-5
 
@@ -120,10 +122,17 @@ def _train_one_vs_rest(X: np.ndarray, Y: np.ndarray, C: float,
 
 
 def train(vectors: Sequence[FeatureVector], labels: Sequence[Hashable],
-          C: float = 1.0, seed: int = 0,
+          C: float = DEFAULT_C, seed: int = 0,
           max_epochs: int = DEFAULT_MAX_EPOCHS,
           tol: float = DEFAULT_TOL) -> LinearModel:
-    """One-vs-rest linear classifiers over the union of feature ids."""
+    """One-vs-rest linear classifiers over the union of feature ids.
+
+    Each step moves a weight row by at most C * sum_i ||x_i|| from inside
+    the projection radius sqrt(C n), so training is refused (DataError)
+    when the square of that bound is not a finite float.
+    """
+    if not C > 0:
+        raise InputError("C must be positive")
     if len(vectors) != len(labels):
         raise InputError("vectors and labels differ in length")
     categories = sorted(set(labels))
@@ -131,6 +140,10 @@ def train(vectors: Sequence[FeatureVector], labels: Sequence[Hashable],
         raise InputError("need at least two categories to train")
     feature_ids = sorted({fid for vec in vectors for fid in vec})
     X = _densify(vectors, feature_ids)
+    bound = math.sqrt(C * len(vectors)) + C * float(np.linalg.norm(X, axis=1).sum())
+    if not math.isfinite(bound * bound):
+        raise DataError("feature weights too large to train on: the weight "
+                        "norm bound (sqrt(C n) + C sum ||x_i||)^2 overflows")
     Y = np.array([[1.0 if lab == cat else -1.0 for lab in labels]
                   for cat in categories])
     weights, bias, epochs = _train_one_vs_rest(X, Y, C, max_epochs, tol)
@@ -217,8 +230,8 @@ class EvalReport:
 
 
 def cross_validate(vectors: Sequence[FeatureVector],
-                   labels: Sequence[Hashable], k: int = 10,
-                   C: float = 1.0, seed: int = 0,
+                   labels: Sequence[Hashable], k: int = DEFAULT_K,
+                   C: float = DEFAULT_C, seed: int = 0,
                    max_epochs: int = DEFAULT_MAX_EPOCHS,
                    tol: float = DEFAULT_TOL) -> EvalReport:
     """Stratified k-fold cross-validation with micro-averaged accuracy."""

@@ -19,87 +19,35 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import formats
 from .charstore import CharacterStore, Language
-from .classify import cross_validate
+from .classify import DEFAULT_C, DEFAULT_K, cross_validate
 from .errors import DataError, InputError
-from .features import augment_strategy1, augment_strategy2, baseline_vectors
+from .features import (
+    CHAIN_KINDS,
+    DEFAULT_LANGUAGE,
+    DEFAULT_MIN_COUNT,
+    STRATEGIES,
+    augment,
+    baseline_vectors,
+)
 from .freqlists import aggregate_ufl, distance_matrix
 from .graphcore import from_edges, lift_to_classes, transitive_reduce
-from .inferschar import semantic_approximation
-from .phonetics import (
-    FeatureTable,
-    least_phonetic_chain,
-    phoneticity,
-    phoneticity_histogram,
-)
+from .inferschar import DEFAULT_MAX_DEPTH, semantic_approximation
+from .phonetics import DEFAULT_BINS, FeatureTable, phoneticity, phoneticity_histogram
 from .semantics import (
     SEMANTICITY_COEFFICIENTS,
     SynsetStore,
     annotate_classes,
     annotate_semanticity,
-    most_semantic_chain,
 )
-from .strokesig import char_signature, detect_inclusions
+from .strokesig import DEFAULT_TOLERANCE, char_signature, detect_inclusions
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_DATA = 3
-
-
-@dataclass
-class PipelineConfig:
-    """Resolved per-invocation parameters; every field has a CLI flag.
-
-    Built from the parsed arguments of whichever subcommand is running;
-    fields a subcommand does not expose keep their defaults.
-    """
-
-    tolerance: float = 0.05
-    min_count: int = 10
-    C: float = 1.0
-    k: int = 10
-    seed: int = 0
-    language: Language = Language.JAPANESE_ON
-    coefficients: tuple[float, float, float] = SEMANTICITY_COEFFICIENTS
-    max_depth: int = 4
-    bins: int = 20
-    codepoint_range: tuple[int, int] | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "PipelineConfig":
-        cfg = cls()
-        for field_name in ("tolerance", "min_count", "C", "k", "seed",
-                           "max_depth", "bins"):
-            if getattr(args, field_name, None) is not None:
-                setattr(cfg, field_name, getattr(args, field_name))
-        if getattr(args, "language", None):
-            cfg.language = Language.parse(args.language)
-        if getattr(args, "coefficients", None):
-            cfg.coefficients = tuple(args.coefficients)
-        if getattr(args, "codepoint_range", None):
-            cfg.codepoint_range = _parse_range(args.codepoint_range)
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.tolerance < 0:
-            raise InputError("tolerance must be nonnegative")
-        if self.min_count < 1:
-            raise InputError("min-count must be >= 1")
-        if self.C <= 0:
-            raise InputError("C must be positive")
-        if self.k < 2:
-            raise InputError("k must be >= 2")
-        if self.max_depth < 1:
-            raise InputError("max-depth must be >= 1")
-        if self.bins < 1:
-            raise InputError("bins must be >= 1")
-        if len(self.coefficients) != 3 or any(c < 0 for c in self.coefficients):
-            raise InputError("coefficients must be three nonnegative numbers")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,15 +96,14 @@ def _load_synset_store(synsets_path: str, relations_path: str | None) -> SynsetS
 # -- subcommands -------------------------------------------------------------
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
-    cfg = PipelineConfig.from_args(args)
     strokes = formats.load_strokes(args.strokes)
-    if cfg.codepoint_range:
-        lo, hi = cfg.codepoint_range
+    if args.codepoint_range:
+        lo, hi = _parse_range(args.codepoint_range)
         strokes = {cp: s for cp, s in strokes.items() if lo <= cp <= hi}
     if not strokes:
         raise DataError("no characters to build a graph from")
     sigs = {cp: char_signature(s) for cp, s in strokes.items()}
-    char_edges = detect_inclusions(sigs, tolerance=cfg.tolerance)
+    char_edges = detect_inclusions(sigs, tolerance=args.tolerance)
 
     char_graph = from_edges(char_edges, nodes=strokes.keys())
     char_reduced = transitive_reduce(char_graph)
@@ -169,7 +116,7 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
 
     lifted = lift_to_classes(char_reduced.edges(), store.classes)
     reduced = transitive_reduce(lifted)
-    reduced.meta["tolerance"] = repr(cfg.tolerance)
+    reduced.meta["tolerance"] = repr(args.tolerance)
 
     formats.save_snapshot(args.out, reduced, store.classes)
     print(f"characters\t{len(strokes)}")
@@ -181,7 +128,6 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    cfg = PipelineConfig.from_args(args)
     g, classes, annotations = formats.load_snapshot(args.snapshot)
     store = CharacterStore({cp for cls in classes for cp in cls.members})
 
@@ -206,7 +152,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     synstore = (_load_synset_store(args.synsets, args.relations)
                 if args.synsets else None)
     annotate_semanticity(g, classes, synstore, radicals,
-                         coefficients=cfg.coefficients)
+                         coefficients=tuple(args.coefficients))
 
     if synstore is not None:
         definitions = (formats.load_definitions(args.definitions)
@@ -221,7 +167,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     if args.phi_histogram:
         lines = ["language,bin_lo,bin_hi,count"]
         for lang in annotated_phi:
-            edges, counts = phoneticity_histogram(g, lang, bins=cfg.bins)
+            edges, counts = phoneticity_histogram(g, lang, bins=args.bins)
             for i, c in enumerate(counts):
                 lines.append(f"{lang.value},{edges[i]:g},{edges[i + 1]:g},{c}")
         _write_lines(args.phi_histogram, lines)
@@ -259,18 +205,11 @@ def _resolve_class(args, classes) -> list[int]:
 
 
 def cmd_chains(args: argparse.Namespace) -> int:
-    cfg = PipelineConfig.from_args(args)
+    language = Language.parse(args.language)
     g, classes, _ = formats.load_snapshot(args.snapshot)
-    targets = _resolve_class(args, classes)
-    lines = []
-    if args.kind == "phonetic":
-        for cid in targets:
-            chain = least_phonetic_chain(g, cid, cfg.language)
-            lines.append(f"{cid}\t" + " ".join(str(c) for c in chain))
-    else:
-        for cid in targets:
-            chain = most_semantic_chain(g, cid)
-            lines.append(f"{cid}\t" + " ".join(str(c) for c in chain))
+    walk = CHAIN_KINDS[args.kind].walk
+    lines = [f"{cid}\t" + " ".join(str(c) for c in walk(g, cid, language))
+             for cid in _resolve_class(args, classes)]
     _write_lines(args.out, lines)
     return EXIT_OK
 
@@ -293,21 +232,16 @@ def cmd_freqdist(args: argparse.Namespace) -> int:
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    cfg = PipelineConfig.from_args(args)
+    language = Language.parse(args.language)
     g, classes, _ = formats.load_snapshot(args.snapshot)
     docs = formats.load_corpus(args.corpus)
     labels = [label for label, _ in docs]
     texts = [text for _, text in docs]
     class_of = {cp: cls.id for cls in classes for cp in cls.members}
 
-    vocab, vectors = baseline_vectors(texts, class_of, min_count=cfg.min_count)
-    if args.strategy == "semantic":
-        vocab, vectors = augment_strategy1(g, vocab, vectors)
-    elif args.strategy == "combined":
-        vocab, vectors = augment_strategy2(g, vocab, vectors, cfg.language)
-    elif args.strategy == "phonetic":
-        vocab, vectors = augment_strategy2(g, vocab, vectors, cfg.language,
-                                           include_semantic=False)
+    vocab, vectors = baseline_vectors(texts, class_of, min_count=args.min_count)
+    vocab, vectors = augment(g, vocab, vectors, STRATEGIES[args.strategy],
+                             language)
 
     fh, close = _out_stream(args.out)
     try:
@@ -326,9 +260,8 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = PipelineConfig.from_args(args)
     labels, vectors = formats.load_vectors(args.vectors)
-    report = cross_validate(vectors, labels, k=cfg.k, C=cfg.C, seed=cfg.seed)
+    report = cross_validate(vectors, labels, k=args.k, C=args.C, seed=args.seed)
     _write_lines(args.out, report.lines())
     if report.models_capped:
         print(f"note: {report.models_capped} of {report.models} one-vs-rest "
@@ -338,13 +271,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_query_unknown(args: argparse.Namespace) -> int:
-    cfg = PipelineConfig.from_args(args)
     g, classes, annotations = formats.load_snapshot(args.snapshot)
     targets = _resolve_class(args, classes)
     lines = []
     for cid in targets:
         vec = semantic_approximation(g, annotations, cid,
-                                     max_depth=cfg.max_depth,
+                                     max_depth=args.max_depth,
                                      direction=args.direction)
         if not vec:
             lines.append(f"{cid}\t-\t0")
@@ -368,7 +300,7 @@ def build_parser() -> _Parser:
     p.add_argument("--variants")
     p.add_argument("--ufl", help="frequency counts used to pick class "
                    "representatives")
-    p.add_argument("--tolerance", type=float, default=0.05)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--codepoint-range", metavar="LO-HI",
                    help="restrict to a hex codepoint range, e.g. 4E00-9FFF")
     p.add_argument("--out", required=True)
@@ -389,13 +321,13 @@ def build_parser() -> _Parser:
                    default=list(SEMANTICITY_COEFFICIENTS),
                    metavar=("F1", "F2", "R"))
     p.add_argument("--phi-histogram", help="write a phi histogram CSV here")
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("chains", help="least-phonetic / most-semantic chains")
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--kind", choices=["semantic", "phonetic"], required=True)
-    p.add_argument("--language", default=Language.JAPANESE_ON.value)
+    p.add_argument("--kind", choices=list(CHAIN_KINDS), required=True)
+    p.add_argument("--language", default=DEFAULT_LANGUAGE.value)
     p.add_argument("--class", dest="cls", action="append",
                    help="class id, or a member codepoint in hex")
     p.add_argument("--all", action="store_true")
@@ -413,19 +345,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("features", help="document feature vectors")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--min-count", type=int, default=10)
-    p.add_argument("--strategy",
-                   choices=["baseline", "semantic", "combined", "phonetic"],
-                   default="baseline")
-    p.add_argument("--language", default=Language.JAPANESE_ON.value)
+    p.add_argument("--min-count", type=int, default=DEFAULT_MIN_COUNT)
+    p.add_argument("--strategy", choices=list(STRATEGIES), default="baseline")
+    p.add_argument("--language", default=DEFAULT_LANGUAGE.value)
     p.add_argument("--vocab-out")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("evaluate", help="cross-validated classification")
     p.add_argument("--vectors", required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--C", type=float, default=1.0)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--C", type=float, default=DEFAULT_C)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
@@ -436,7 +366,7 @@ def build_parser() -> _Parser:
     p.add_argument("--class", dest="cls", action="append",
                    help="class id, or a member codepoint in hex")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--max-depth", type=int, default=4)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p.add_argument("--direction", choices=["sub", "super"], default="sub")
     p.add_argument("--out")
     p.set_defaults(func=cmd_query_unknown)

@@ -7,6 +7,12 @@ enough corpus-wide.  Augmentation walks each in-vocabulary class's
 weighted chain of subcharacters and adds discounted weight to the chain
 members: depth i receives (1/i) * edge_weight * w(class).  Chain members
 outside the vocabulary are added to it, tagged with their provenance.
+
+``augment`` is the one augmentation path.  Only the chain and its edge
+weight vary, and ``CHAIN_KINDS`` holds both per kind: the most semantic
+chain weighted by the semanticity S, and the least phonetic chain
+weighted by the phoneticity phi.  ``STRATEGIES`` names the kinds each
+strategy adds, in summation order.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .charstore import Language
 from .errors import DataError, InputError
@@ -25,6 +31,8 @@ from .semantics import most_semantic_chain
 
 log = logging.getLogger(__name__)
 
+DEFAULT_MIN_COUNT = 10
+DEFAULT_LANGUAGE = Language.JAPANESE_ON
 PROVENANCE_BASELINE = "baseline"
 PROVENANCE_CHAIN = "chain"
 
@@ -64,7 +72,7 @@ def _l2_normalize(vec: FeatureVector) -> FeatureVector:
 def baseline_vectors(
     texts: Sequence[str],
     class_of: Mapping[int, int],
-    min_count: int = 10,
+    min_count: int = DEFAULT_MIN_COUNT,
     normalize: bool = True,
 ) -> tuple[Vocabulary, list[FeatureVector]]:
     """Per-document class weights from character unigrams.
@@ -76,6 +84,8 @@ def baseline_vectors(
     whose members occur at least ``min_count`` times corpus-wide; vectors
     are then restricted to it and L2-normalized.
     """
+    if min_count < 1:
+        raise InputError("min_count must be >= 1")
     if not texts:
         raise InputError("empty corpus")
     corpus_class_counts: Counter[int] = Counter()
@@ -116,25 +126,55 @@ def baseline_vectors(
     return vocab, vectors
 
 
+class ChainKind(NamedTuple):
+    """How to walk one kind of chain, and the weight augmentation adds
+    along each of its edges (None skips the edge)."""
+
+    walk: Callable[[InclusionGraph, int, Language], list[int]]
+    weight: Callable[[InclusionGraph, int, int, Language], float | None]
+
+
+# The walks look the chain functions up by their module-level names when
+# called, so a rebinding of those names (bench/spans.py times them so)
+# reaches them.
+CHAIN_KINDS = {
+    "semantic": ChainKind(
+        lambda g, start, language: most_semantic_chain(g, start),
+        lambda g, sub, sup, language: g.edge(sub, sup).s),
+    "phonetic": ChainKind(
+        lambda g, start, language: least_phonetic_chain(g, start, language),
+        lambda g, sub, sup, language: g.edge(sub, sup).phi.get(language.value)),
+}
+
+#: The chain kinds each augmentation strategy adds, in summation order.
+STRATEGIES: dict[str, tuple[str, ...]] = {
+    "baseline": (),
+    "semantic": ("semantic",),
+    "combined": ("semantic", "phonetic"),
+    "phonetic": ("phonetic",),
+}
+
+
+def class_chains(g: InclusionGraph, class_ids: set[int], kind: str,
+                 language: Language = DEFAULT_LANGUAGE) -> dict[int, list[int]]:
+    """Chain of ``kind`` per class; classes outside the graph get a
+    singleton chain."""
+    walk = CHAIN_KINDS[kind].walk
+    return {cid: walk(g, cid, language) if cid in g else [cid]
+            for cid in class_ids}
+
+
 def semantic_chains(g: InclusionGraph, class_ids: set[int]) -> dict[int, list[int]]:
-    """Most-semantic chain per class; classes outside the graph get a
-    singleton chain."""
-    return {cid: most_semantic_chain(g, cid) if cid in g else [cid]
-            for cid in class_ids}
-
-
-def phonetic_chains(g: InclusionGraph, class_ids: set[int],
-                    language: Language) -> dict[int, list[int]]:
-    """Least-phonetic chain per class; classes outside the graph get a
-    singleton chain."""
-    return {cid: least_phonetic_chain(g, cid, language) if cid in g else [cid]
-            for cid in class_ids}
+    """``class_chains`` of the most semantic kind."""
+    return class_chains(g, class_ids, "semantic")
 
 
 def _chain_additions(
     vector: FeatureVector,
     chains: Mapping[int, list[int]],
-    edge_weight,
+    g: InclusionGraph,
+    weight: Callable[[InclusionGraph, int, int, Language], float | None],
+    language: Language,
 ) -> FeatureVector:
     """Discounted chain weights triggered by one document's features."""
     additions: FeatureVector = {}
@@ -143,7 +183,7 @@ def _chain_additions(
         if not chain or len(chain) < 2:
             continue
         for i in range(1, len(chain)):
-            ew = edge_weight(chain[i], chain[i - 1])
+            ew = weight(g, chain[i], chain[i - 1], language)
             if ew is None:
                 continue
             gain = (1.0 / i) * ew * w
@@ -152,15 +192,34 @@ def _chain_additions(
     return additions
 
 
-def _apply_augmentation(
+def augment(
+    g: InclusionGraph,
     vocab: Vocabulary,
     vectors: Sequence[FeatureVector],
-    all_additions: Sequence[FeatureVector],
-    normalize: bool,
+    parts: Sequence[str],
+    language: Language = DEFAULT_LANGUAGE,
+    normalize: bool = True,
 ) -> tuple[Vocabulary, list[FeatureVector]]:
+    """Chain augmentation along each chain kind in ``parts``.
+
+    For each document, each in-vocabulary class with weight w and each
+    part, the class's chain member at depth i gains (1/i) * weight(edge
+    at step i) * w; the semantic walk raises DataError where S is
+    undefined, and edges without phi add nothing to a phonetic chain.
+    Each part's gains are summed on their own and then added to the
+    document's total in the order of ``parts``.  Chain members missing
+    from the vocabulary are added with chain provenance.
+    """
+    walks = [(class_chains(g, vocab.ids, kind, language),
+              CHAIN_KINDS[kind].weight) for kind in parts]
     new_vocab = vocab.copy()
     out: list[FeatureVector] = []
-    for vec, adds in zip(vectors, all_additions):
+    for vec in vectors:
+        adds: FeatureVector = {}
+        for part_chains, weight in walks:
+            gains = _chain_additions(vec, part_chains, g, weight, language)
+            for cid, gain in gains.items():
+                adds[cid] = adds.get(cid, 0.0) + gain
         merged = dict(vec)
         for cid, gain in adds.items():
             merged[cid] = merged.get(cid, 0.0) + gain
@@ -172,73 +231,20 @@ def _apply_augmentation(
 
 
 def augment_strategy1(
-    g: InclusionGraph,
-    vocab: Vocabulary,
-    vectors: Sequence[FeatureVector],
-    chains: Mapping[int, list[int]] | None = None,
+    g: InclusionGraph, vocab: Vocabulary, vectors: Sequence[FeatureVector],
     normalize: bool = True,
 ) -> tuple[Vocabulary, list[FeatureVector]]:
-    """Most-semantic-chain augmentation.
-
-    For each document and each in-vocabulary class with weight w, chain
-    member at depth i gains (1/i) * S(edge at step i) * w.  Chain members
-    missing from the vocabulary are added with chain provenance.
-    """
-    if chains is None:
-        chains = semantic_chains(g, vocab.ids)
-
-    def s_weight(sub: int, sup: int) -> float | None:
-        s = g.edge(sub, sup).s
-        if s is None:
-            raise DataError(f"edge {sub} -> {sup} has no semanticity")
-        return s
-
-    additions = [_chain_additions(vec, chains, s_weight) for vec in vectors]
-    return _apply_augmentation(vocab, vectors, additions, normalize)
+    """``augment`` along the most semantic chain."""
+    return augment(g, vocab, vectors, STRATEGIES["semantic"],
+                   normalize=normalize)
 
 
 def augment_strategy2(
-    g: InclusionGraph,
-    vocab: Vocabulary,
-    vectors: Sequence[FeatureVector],
-    language: Language,
-    semantic: Mapping[int, list[int]] | None = None,
-    phonetic: Mapping[int, list[int]] | None = None,
-    include_semantic: bool = True,
-    normalize: bool = True,
+    g: InclusionGraph, vocab: Vocabulary, vectors: Sequence[FeatureVector],
+    language: Language, include_semantic: bool = True, normalize: bool = True,
 ) -> tuple[Vocabulary, list[FeatureVector]]:
-    """Semantic plus least-phonetic-chain augmentation.
-
-    Applies the semantic augmentation, then adds (1/i) * phi * w along
-    each in-vocabulary class's least phonetic chain.  Edges without a
-    defined phi contribute nothing.  ``include_semantic=False`` runs the
-    phonetic part alone.
-    """
-    if phonetic is None:
-        phonetic = phonetic_chains(g, vocab.ids, language)
-
-    def phi_weight(sub: int, sup: int) -> float | None:
-        return g.edge(sub, sup).phi.get(language.value)
-
-    phonetic_adds = [_chain_additions(vec, phonetic, phi_weight)
-                     for vec in vectors]
-    if include_semantic:
-        if semantic is None:
-            semantic = semantic_chains(g, vocab.ids)
-
-        def s_weight(sub: int, sup: int) -> float | None:
-            s = g.edge(sub, sup).s
-            if s is None:
-                raise DataError(f"edge {sub} -> {sup} has no semanticity")
-            return s
-
-        semantic_adds = [_chain_additions(vec, semantic, s_weight)
-                         for vec in vectors]
-        combined = []
-        for sa, pa in zip(semantic_adds, phonetic_adds):
-            merged = dict(sa)
-            for cid, gain in pa.items():
-                merged[cid] = merged.get(cid, 0.0) + gain
-            combined.append(merged)
-        phonetic_adds = combined
-    return _apply_augmentation(vocab, vectors, phonetic_adds, normalize)
+    """``augment`` along the most semantic and the least phonetic chain,
+    or the latter alone."""
+    strategy = "combined" if include_semantic else "phonetic"
+    return augment(g, vocab, vectors, STRATEGIES[strategy], language,
+                   normalize=normalize)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import zeta
@@ -110,6 +110,23 @@ class InclusionGraph:
 
     def predecessors(self, node: int) -> set[int]:
         return set(self._pred[node])
+
+    def descend(self, start: int,
+                key: Callable[[int, int], float | None]) -> list[int]:
+        """Chain from ``start`` that repeatedly steps to the predecessor p
+        of the current node with the smallest ``key(p, current)``,
+        skipping predecessors whose key is None; ties break toward the
+        lowest id, and the chain stops where no predecessor is left."""
+        if start not in self:
+            raise DataError(f"node {start} not in graph")
+        chain = [start]
+        while True:
+            current = chain[-1]
+            candidates = [(k, p) for p in self.predecessors(current)
+                          if (k := key(p, current)) is not None]
+            if not candidates:
+                return chain
+            chain.append(min(candidates)[1])
 
     def copy(self) -> "InclusionGraph":
         g = InclusionGraph()

@@ -17,6 +17,8 @@ from .graphcore import InclusionGraph
 
 SynsetVector = dict[str, float]
 
+DEFAULT_MAX_DEPTH = 4
+
 
 def _normalize(weights: SynsetVector) -> SynsetVector:
     total = sum(weights.values())
@@ -29,7 +31,7 @@ def semantic_approximation(
     g: InclusionGraph,
     annotations: Mapping[int, set[str]],
     node: int,
-    max_depth: int = 4,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     direction: str = "sub",
 ) -> SynsetVector:
     """Distribution over synset ids approximating ``node``'s meaning.
@@ -42,12 +44,12 @@ def semantic_approximation(
     to 1, or is empty when no annotated node is reachable.  An annotated
     start node returns its own synsets, uniformly weighted.
     """
-    if node not in g:
-        raise DataError(f"node {node} not in graph")
     if direction not in ("sub", "super"):
         raise InputError(f"direction must be 'sub' or 'super', got {direction!r}")
     if max_depth < 1:
         raise InputError("max_depth must be >= 1")
+    if node not in g:
+        raise DataError(f"node {node} not in graph")
 
     own = annotations.get(node)
     if own:

@@ -10,8 +10,7 @@ per-syllable distance.
 
 Mandarin syllables additionally carry a tone digit; tone mismatch adds a
 small fixed penalty on top of the segmental distance so that tone-only
-pairs stay close.  The Mandarin distance is pluggable via
-``MANDARIN_DISTANCE`` should a finer model be needed.
+pairs stay close.
 
 The phoneticity of an edge maps the minimum reading distance between the
 two classes onto [0, 1], with 1 at distance zero and 0 at the largest
@@ -25,13 +24,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable
 
 from .charstore import CharacterStore, Language, Reading
 from .errors import DataError, InputError
 from .graphcore import InclusionGraph
 
 FEATURE_WEIGHTS = (4.0, 1.0, 4.0, 1.0, 5.0, 1.0, 1.0)
+DEFAULT_BINS = 20
 
 #: Fraction of the maximum segmental distance added for a Mandarin tone
 #: mismatch.
@@ -170,15 +169,11 @@ def _mandarin_token_distance(a: str, b: str, table: FeatureTable) -> float:
     return seg
 
 
-#: Pluggable Mandarin syllable distance; replace to swap in a finer model.
-MANDARIN_DISTANCE: Callable[[str, str, FeatureTable], float] = _mandarin_token_distance
-
-
 def token_distance(language: Language, a: str, b: str,
                    table: FeatureTable | None = None) -> float:
     table = table or default_table()
     if language is Language.MANDARIN:
-        return MANDARIN_DISTANCE(a, b, table)
+        return _mandarin_token_distance(a, b, table)
     return _japanese_token_distance(a, b, table)
 
 
@@ -252,24 +247,12 @@ def least_phonetic_chain(g: InclusionGraph, start: int,
     """Repeatedly descend to the incoming subcharacter with minimal
     phoneticity, skipping edges with unknown phi; ties break toward the
     lowest class id."""
-    if start not in g:
-        raise DataError(f"node {start} not in graph")
     lang = language.value
-    chain = [start]
-    current = start
-    while True:
-        candidates = [(g.edge(p, current).phi[lang], p)
-                      for p in g.predecessors(current)
-                      if lang in g.edge(p, current).phi]
-        if not candidates:
-            return chain
-        _, nxt = min(candidates)
-        chain.append(nxt)
-        current = nxt
+    return g.descend(start, lambda sub, sup: g.edge(sub, sup).phi.get(lang))
 
 
 def phoneticity_histogram(g: InclusionGraph, language: Language,
-                          bins: int = 20) -> tuple[list[float], list[int]]:
+                          bins: int = DEFAULT_BINS) -> tuple[list[float], list[int]]:
     """Histogram of defined phi values over [0, 1].
 
     Returns (bin_edges, counts); the last bin includes 1.0.  Raises

@@ -81,10 +81,6 @@ class SynsetStore:
             self._relations.append(rel)
             self._successors[source][target] += 1
 
-    @property
-    def synset_ids(self) -> list[str]:
-        return sorted(self._lemmas)
-
     def lemmas(self, synset_id: str) -> frozenset[str]:
         try:
             return self._lemmas[synset_id]
@@ -231,6 +227,8 @@ def semanticity(
     divided by their maximum over all edges (recorded in the metadata);
     if every raw score is 0 all edges get S = 0.
     """
+    if len(coefficients) != 3 or any(not c >= 0 for c in coefficients):
+        raise InputError("coefficients must be three nonnegative numbers")
     f1 = f1 or {}
     f2 = f2 or {}
     r = r or {}
@@ -281,21 +279,10 @@ def most_semantic_chain(g: InclusionGraph, start: int) -> list[int]:
     """Repeatedly descend to the incoming subcharacter with maximal
     semanticity (S = 0 is a value and stays eligible); ties break toward
     the lowest class id; stops at a node without incoming edges."""
-    if start not in g:
-        raise DataError(f"node {start} not in graph")
-    chain = [start]
-    current = start
-    while True:
-        preds = g.predecessors(current)
-        if not preds:
-            return chain
-        candidates = []
-        for p in preds:
-            s = g.edge(p, current).s
-            if s is None:
-                raise DataError(f"edge {p} -> {current} has no semanticity; "
-                                f"run semanticity() first")
-            candidates.append((-s, p))
-        _, nxt = min(candidates)
-        chain.append(nxt)
-        current = nxt
+    def negated_s(sub: int, sup: int) -> float:
+        s = g.edge(sub, sup).s
+        if s is None:
+            raise DataError(f"edge {sub} -> {sup} has no semanticity; "
+                            f"run semanticity() first")
+        return -s
+    return g.descend(start, negated_s)

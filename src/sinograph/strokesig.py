@@ -43,6 +43,7 @@ SigComponent = float | str  # a finite nonnegative float, or the marker E
 # Relative tolerance used only to decide whether two endpoint lines are
 # parallel; components themselves are compared with the caller's tolerance.
 _PARALLEL_EPS = 1e-9
+DEFAULT_TOLERANCE = 0.05
 
 
 def normalize_stroke_type(token: str) -> str:
@@ -203,7 +204,7 @@ def signature_contains(inner: CharSignature, outer: CharSignature,
 
 def detect_inclusions(
     sigs: Mapping[int, CharSignature],
-    tolerance: float = 0.05,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> set[tuple[int, int]]:
     """All strict inclusions (sub, super) among the given signatures.
 
@@ -219,7 +220,7 @@ def detect_inclusions(
     types to equal such a window exactly, no inclusion is missed; each
     distinct candidate pair is then verified by ``signature_contains``.
     """
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise InputError("tolerance must be nonnegative")
     by_types: dict[tuple[str, ...], list[int]] = defaultdict(list)
     for cp, sig in sigs.items():

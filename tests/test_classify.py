@@ -1,12 +1,14 @@
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sinograph import classify
 from sinograph.classify import (
     DEFAULT_MAX_EPOCHS,
     DEFAULT_TOL,
@@ -200,8 +202,8 @@ def per_model_train(vectors, labels, C=1.0, max_epochs=DEFAULT_MAX_EPOCHS,
 
 
 def per_model_cross_validate(vectors, labels, k, seed, C, max_epochs, tol):
-    """Fold accuracies, support-vector counts and epochs of the oracle."""
-    accuracies, support_vectors, epochs = [], [], []
+    """Fold models, support-vector counts and epochs of the oracle."""
+    models, support_vectors, epochs = [], [], []
     for fold in stratified_folds(labels, k, seed):
         test = set(fold)
         idx = [i for i in range(len(labels)) if i not in test]
@@ -216,12 +218,9 @@ def per_model_cross_validate(vectors, labels, k, seed, C, max_epochs, tol):
             active |= y * (X @ model.weights[row] + model.bias[row]) \
                 <= 1.0 + MARGIN_SLACK
         support_vectors.append(int(active.sum()))
-        vocab = set(model.feature_ids)  # unseen test features score 0
-        accuracies.append(sum(
-            predict(model, {f: w for f, w in vectors[i].items() if f in vocab})
-            == labels[i] for i in fold) / len(fold))
+        models.append(model)
         epochs.append(tuple(model.epochs_run))
-    return tuple(accuracies), tuple(support_vectors), tuple(epochs)
+    return models, tuple(support_vectors), tuple(epochs)
 
 
 def max_abs_diff(a, b):
@@ -285,12 +284,47 @@ def test_rows_freeze_at_their_own_epoch():
 @given(st.integers(2, 4).flatmap(
     lambda k: st.tuples(st.just(k), training_sets(min_per_category=k),
                         st.integers(0, 3))))
+# Two categories with bit-equal batched weights tie exactly; the oracle
+# sums the rows in another order and breaks the tie the other way.
+@example((2, ([{0: 1.9999999999999998}] * 9,
+              ["c0", "c1", "c2", "c0", "c1", "c2", "c0", "c1", "c1"],
+              0.1, 1, 1e-2), 0))
 def test_cross_validate_equals_per_model_loop(case):
     k, (vectors, labels, C, max_epochs, tol), seed = case
-    report = cross_validate(vectors, labels, k=k, C=C, seed=seed,
-                            max_epochs=max_epochs, tol=tol)
-    accuracies, support_vectors, epochs = per_model_cross_validate(
+    batched = []
+
+    def recording_train(*args, **kwargs):
+        batched.append(train(*args, **kwargs))
+        return batched[-1]
+
+    with mock.patch.object(classify, "train", recording_train):
+        report = cross_validate(vectors, labels, k=k, C=C, seed=seed,
+                                max_epochs=max_epochs, tol=tol)
+    models, support_vectors, epochs = per_model_cross_validate(
         vectors, labels, k, seed, C, max_epochs, tol)
     assert report.fold_epochs == epochs
-    assert report.fold_accuracies == accuracies
     assert report.fold_support_vectors == support_vectors
+    folds = stratified_folds(labels, k, seed)
+    for fold, got, want, accuracy in zip(folds, batched, models,
+                                         report.fold_accuracies):
+        assert max_abs_diff(got.weights, want.weights) <= 1e-9
+        assert max_abs_diff(got.bias, want.bias) <= 1e-9
+        vocab = set(want.feature_ids)  # unseen test features score 0
+        rows = [{f: w for f, w in vectors[i].items() if f in vocab}
+                for i in fold]
+        # the batched predictions, scored as cross_validate scores them
+        X = _densify(rows, got.feature_ids)
+        best = np.argmax(X @ got.weights.T + got.bias, axis=1)
+        got_pred = [got.categories[j] for j in best]
+        correct = sum(p == labels[i] for p, i in zip(got_pred, fold))
+        assert correct / len(fold) == accuracy
+        for x, row, pred in zip(X, rows, got_pred):
+            scores = want.scores(x)
+            # weights and bias within 1e-9 move a score by at most
+            # slack, and a difference of two scores by twice that
+            slack = 1e-9 * (sum(abs(w) for w in row.values()) + 1.0)
+            near = [cat for cat, s in zip(want.categories, scores)
+                    if s >= scores.max() - 2 * slack]
+            if len(near) == 1:
+                assert pred == predict(want, row)
+            assert pred in near

@@ -303,3 +303,55 @@ def test_evaluate_rejects_infinite_norm(tmp_path, capsys, cells):
     assert rc == 2
     assert (f"{vec_path}:5: squared norm of the weights is not finite"
             in capsys.readouterr().err)
+
+
+def test_evaluate_refuses_weights_whose_norm_bound_overflows(tmp_path, capsys):
+    # each line passes the per-line norm check, but three such rows in
+    # one training set overflow the first step's squared weight norm
+    lines = [f"{lab}\t{0 if lab == 'one' else 1}:1.0"
+             for lab in ["one", "two"] * 10]
+    for i in (1, 3, 5):
+        lines[i] = "two\t1:1e154"
+    vec_path = write(tmp_path / "vec.txt",
+                     formats.VECTORS_HEADER + "\n" + "\n".join(lines) + "\n")
+    rc = main(["evaluate", "--vectors", vec_path, "--k", "2",
+               "--out", str(tmp_path / "report.txt")])
+    assert rc == 3
+    assert "too large to train on" in capsys.readouterr().err
+
+
+@pytest.fixture
+def pipeline_files(chain_inputs, tmp_path):
+    """Real inputs of every subcommand, so that only a flag is out of range."""
+    files = dict(chain_inputs, snap=_annotate(chain_inputs),
+                 out=str(tmp_path / "out"), hist=str(tmp_path / "h.csv"))
+    files["corpus"] = write(tmp_path / "corpus.tsv",
+                            "one\t一一一\ntwo\t丁丁丁\n" * 10)
+    files["vectors"] = write(tmp_path / "vec.txt", formats.VECTORS_HEADER + "\n"
+                             + "one\t0:1.0\ntwo\t1:1.0\n" * 10)
+    return files
+
+
+@pytest.mark.parametrize("argv", [
+    "build-graph --strokes {strokes} --out {out} --tolerance -1",
+    "build-graph --strokes {strokes} --out {out} --tolerance nan",
+    "build-graph --strokes {strokes} --out {out} --codepoint-range 9FFF-4E00",
+    "annotate --snapshot {snap} --out {out} --readings {readings} "
+    "--phi-histogram {hist} --bins 0",
+    "annotate --snapshot {snap} --out {out} --synsets {synsets} "
+    "--coefficients 1 -1 0",
+    "annotate --snapshot {snap} --out {out} --synsets {synsets} "
+    "--coefficients nan 0 0",
+    "chains --snapshot {snap} --kind phonetic --all --language xx",
+    "features --snapshot {snap} --corpus {corpus} --out {out} --language xx",
+    "features --snapshot {snap} --corpus {corpus} --out {out} --min-count 0",
+    "evaluate --vectors {vectors} --k 1",
+    "evaluate --vectors {vectors} --C 0",
+    "evaluate --vectors {vectors} --C nan",
+    "query-unknown --snapshot {snap} --all --max-depth 0",
+])
+def test_out_of_range_flag_is_an_input_error(pipeline_files, capsys, argv):
+    capsys.readouterr()
+    rc = main([token.format(**pipeline_files) for token in argv.split()])
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err

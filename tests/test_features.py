@@ -2,20 +2,26 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sinograph.charstore import Language
 from sinograph.errors import DataError, InputError
 from sinograph.features import (
     PROVENANCE_BASELINE,
     PROVENANCE_CHAIN,
+    STRATEGIES,
+    Vocabulary,
+    _l2_normalize,
+    augment,
     augment_strategy1,
     augment_strategy2,
     baseline_vectors,
-    phonetic_chains,
     semantic_chains,
 )
 from sinograph.graphcore import from_edges
-from sinograph.semantics import semanticity
+from sinograph.phonetics import least_phonetic_chain
+from sinograph.semantics import most_semantic_chain, semanticity
 
 ON = Language.JAPANESE_ON
 
@@ -141,8 +147,6 @@ def test_strategy2_phonetic_only_flag():
 
 
 def test_added_mass_bounded():
-    from sinograph.features import Vocabulary
-
     rng = random.Random(23)
     for _ in range(20):
         g = from_edges([], nodes=range(8))
@@ -154,8 +158,7 @@ def test_added_mass_bounded():
         vecs = [{n: rng.random() for n in rng.sample(range(8), 3)}]
         vocab = Vocabulary({n: PROVENANCE_BASELINE for n in range(8)})
         chains = semantic_chains(g, vocab.ids)
-        _, out = augment_strategy1(g, vocab, vecs, chains=chains,
-                                   normalize=False)
+        _, out = augment_strategy1(g, vocab, vecs, normalize=False)
         added = sum(out[0].values()) - sum(vecs[0].values())
         bound = sum(w * sum(1.0 / i for i in range(1, len(chains[c])))
                     for c, w in vecs[0].items() if len(chains[c]) > 1)
@@ -200,3 +203,146 @@ def test_deterministic_outputs():
     b = augment_strategy1(g, vocab, vecs)
     assert a[1] == b[1]
     assert a[0].provenance == b[0].provenance
+
+
+# -- the two strategies before they became table rows, kept as the oracle --
+
+def old_chain_additions(vector, chains, edge_weight):
+    additions = {}
+    for cid, w in vector.items():
+        chain = chains.get(cid)
+        if not chain or len(chain) < 2:
+            continue
+        for i in range(1, len(chain)):
+            ew = edge_weight(chain[i], chain[i - 1])
+            if ew is None:
+                continue
+            gain = (1.0 / i) * ew * w
+            if gain != 0.0:
+                additions[chain[i]] = additions.get(chain[i], 0.0) + gain
+    return additions
+
+
+def old_apply_augmentation(vocab, vectors, all_additions, normalize):
+    new_vocab = vocab.copy()
+    out = []
+    for vec, adds in zip(vectors, all_additions):
+        merged = dict(vec)
+        for cid, gain in adds.items():
+            merged[cid] = merged.get(cid, 0.0) + gain
+            if cid not in new_vocab:
+                new_vocab.provenance[cid] = PROVENANCE_CHAIN
+        out.append(_l2_normalize(merged) if (normalize and adds) else merged)
+    return new_vocab, out
+
+
+def old_s_weight(g):
+    def s_weight(sub, sup):
+        s = g.edge(sub, sup).s
+        if s is None:
+            raise DataError(f"edge {sub} -> {sup} has no semanticity")
+        return s
+    return s_weight
+
+
+def old_strategy1(g, vocab, vectors, normalize):
+    chains = {cid: most_semantic_chain(g, cid) if cid in g else [cid]
+              for cid in vocab.ids}
+    additions = [old_chain_additions(vec, chains, old_s_weight(g))
+                 for vec in vectors]
+    return old_apply_augmentation(vocab, vectors, additions, normalize)
+
+
+def old_strategy2(g, vocab, vectors, language, include_semantic, normalize):
+    phonetic = {cid: least_phonetic_chain(g, cid, language) if cid in g
+                else [cid] for cid in vocab.ids}
+
+    def phi_weight(sub, sup):
+        return g.edge(sub, sup).phi.get(language.value)
+
+    phonetic_adds = [old_chain_additions(vec, phonetic, phi_weight)
+                     for vec in vectors]
+    if include_semantic:
+        semantic = {cid: most_semantic_chain(g, cid) if cid in g else [cid]
+                    for cid in vocab.ids}
+        semantic_adds = [old_chain_additions(vec, semantic, old_s_weight(g))
+                         for vec in vectors]
+        combined = []
+        for sa, pa in zip(semantic_adds, phonetic_adds):
+            merged = dict(sa)
+            for cid, gain in pa.items():
+                merged[cid] = merged.get(cid, 0.0) + gain
+            combined.append(merged)
+        phonetic_adds = combined
+    return old_apply_augmentation(vocab, vectors, phonetic_adds, normalize)
+
+
+OLD_STRATEGIES = {
+    "baseline": lambda g, vocab, vecs, lang, norm: (vocab, vecs),
+    "semantic": lambda g, vocab, vecs, lang, norm:
+        old_strategy1(g, vocab, vecs, norm),
+    "combined": lambda g, vocab, vecs, lang, norm:
+        old_strategy2(g, vocab, vecs, lang, True, norm),
+    "phonetic": lambda g, vocab, vecs, lang, norm:
+        old_strategy2(g, vocab, vecs, lang, False, norm),
+}
+
+
+@st.composite
+def augmentation_cases(draw):
+    """A random DAG whose edges carry S (often 0, rarely missing) and phi
+    in some languages only; vocabulary classes may lie outside it."""
+    n = draw(st.integers(1, 8))
+    g = from_edges([], nodes=range(n))
+    # decimal fractions, so that sums regrouped differently round apart
+    unit = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.6, 1 / 3]),
+                     st.floats(0.0, 1.0, allow_nan=False))
+    for sup in range(n):
+        for sub in range(sup):
+            if draw(st.booleans()):
+                g.add_edge(sub, sup)
+                data = g.edge(sub, sup)
+                kind = draw(st.integers(0, 9))
+                data.s = None if kind == 0 else 0.0 if kind < 4 else draw(unit)
+                for lang in draw(st.sets(st.sampled_from(list(Language)))):
+                    data.phi[lang.value] = draw(unit)
+    ids = draw(st.sets(st.integers(0, n + 2), min_size=1))
+    vocab = Vocabulary({cid: PROVENANCE_BASELINE for cid in ids})
+    weight = st.floats(1e-3, 1.0, allow_nan=False)
+    vectors = draw(st.lists(st.dictionaries(st.sampled_from(sorted(ids)),
+                                            weight), max_size=4))
+    return (g, vocab, vectors, draw(st.sampled_from(list(STRATEGIES))),
+            draw(st.sampled_from(list(Language))), draw(st.booleans()))
+
+
+def _outcome(fn):
+    try:
+        vocab, vectors = fn()
+    except DataError:
+        return "DataError"
+    return vocab.provenance, vectors
+
+
+def _two_chains_into_one_class():
+    """Classes 2 and 3 both descend to class 0, so each part adds two
+    gains to it: 0.1 + 0.1 semantic and 0.1 + 0.6 phonetic.  Summing the
+    parts on their own gives 0.2 + 0.7; one running sum across both parts
+    would round differently."""
+    g = from_edges([(0, 2), (0, 3)])
+    for sub, sup, s, phi in ((0, 2, 0.1, 0.1), (0, 3, 0.1, 0.6)):
+        g.edge(sub, sup).s = s
+        g.edge(sub, sup).phi[ON.value] = phi
+    vocab = Vocabulary({2: PROVENANCE_BASELINE, 3: PROVENANCE_BASELINE})
+    return g, vocab, [{2: 1.0, 3: 1.0}], "combined", ON, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(augmentation_cases())
+@example(_two_chains_into_one_class())
+def test_augment_equals_old_strategies(case):
+    g, vocab, vectors, strategy, language, normalize = case
+    got = _outcome(lambda: augment(g, vocab, vectors, STRATEGIES[strategy],
+                                   language, normalize=normalize))
+    want = _outcome(lambda: OLD_STRATEGIES[strategy](g, vocab, vectors,
+                                                     language, normalize))
+    assert got == want

@@ -18,6 +18,8 @@ from sinograph.synthdata import make_dataset
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "seed7.sha256")
 STRATEGIES = ("baseline", "semantic", "combined", "phonetic")
+# the strategies with a phonetic part, run again on Mandarin readings
+CMN_STRATEGIES = ("combined_cmn", "phonetic_cmn")
 
 
 def _run(argv):
@@ -32,8 +34,9 @@ def run_pipeline(base: str) -> dict[str, str]:
     make_dataset(data, seed=7)
     out = {name: os.path.join(base, name) for name in (
         "graph.snap", "annotated.snap", "phi_hist.csv", "chains_semantic.txt",
-        "chains_phonetic.txt", "queries.txt", "report_combined.txt")}
-    for strategy in STRATEGIES:
+        "chains_phonetic.txt", "chains_phonetic_cmn.txt", "queries.txt",
+        "report_combined.txt")}
+    for strategy in STRATEGIES + CMN_STRATEGIES:
         for kind in ("vectors", "vocab"):
             name = f"{kind}_{strategy}.txt"
             out[name] = os.path.join(base, name)
@@ -53,11 +56,14 @@ def run_pipeline(base: str) -> dict[str, str]:
           "--out", out["chains_semantic.txt"]])
     _run(["chains", "--snapshot", ann, "--kind", "phonetic",
           "--language", "ja_on", "--all", "--out", out["chains_phonetic.txt"]])
-    for strategy in STRATEGIES:
+    _run(["chains", "--snapshot", ann, "--kind", "phonetic",
+          "--language", "cmn", "--all", "--out", out["chains_phonetic_cmn.txt"]])
+    for name in STRATEGIES + CMN_STRATEGIES:
+        strategy, _, language = name.partition("_")
         _run(["features", "--snapshot", ann, "--corpus", f"{data}/corpus.tsv",
-              "--strategy", strategy, "--language", "ja_on",
-              "--out", out[f"vectors_{strategy}.txt"],
-              "--vocab-out", out[f"vocab_{strategy}.txt"]])
+              "--strategy", strategy, "--language", language or "ja_on",
+              "--out", out[f"vectors_{name}.txt"],
+              "--vocab-out", out[f"vocab_{name}.txt"]])
     _run(["query-unknown", "--snapshot", ann, "--all", "--max-depth", "4",
           "--out", out["queries.txt"]])
     _run(["evaluate", "--vectors", out["vectors_combined.txt"], "--k", "10",
