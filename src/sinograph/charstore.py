@@ -1,15 +1,18 @@
-"""Character store: codepoints, readings and allographic classes.
+"""Allographic classes: the class partition of the characters.
 
 An *allographic class* groups a character with its graphical variants
 (simplified/traditional forms, combining shapes).  Classes are the
 connected components of a user-supplied variant relation; characters not
-named in any variant pair become singleton classes.
+named in any variant pair become singleton classes.  ``build-graph``
+decides the partition once and writes it into the snapshot; every later
+stage reads it from there.  The module also defines the reading types
+(``Language``, ``Reading``) that the readings file parses into.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -49,14 +52,6 @@ class Reading:
         if self.language is Language.JAPANESE_KUN and len(self.syllables) > MAX_KUN_SYLLABLES:
             raise InputError(
                 f"kun reading longer than {MAX_KUN_SYLLABLES} syllables: {self.syllables!r}")
-
-
-@dataclass
-class Sinograph:
-    """A stored character: identity plus the data attached to it."""
-
-    codepoint: int
-    readings: list[Reading] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,7 @@ def class_statistics(classes: Sequence[AllographClass]) -> ClassStatistics:
 
 
 class CharacterStore:
-    """Immutable-after-build store of characters and their class partition."""
+    """The class partition of a character set, indexed by codepoint."""
 
     def __init__(
         self,
@@ -153,31 +148,10 @@ class CharacterStore:
         variant_pairs: Iterable[tuple[int, int]] = (),
         frequencies: Mapping[int, float] | None = None,
     ) -> None:
-        self._chars: dict[int, Sinograph] = {
-            cp: Sinograph(cp) for cp in sorted(set(chars))
-        }
         self.classes: list[AllographClass] = build_allograph_classes(
-            variant_pairs, self._chars.keys(), frequencies)
-        self._class_by_cp: dict[int, int] = {}
-        for cls in self.classes:
-            for cp in cls.members:
-                self._class_by_cp[cp] = cls.id
-
-    def __contains__(self, codepoint: int) -> bool:
-        return codepoint in self._chars
-
-    def __len__(self) -> int:
-        return len(self._chars)
-
-    @property
-    def codepoints(self) -> list[int]:
-        return list(self._chars.keys())
-
-    def sinograph(self, codepoint: int) -> Sinograph:
-        try:
-            return self._chars[codepoint]
-        except KeyError:
-            raise DataError(f"codepoint U+{codepoint:04X} not in store") from None
+            variant_pairs, chars, frequencies)
+        self._class_by_cp: dict[int, int] = {
+            cp: cls.id for cls in self.classes for cp in cls.members}
 
     def class_of(self, codepoint: int) -> int:
         """Id of the allographic class containing ``codepoint``."""
@@ -185,17 +159,3 @@ class CharacterStore:
             return self._class_by_cp[codepoint]
         except KeyError:
             raise DataError(f"codepoint U+{codepoint:04X} not in store") from None
-
-    def class_by_id(self, class_id: int) -> AllographClass:
-        try:
-            return self.classes[class_id]
-        except IndexError:
-            raise DataError(f"no allographic class with id {class_id}") from None
-
-    def add_reading(self, codepoint: int, reading: Reading) -> None:
-        self.sinograph(codepoint).readings.append(reading)
-
-    def readings(self, codepoint: int, language: Language) -> list[Reading]:
-        """All readings of ``codepoint`` in ``language`` (may be empty)."""
-        return [r for r in self.sinograph(codepoint).readings
-                if r.language is language]

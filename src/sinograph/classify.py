@@ -44,7 +44,6 @@ class LinearModel:
     weights: np.ndarray  # (n_categories, n_features)
     bias: np.ndarray  # (n_categories,)
     C: float
-    seed: int
     epochs_run: list[int]
 
     def scores(self, x: np.ndarray) -> np.ndarray:
@@ -122,8 +121,7 @@ def _train_one_vs_rest(X: np.ndarray, Y: np.ndarray, C: float,
 
 
 def train(vectors: Sequence[FeatureVector], labels: Sequence[Hashable],
-          C: float = DEFAULT_C, seed: int = 0,
-          max_epochs: int = DEFAULT_MAX_EPOCHS,
+          C: float = DEFAULT_C, max_epochs: int = DEFAULT_MAX_EPOCHS,
           tol: float = DEFAULT_TOL) -> LinearModel:
     """One-vs-rest linear classifiers over the union of feature ids.
 
@@ -147,7 +145,7 @@ def train(vectors: Sequence[FeatureVector], labels: Sequence[Hashable],
     Y = np.array([[1.0 if lab == cat else -1.0 for lab in labels]
                   for cat in categories])
     weights, bias, epochs = _train_one_vs_rest(X, Y, C, max_epochs, tol)
-    return LinearModel(categories, feature_ids, weights, bias, C, seed, epochs)
+    return LinearModel(categories, feature_ids, weights, bias, C, epochs)
 
 
 def predict(model: LinearModel, vector: FeatureVector):
@@ -250,7 +248,7 @@ def cross_validate(vectors: Sequence[FeatureVector],
         train_idx = [i for i in range(len(labels)) if i not in test]
         train_labels = [labels[i] for i in train_idx]
         model = train([vectors[i] for i in train_idx], train_labels,
-                      C=C, seed=seed, max_epochs=max_epochs, tol=tol)
+                      C=C, max_epochs=max_epochs, tol=tol)
         fold_epochs.append(tuple(model.epochs_run))
         cols = [col_of[fid] for fid in model.feature_ids]
         fold_svs.append(_support_vector_count(

@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import formats
-from .charstore import CharacterStore, Language
+from .charstore import CharacterStore, Language, Reading
 from .classify import DEFAULT_C, DEFAULT_K, cross_validate
 from .errors import DataError, InputError
 from .features import (
@@ -129,7 +129,6 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     g, classes, annotations = formats.load_snapshot(args.snapshot)
-    store = CharacterStore({cp for cls in classes for cp in cls.members})
 
     table = FeatureTable.load(args.feature_table) if args.feature_table else None
     languages = [Language.parse(tok) for tok in args.languages.split(",")] \
@@ -137,12 +136,15 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
     annotated_phi = []
     if args.readings:
+        # a class reads as all its members do, variants included
+        class_of = {cp: cls.id for cls in classes for cp in cls.members}
+        readings: dict[int, list[Reading]] = {}
         for cp, reading in formats.load_readings(args.readings):
-            if cp in store:
-                store.add_reading(cp, reading)
+            if cp in class_of:
+                readings.setdefault(class_of[cp], []).append(reading)
         for lang in languages:
             try:
-                phoneticity(g, store, lang, table)
+                phoneticity(g, readings, lang, table)
                 annotated_phi.append(lang)
             except DataError:
                 print(f"note: no computable {lang.value} distances; skipped",

@@ -39,15 +39,13 @@ _SNAPSHOT_LANGS = tuple(lang.value for lang in Language)
 MISSING = "-"
 
 
-def _records(text: str, path: str, n_fields: int,
-             min_fields: int | None = None):
-    want = min_fields if min_fields is not None else n_fields
+def _records(text: str, path: str, n_fields: int):
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
-        if not want <= len(fields) <= n_fields:
+        if len(fields) != n_fields:
             raise InputError(f"{path}:{lineno}: expected {n_fields} "
                              f"tab-separated fields, got {len(fields)}")
         yield lineno, fields
@@ -92,10 +90,9 @@ def parse_readings(text: str, path: str = "readings.tsv"
     out = []
     for lineno, (cp_tok, lang_tok, sylls) in _records(text, path, 3):
         cp = _parse_cp(cp_tok, path, lineno)
-        lang = Language.parse(lang_tok)
         tokens = tuple(t for t in sylls.split(" ") if t)
         try:
-            out.append((cp, Reading(lang, tokens)))
+            out.append((cp, Reading(Language.parse(lang_tok), tokens)))
         except InputError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
     return out
@@ -305,6 +302,23 @@ def save_snapshot(path: str, g: InclusionGraph,
         write_snapshot(fh, g, classes, annotations)
 
 
+def _weight(token: str, name: str, upper: float = math.inf) -> float:
+    """An edge weight cell: a finite number in [0, upper]."""
+    value = float(token)
+    if 0.0 <= value <= upper and value != math.inf:
+        return value
+    bounds = f"in [0, {upper:g}]" if upper < math.inf else ">= 0"
+    raise InputError(f"{name} {token!r} is not a finite number {bounds}")
+
+
+def _count(token: str, name: str) -> int:
+    """An edge count cell: an integer >= 0."""
+    value = int(token)
+    if value >= 0:
+        return value
+    raise InputError(f"{name} {token!r} is negative")
+
+
 def parse_snapshot(text: str, path: str = "snapshot"
                    ) -> tuple[InclusionGraph, list[AllographClass],
                               dict[int, set[str]]]:
@@ -312,7 +326,8 @@ def parse_snapshot(text: str, path: str = "snapshot"
 
     Class ids must be unique, each codepoint must belong to one class
     only, and every edge endpoint must be a class declared earlier in
-    NODES; any other content raises ``InputError`` naming the line.
+    NODES.  Edge weights must be finite and nonnegative, and phi, r and
+    s at most 1.  Any other content raises ``InputError`` naming the line.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != SNAPSHOT_HEADER:
@@ -358,17 +373,17 @@ def parse_snapshot(text: str, path: str = "snapshot"
                 i = 2
                 for lang in _SNAPSHOT_LANGS:
                     if fields[i] != MISSING:
-                        data.d_min[lang] = float(fields[i])
+                        data.d_min[lang] = _weight(fields[i], "d_min")
                     if fields[i + 1] != MISSING:
-                        data.phi[lang] = float(fields[i + 1])
+                        data.phi[lang] = _weight(fields[i + 1], "phi", 1.0)
                     i += 2
-                data.f1 = int(fields[i])
-                data.f2 = int(fields[i + 1])
-                data.r = float(fields[i + 2])
+                data.f1 = _count(fields[i], "f1")
+                data.f2 = _count(fields[i + 1], "f2")
+                data.r = _weight(fields[i + 2], "r", 1.0)
                 if fields[i + 3] != MISSING:
-                    data.s_raw = float(fields[i + 3])
+                    data.s_raw = _weight(fields[i + 3], "s_raw")
                 if fields[i + 4] != MISSING:
-                    data.s = float(fields[i + 4])
+                    data.s = _weight(fields[i + 4], "s", 1.0)
                 g.add_edge(sub, sup, data)
             else:
                 raise InputError("content before any section header")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import zeta
@@ -185,7 +185,7 @@ def from_edges(edges: Iterable[tuple[int, int]],
 
 def lift_to_classes(
     char_edges: Iterable[tuple[int, int]],
-    classes: Sequence[AllographClass] | Mapping[int, int],
+    classes: Sequence[AllographClass],
 ) -> InclusionGraph:
     """Lift character-level inclusion edges to allographic classes.
 
@@ -193,16 +193,8 @@ def lift_to_classes(
     edge.  Edges between members of one class are allographic identities
     and are dropped.  All class ids become nodes, including isolated ones.
     """
-    if isinstance(classes, Mapping):
-        class_of = dict(classes)
-        ids: set[int] = set(class_of.values())
-    else:
-        class_of = {}
-        ids = set()
-        for cls in classes:
-            ids.add(cls.id)
-            for cp in cls.members:
-                class_of[cp] = cls.id
+    class_of = {cp: cls.id for cls in classes for cp in cls.members}
+    ids = {cls.id for cls in classes}
     g = InclusionGraph()
     for cid in ids:
         g.add_node(cid)

@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import Mapping, Sequence
 
-from .charstore import CharacterStore, Language, Reading
+from .charstore import Language, Reading
 from .errors import DataError, InputError
 from .graphcore import InclusionGraph
 
@@ -77,11 +78,15 @@ class FeatureTable:
         for lineno, row in enumerate(csv.reader(text.splitlines(), delimiter="\t"), 1):
             if not row or row[0].startswith("#"):
                 continue
+            if len(row) < 2 or not row[1]:
+                raise InputError(f"feature table line {lineno}: malformed row {row!r}")
             kind, symbol, *values = row
             try:
                 nums = tuple(float(v) for v in values)
             except ValueError:
                 raise InputError(f"feature table line {lineno}: bad number") from None
+            if not all(math.isfinite(v) for v in nums):
+                raise InputError(f"feature table line {lineno}: non-finite number")
             if kind == "C" and len(nums) == 4:
                 consonants[symbol] = nums  # type: ignore[assignment]
             elif kind == "V" and len(nums) == 3:
@@ -156,25 +161,15 @@ def syllable_distance(a: SyllableFeatures, b: SyllableFeatures) -> float:
         for w, x, y in zip(FEATURE_WEIGHTS, a.as_tuple(), b.as_tuple())))
 
 
-def _japanese_token_distance(a: str, b: str, table: FeatureTable) -> float:
-    return syllable_distance(table.syllable_features(a), table.syllable_features(b))
-
-
-def _mandarin_token_distance(a: str, b: str, table: FeatureTable) -> float:
-    seg = syllable_distance(table.syllable_features(a), table.syllable_features(b))
-    tone_a = strip_tone(a)[1]
-    tone_b = strip_tone(b)[1]
-    if tone_a != tone_b:
-        seg += TONE_PENALTY_FACTOR * table.max_segmental_distance()
-    return seg
-
-
 def token_distance(language: Language, a: str, b: str,
                    table: FeatureTable | None = None) -> float:
+    """Segmental syllable distance, plus the tone penalty for a Mandarin
+    tone mismatch."""
     table = table or default_table()
-    if language is Language.MANDARIN:
-        return _mandarin_token_distance(a, b, table)
-    return _japanese_token_distance(a, b, table)
+    d = syllable_distance(table.syllable_features(a), table.syllable_features(b))
+    if language is Language.MANDARIN and strip_tone(a)[1] != strip_tone(b)[1]:
+        d += TONE_PENALTY_FACTOR * table.max_segmental_distance()
+    return d
 
 
 def reading_distance(r1: Reading, r2: Reading,
@@ -199,15 +194,15 @@ def reading_distance(r1: Reading, r2: Reading,
     return best
 
 
-def class_distance(store: CharacterStore, class_a: int, class_b: int,
-                   language: Language,
+def class_distance(readings: Mapping[int, Sequence[Reading]], class_a: int,
+                   class_b: int, language: Language,
                    table: FeatureTable | None = None) -> float | None:
-    """Minimum reading distance over all member-reading pairs; ``None``
-    (unknown) when either class has no reading in the language."""
-    readings_a = [r for cp in store.class_by_id(class_a).members
-                  for r in store.readings(cp, language)]
-    readings_b = [r for cp in store.class_by_id(class_b).members
-                  for r in store.readings(cp, language)]
+    """Minimum reading distance over all pairs of the two classes'
+    readings, ``readings`` mapping a class id to the readings of all its
+    members; ``None`` (unknown) when either class has no reading in the
+    language."""
+    readings_a = [r for r in readings.get(class_a, ()) if r.language is language]
+    readings_b = [r for r in readings.get(class_b, ()) if r.language is language]
     if not readings_a or not readings_b:
         return None
     table = table or default_table()
@@ -215,9 +210,11 @@ def class_distance(store: CharacterStore, class_a: int, class_b: int,
                for ra in readings_a for rb in readings_b)
 
 
-def phoneticity(g: InclusionGraph, store: CharacterStore, language: Language,
+def phoneticity(g: InclusionGraph, readings: Mapping[int, Sequence[Reading]],
+                language: Language,
                 table: FeatureTable | None = None) -> InclusionGraph:
-    """Annotate every edge with its phoneticity for ``language``.
+    """Annotate every edge with its phoneticity for ``language``, from
+    ``readings`` mapping each class id to the readings of its members.
 
     phi = 1 - d_min / D with D the maximum finite class distance over all
     edges, so phi is 1 exactly at distance 0 and the farthest edge gets 0.
@@ -227,7 +224,7 @@ def phoneticity(g: InclusionGraph, store: CharacterStore, language: Language,
     table = table or default_table()
     distances: dict[tuple[int, int], float] = {}
     for sub, sup in g.edges():
-        d = class_distance(store, sub, sup, language, table)
+        d = class_distance(readings, sub, sup, language, table)
         if d is not None:
             distances[(sub, sup)] = d
     if not distances:

@@ -271,6 +271,10 @@ def parse_stroke_spec(spec: str) -> list[Stroke]:
         strokes.append(Stroke(normalize_stroke_type(type_token), tuple(points)))
     if not strokes:
         raise InputError("empty stroke description")
+    if len(strokes) > 1:  # pair_signature needs a direction for each stroke
+        for i, s in enumerate(strokes):
+            if s.start == s.end:
+                raise InputError(f"stroke {i} is degenerate (coincident endpoints)")
     return strokes
 
 

@@ -118,10 +118,3 @@ def test_reading_invariants():
     with pytest.raises(InputError):
         Reading(Language.JAPANESE_ON, ())
 
-
-def test_store_readings_by_language():
-    store = CharacterStore({0x4EBA})
-    store.add_reading(0x4EBA, Reading(Language.MANDARIN, ("ren2",)))
-    store.add_reading(0x4EBA, Reading(Language.JAPANESE_ON, ("nin",)))
-    assert len(store.readings(0x4EBA, Language.MANDARIN)) == 1
-    assert store.readings(0x4EBA, Language.JAPANESE_KUN) == []

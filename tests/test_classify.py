@@ -38,7 +38,7 @@ def separable_corpus(n_per_class=30, n_classes=3, seed=0):
 
 def test_separable_training_accuracy():
     vectors, labels = separable_corpus()
-    model = train(vectors, labels, C=1.0, seed=0)
+    model = train(vectors, labels, C=1.0)
     assert all(predict(model, v) == lab for v, lab in zip(vectors, labels))
 
 
@@ -65,7 +65,7 @@ def test_predict_tie_goes_to_first_category():
     model = LinearModel(categories=["a", "b"], feature_ids=[0],
                         weights=__import__("numpy").zeros((2, 1)),
                         bias=__import__("numpy").zeros(2),
-                        C=1.0, seed=0, epochs_run=[1, 1])
+                        C=1.0, epochs_run=[1, 1])
     assert predict(model, {0: 1.0}) == "a"
     assert predict(model, {}) == "a"  # zero vector: bias argmax, tie
 
@@ -198,7 +198,7 @@ def per_model_train(vectors, labels, C=1.0, max_epochs=DEFAULT_MAX_EPOCHS,
         y = np.where(np.asarray([lab == cat for lab in labels]), 1.0, -1.0)
         weights[k], bias[k], ep = train_binary(X, y, C, max_epochs, tol)
         epochs.append(ep)
-    return LinearModel(categories, feature_ids, weights, bias, C, 0, epochs)
+    return LinearModel(categories, feature_ids, weights, bias, C, epochs)
 
 
 def per_model_cross_validate(vectors, labels, k, seed, C, max_epochs, tol):

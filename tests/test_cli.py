@@ -1,12 +1,16 @@
 import functools
 import math
 import os
+from importlib import resources
 
 import pytest
 
 from sinograph import cli, formats
+from sinograph.charstore import Language
 from sinograph.classify import cross_validate
 from sinograph.cli import main
+from sinograph.phonetics import reading_distance
+from sinograph.synthdata import make_dataset
 
 # three characters where A's strokes are a prefix of B's and B's of C's,
 # drawn with generic slopes so no accidental parallels occur
@@ -355,3 +359,125 @@ def test_out_of_range_flag_is_an_input_error(pipeline_files, capsys, argv):
     rc = main([token.format(**pipeline_files) for token in argv.split()])
     assert rc == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_annotate_reads_the_readings_of_variant_members(tmp_path, capsys):
+    # 4E05 is a variant of 4E00 with the same strokes, so class 0 is
+    # {4E00, 4E05}; it can read "nin" like 4E10, which includes it
+    strokes = write(tmp_path / "strokes.tsv",
+                    "4E00\tH:(1,8)-(9,8);S:(5,8)-(5,1)\n"
+                    "4E03\tP:(8,9)-(2,1);N:(2,9)-(8,1)\n"
+                    "4E05\tH:(1,8)-(9,8);S:(5,8)-(5,1)\n"
+                    "4E10\tH:(1,8)-(9,8);S:(5,8)-(5,1);H:(1,2)-(9,2)\n")
+    variants = write(tmp_path / "variants.tsv", "4E00\t4E05\n")
+    readings = write(tmp_path / "readings.tsv",
+                     "4E00\tja_on\tka\n4E03\tja_on\tsei\n"
+                     "4E05\tja_on\tnin\n4E10\tja_on\tnin\n")
+    snap, out = str(tmp_path / "g.snap"), str(tmp_path / "a.snap")
+    assert main(["build-graph", "--strokes", strokes, "--variants", variants,
+                 "--out", snap]) == 0
+    assert main(["annotate", "--snapshot", snap, "--out", out,
+                 "--readings", readings, "--languages", "ja_on"]) == 0
+    g, classes, _ = formats.load_snapshot(out)
+    assert {c.id: c.members for c in classes}[0] == {0x4E00, 0x4E05}
+    assert g.edges() == [(0, 2)]
+    assert g.edge(0, 2).d_min["ja_on"] == 0.0
+    assert g.edge(0, 2).phi["ja_on"] == 1.0
+
+
+def test_seed7_d_min_is_min_over_member_readings(tmp_path, capsys):
+    """Recompute every edge's d_min per language from readings.tsv and
+    the members listed in NODES: the minimum reading distance over the
+    two classes' readings, absent where either class has none."""
+    data = str(tmp_path / "data")
+    make_dataset(data, seed=7)
+    snap, out = str(tmp_path / "g.snap"), str(tmp_path / "a.snap")
+    assert main(["build-graph", "--strokes", f"{data}/strokes.tsv",
+                 "--variants", f"{data}/variants.tsv",
+                 "--ufl", f"{data}/freq.tsv", "--out", snap]) == 0
+    assert main(["annotate", "--snapshot", snap, "--out", out,
+                 "--readings", f"{data}/readings.tsv"]) == 0
+    g, classes, _ = formats.load_snapshot(out)
+    by_cp: dict = {}
+    for cp, reading in formats.load_readings(f"{data}/readings.tsv"):
+        by_cp.setdefault(cp, []).append(reading)
+    assert any(len(c.members) > 1 for c in classes)
+    wrong = []
+    for lang in Language:
+        of_class = {c.id: [r for cp in c.members for r in by_cp.get(cp, ())
+                           if r.language is lang] for c in classes}
+        for sub, sup in g.edges():
+            a, b = of_class[sub], of_class[sup]
+            want = (min(reading_distance(x, y) for x in a for y in b)
+                    if a and b else None)
+            if g.edge(sub, sup).d_min.get(lang.value) != want:
+                wrong.append((sub, sup, lang.value))
+    assert not wrong
+
+
+@pytest.mark.parametrize("row", ["C", "V\ta\tnan\t0\t0", "C\t\t1\t0\t0\t0"])
+def test_annotate_rejects_bad_feature_table_row(chain_inputs, capsys, row):
+    lines = resources.files("sinograph").joinpath(
+        "data/phoneme_features.tsv").read_text(encoding="utf-8").splitlines()
+    lines.insert(2, row)
+    path = write(chain_inputs["dir"] / "features.tsv", "\n".join(lines) + "\n")
+    snap = str(chain_inputs["dir"] / "g.snap")
+    assert main(["build-graph", "--strokes", chain_inputs["strokes"],
+                 "--out", snap]) == 0
+    capsys.readouterr()
+    rc = main(["annotate", "--snapshot", snap,
+               "--out", str(chain_inputs["dir"] / "a.snap"),
+               "--readings", chain_inputs["readings"], "--feature-table", path])
+    assert rc == 2
+    assert "feature table line 3:" in capsys.readouterr().err
+
+
+def test_readings_unknown_language_names_the_line(chain_inputs, capsys):
+    readings = write(chain_inputs["dir"] / "bad_readings.tsv",
+                     "4E00\tja_on\tnin\n4E01\txx\tnin\n")
+    snap = str(chain_inputs["dir"] / "g.snap")
+    assert main(["build-graph", "--strokes", chain_inputs["strokes"],
+                 "--out", snap]) == 0
+    capsys.readouterr()
+    rc = main(["annotate", "--snapshot", snap,
+               "--out", str(chain_inputs["dir"] / "a.snap"), "--readings", readings])
+    assert rc == 2
+    assert f"{readings}:2: unknown language code 'xx'" in capsys.readouterr().err
+
+
+def test_build_graph_rejects_degenerate_stroke_of_a_pair(tmp_path, capsys):
+    strokes = write(tmp_path / "strokes.tsv",
+                    "4E01\tH:(1,5)-(9,5)\n"
+                    "4E00\tH:(1,1)-(1,1);S:(5,9)-(5,1)\n")
+    rc = main(["build-graph", "--strokes", strokes,
+               "--out", str(tmp_path / "g.snap")])
+    assert rc == 2
+    assert (f"{strokes}:2: stroke 0 is degenerate (coincident endpoints)"
+            in capsys.readouterr().err)
+
+
+# (column of the first EDGES line, new value, problem); the columns are
+# sub, super, d_min and phi of cmn, ja_on and ja_kun, f1, f2, r, s_raw, s
+@pytest.mark.parametrize("column, value, problem", [
+    (5, "nan", "phi 'nan' is not a finite number in [0, 1]"),
+    (5, "7.5", "phi '7.5' is not a finite number in [0, 1]"),
+    (4, "-0.5", "d_min '-0.5' is not a finite number >= 0"),
+    (11, "inf", "s_raw 'inf' is not a finite number >= 0"),
+    (10, "1.5", "r '1.5' is not a finite number in [0, 1]"),
+    (12, "-1", "s '-1' is not a finite number in [0, 1]"),
+    (8, "-2", "f1 '-2' is negative"),
+])
+def test_chains_rejects_out_of_range_edge_weight(chain_inputs, capsys,
+                                                 column, value, problem):
+    with open(_annotate(chain_inputs), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lineno = lines.index("EDGES") + 2
+    fields = lines[lineno - 1].split("\t")
+    fields[column] = value
+    lines[lineno - 1] = "\t".join(fields)
+    bad = write(chain_inputs["dir"] / "bad.snap", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["chains", "--snapshot", bad, "--kind", "phonetic",
+               "--language", "ja_on", "--all"])
+    assert rc == 2
+    assert f"{bad}:{lineno}: {problem}" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sinograph.charstore import CharacterStore, Language, Reading
+from sinograph.charstore import Language, Reading
 from sinograph.errors import DataError, InputError
 from sinograph.graphcore import from_edges
 from sinograph.phonetics import (
@@ -88,54 +88,44 @@ def test_mandarin_tone_only_difference_is_small():
     assert d_tone < d_other
 
 
-def _store_with_readings(readings):
-    store = CharacterStore(set(readings))
-    for cp, rs in readings.items():
-        for r in rs:
-            store.add_reading(cp, r)
-    return store
+def test_tone_digits_ignored_outside_mandarin():
+    table = default_table()
+    for lang in (Language.JAPANESE_ON, Language.JAPANESE_KUN):
+        assert token_distance(lang, "ren2", "ren4", table) == 0.0
 
 
 def test_class_distance_shared_reading_is_zero():
     on = Language.JAPANESE_ON
-    store = _store_with_readings({
-        0x4EBA: [Reading(on, ("nin",))],
-        0x4EFB: [Reading(on, ("nin",))],
-    })
-    a = store.class_of(0x4EBA)
-    b = store.class_of(0x4EFB)
-    assert class_distance(store, a, b, on) == 0.0
+    readings = {0: [Reading(on, ("nin",))], 1: [Reading(on, ("nin",))]}
+    assert class_distance(readings, 0, 1, on) == 0.0
 
 
 def test_class_distance_unknown_when_readingless():
     on = Language.JAPANESE_ON
-    store = _store_with_readings({0x4EBA: [Reading(on, ("nin",))], 0x4EFB: []})
-    assert class_distance(store, store.class_of(0x4EBA),
-                          store.class_of(0x4EFB), on) is None
+    readings = {0: [Reading(on, ("nin",))],
+                1: [Reading(Language.MANDARIN, ("ren2",))]}
+    assert class_distance(readings, 0, 1, on) is None  # no ja_on reading
+    assert class_distance(readings, 0, 2, on) is None  # no reading at all
 
 
 def test_class_distance_is_min_over_cross_product():
     on = Language.JAPANESE_ON
-    store = CharacterStore({1, 2, 3, 4}, {(1, 2), (3, 4)})
-    readings = {1: ("ka",), 2: ("nin",), 3: ("sei",), 4: ("nin",)}
-    for cp, sylls in readings.items():
-        store.add_reading(cp, Reading(on, sylls))
-    a, b = store.class_of(1), store.class_of(3)
-    got = class_distance(store, a, b, on)
-    want = min(reading_distance(Reading(on, readings[x]), Reading(on, readings[y]))
-               for x in (1, 2) for y in (3, 4))
+    sylls = {0: [("ka",), ("nin",)], 1: [("sei",), ("nin",)]}
+    readings = {cid: [Reading(on, s) for s in ss] for cid, ss in sylls.items()}
+    got = class_distance(readings, 0, 1, on)
+    want = min(reading_distance(ra, rb)
+               for ra in readings[0] for rb in readings[1])
     assert got == pytest.approx(want)
     assert got == 0.0  # both classes can say "nin"
 
 
 def test_phoneticity_normalization_endpoints(monkeypatch):
     on = Language.JAPANESE_ON
-    store = CharacterStore({1, 2, 3, 4, 5, 6})
     g = from_edges([(1, 2), (3, 4), (5, 6)])
     fake = {(1, 2): 0.0, (3, 4): 2.0, (5, 6): 4.0}
     monkeypatch.setattr("sinograph.phonetics.class_distance",
-                        lambda store, a, b, lang, table=None: fake[(a, b)])
-    phoneticity(g, store, on)
+                        lambda readings, a, b, lang, table=None: fake[(a, b)])
+    phoneticity(g, {}, on)
     assert g.edge(1, 2).phi["ja_on"] == pytest.approx(1.0)
     assert g.edge(3, 4).phi["ja_on"] == pytest.approx(0.5)
     assert g.edge(5, 6).phi["ja_on"] == pytest.approx(0.0)
@@ -144,20 +134,15 @@ def test_phoneticity_normalization_endpoints(monkeypatch):
 
 def test_phoneticity_unknown_propagates_and_all_unknown_errors():
     on = Language.JAPANESE_ON
-    store = _store_with_readings({
-        1: [Reading(on, ("nin",))],
-        2: [Reading(on, ("nin",))],
-        3: [],
-    })
-    g = from_edges([(store.class_of(1), store.class_of(2)),
-                    (store.class_of(1), store.class_of(3))])
-    phoneticity(g, store, on)
-    assert "ja_on" not in g.edge(store.class_of(1), store.class_of(3)).phi
+    readings = {1: [Reading(on, ("nin",))], 2: [Reading(on, ("nin",))], 3: []}
+    g = from_edges([(1, 2), (1, 3)])
+    phoneticity(g, readings, on)
+    assert g.edge(1, 2).phi["ja_on"] == 1.0
+    assert "ja_on" not in g.edge(1, 3).phi
 
-    bare = _store_with_readings({1: [], 2: []})
-    g2 = from_edges([(bare.class_of(1), bare.class_of(2))])
+    g2 = from_edges([(1, 2)])
     with pytest.raises(DataError):
-        phoneticity(g2, bare, on)
+        phoneticity(g2, {1: [], 2: []}, on)
 
 
 def random_phi_dag(rng, n=12):
@@ -217,7 +202,6 @@ def test_chain_properties():
 def test_chain_invariant_under_distance_rescaling(monkeypatch):
     on = Language.JAPANESE_ON
     rng = random.Random(17)
-    store = CharacterStore(set(range(20)))
     for trial in range(20):
         g = from_edges([], nodes=range(10))
         dists = {}
@@ -230,7 +214,7 @@ def test_chain_invariant_under_distance_rescaling(monkeypatch):
             continue
         monkeypatch.setattr("sinograph.phonetics.class_distance",
                             lambda s, a, b, l, table=None: dists[(a, b)])
-        phoneticity(g, store, on)
+        phoneticity(g, {}, on)
         chains = {n: least_phonetic_chain(g, n, on) for n in g.nodes}
 
         g2 = from_edges([], nodes=range(10))
@@ -239,7 +223,7 @@ def test_chain_invariant_under_distance_rescaling(monkeypatch):
         scale = rng.uniform(0.1, 10)
         monkeypatch.setattr("sinograph.phonetics.class_distance",
                             lambda s, a, b, l, table=None: dists[(a, b)] * scale)
-        phoneticity(g2, store, on)
+        phoneticity(g2, {}, on)
         for e in dists:
             assert g2.edge(*e).phi["ja_on"] == pytest.approx(
                 g.edge(*e).phi["ja_on"])

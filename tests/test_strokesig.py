@@ -324,3 +324,10 @@ def test_match_at_a_later_repeated_window():
     sigs = {1: inner, 2: outer}
     assert detect_inclusions(sigs, 0.1) == {(1, 2)}
     assert detect_inclusions(sigs, 0.1) == all_pairs_inclusions(sigs, 0.1)
+
+
+def test_parse_stroke_spec_rejects_degenerate_stroke_of_a_pair():
+    # a lone stroke has no pair signature, so its endpoints may coincide
+    assert parse_stroke_spec("D:(3,3)-(3,3)")[0].start == (3.0, 3.0)
+    with pytest.raises(InputError, match="stroke 1 is degenerate"):
+        parse_stroke_spec("H:(1,5)-(9,5);D:(3,3)-(4,4)-(3,3)")
