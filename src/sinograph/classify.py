@@ -5,15 +5,17 @@ full-batch projected subgradient descent on the regularized hinge loss
 
     J(w, b) = (lambda/2) ||w||^2 + mean_i max(0, 1 - y_i (w.x_i + b))
 
-with lambda = 1 / (C n).  The K one-vs-rest models share X and differ
-only in their labels, so they train together: each epoch is one (K x d)
-full-batch update, and each model (row) is frozen at the epoch where its
-own objective converges, which leaves every row's iteration that of a
-model trained alone.  Full-batch updates make training deterministic;
-the seed only drives fold assignment.  The reported support-vector count
-is the number of training examples whose hinge margin is active
-(y f(x) <= 1 + 1e-6) at convergence for at least one category, summed
-over folds.
+with lambda = 1 / (C n).  All models share X and differ only in their
+labels, so they train together: cross-validation stacks the K
+one-vs-rest models of all k folds into one (k*K x d) full-batch update,
+each row labelled 0 on its fold's held-out examples, and ``train`` is
+the single-fold case of the same update.  Each model (row) is frozen at
+the epoch where its own objective converges, which leaves every row's
+iteration that of a model trained alone.  Full-batch updates make
+training deterministic; the seed only drives fold assignment.  The
+reported support-vector count is the number of training examples whose
+hinge margin is active (y f(x) <= 1 + 1e-6) at convergence for at least
+one category, summed over folds.
 """
 
 from __future__ import annotations
@@ -64,55 +66,89 @@ def _densify(vectors: Sequence[FeatureVector],
     return X
 
 
+def _label_matrix(labels: Sequence[Hashable], train_of: np.ndarray
+                  ) -> tuple[list, np.ndarray]:
+    """Categories, and the (S*K, N) one-vs-rest labels of S training sets.
+
+    ``train_of`` is an (S, N) boolean row mask, one row per training set.
+    Row s*K + j of the result holds the +-1 labels of category j on the
+    examples of training set s and 0 on every other example.
+    """
+    categories = sorted(set(labels))
+    if len(categories) < 2:
+        raise InputError("need at least two categories to train")
+    index = {cat: j for j, cat in enumerate(categories)}
+    codes = np.array([index[lab] for lab in labels])
+    Y = np.where(codes == np.arange(len(categories))[:, None], 1.0, -1.0)
+    Y = np.where(train_of[:, None, :], Y, 0.0)
+    return categories, Y.reshape(-1, len(labels))
+
+
 def _train_one_vs_rest(X: np.ndarray, Y: np.ndarray, C: float,
                        max_epochs: int, tol: float
                        ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Pegasos-style full-batch training of K binary classifiers at once.
+    """Pegasos-style full-batch training of R binary classifiers at once.
 
-    Row k of the (K, n) label matrix ``Y`` holds the +-1 labels of
-    category k.  Each epoch takes one subgradient step for every live
-    row, projects each row onto the radius 1/sqrt(lambda), and computes
-    the (K, n) margins once: they give the objective and the next
-    epoch's active set.  A row whose relative objective change falls
-    below ``tol`` is frozen at that epoch, so every row follows the
-    iteration it would follow if trained alone.
+    Row r of the (R, N) label matrix ``Y`` holds the +-1 labels of model
+    r on its n_r training examples and 0 on the examples it must not see,
+    so every fold's one-vs-rest models train together over the same X.
+    Each row has its own lambda = 1/(C n_r), step size and projection
+    radius 1/sqrt(lambda).  Each epoch takes one subgradient step for
+    every live row, projects it, and computes the (R, N) margins once:
+    they give the objective and the next epoch's active set, and both
+    are 0 on a row's unseen examples.  A row whose relative objective
+    change falls below ``tol`` is frozen at that epoch, so every row
+    follows the iteration it would follow if trained alone.
+
+    Each step moves a row by at most C * sum_i ||x_i|| over its training
+    examples from inside the radius sqrt(C n_r), so training is refused
+    (DataError) when the square of that bound is not a finite float.
     """
-    n = X.shape[0]
-    K = Y.shape[0]
+    if not C > 0:
+        raise InputError("C must be positive")
+    U = np.abs(Y)  # 1 on each row's training examples, else 0
+    n = U.sum(axis=1)
+    for n_r, norms in zip(n.tolist(), (U @ np.linalg.norm(X, axis=1)).tolist()):
+        bound = math.sqrt(C * n_r) + C * norms
+        if not math.isfinite(bound * bound):
+            raise DataError("feature weights too large to train on: the weight "
+                            "norm bound (sqrt(C n) + C sum ||x_i||)^2 overflows")
     lam = 1.0 / (C * n)
-    radius = 1.0 / math.sqrt(lam)
+    radius = 1.0 / np.sqrt(lam)
     XT = np.ascontiguousarray(X.T)
-    W = np.zeros((K, X.shape[1]))
-    b = np.zeros(K)
-    epochs = [max_epochs] * K
+    R = Y.shape[0]
+    W = np.zeros((R, X.shape[1]))
+    b = np.zeros(R)
+    epochs = [max_epochs] * R
     # Live rows: their indices into W, and their weights, bias, labels,
-    # margins and previous objective.
-    rows = np.arange(K)
-    Wl, bl, Yl, Ml = np.zeros_like(W), np.zeros(K), Y, np.zeros_like(Y)
-    prev_obj = np.full(K, math.inf)
+    # training mask, margins, previous objective, n, lambda and radius.
+    rows = np.arange(R)
+    Wl, bl, Yl, Ul, Ml = np.zeros_like(W), np.zeros(R), Y, U, np.zeros_like(Y)
+    prev_obj = np.full(R, math.inf)
     for epoch in range(1, max_epochs + 1):
         A = np.where(Ml < 1.0, Yl, 0.0)
         eta = 1.0 / (lam * epoch)
-        Wl = Wl - eta * (lam * Wl - (A @ X) / n)
+        Wl = Wl - eta[:, None] * (lam[:, None] * Wl - (A @ X) / n[:, None])
         bl = bl - eta * (-A.sum(axis=1) / n)
         norm = np.sqrt(np.einsum("kd,kd->k", Wl, Wl))
         over = norm > radius
         if over.any():
-            Wl[over] *= (radius / norm[over])[:, None]
+            Wl[over] *= (radius[over] / norm[over])[:, None]
         Ml = Yl * (Wl @ XT + bl[:, None])
-        # sum / n is np.mean's arithmetic without its per-call overhead
+        # sum / n is np.mean's arithmetic without its per-call overhead;
+        # U - M is 1 - M on training examples and 0 on unseen ones
         obj = 0.5 * lam * np.einsum("kd,kd->k", Wl, Wl) + (
-            np.maximum(0.0, 1.0 - Ml).sum(axis=1) / n)
+            np.maximum(0.0, Ul - Ml).sum(axis=1) / n)
         done = np.abs(prev_obj - obj) < tol * np.maximum(np.abs(prev_obj), 1e-12)
         prev_obj = obj
         if done.any():
             W[rows[done]] = Wl[done]
             b[rows[done]] = bl[done]
-            for k in rows[done]:
-                epochs[k] = epoch
+            for r in rows[done]:
+                epochs[r] = epoch
             live = ~done
-            rows, Wl, bl, Yl, Ml, prev_obj = (
-                rows[live], Wl[live], bl[live], Yl[live], Ml[live], prev_obj[live])
+            rows, Wl, bl, Yl, Ul, Ml, prev_obj, n, lam, radius = (
+                a[live] for a in (rows, Wl, bl, Yl, Ul, Ml, prev_obj, n, lam, radius))
             if not rows.size:
                 break
     W[rows] = Wl
@@ -123,27 +159,12 @@ def _train_one_vs_rest(X: np.ndarray, Y: np.ndarray, C: float,
 def train(vectors: Sequence[FeatureVector], labels: Sequence[Hashable],
           C: float = DEFAULT_C, max_epochs: int = DEFAULT_MAX_EPOCHS,
           tol: float = DEFAULT_TOL) -> LinearModel:
-    """One-vs-rest linear classifiers over the union of feature ids.
-
-    Each step moves a weight row by at most C * sum_i ||x_i|| from inside
-    the projection radius sqrt(C n), so training is refused (DataError)
-    when the square of that bound is not a finite float.
-    """
-    if not C > 0:
-        raise InputError("C must be positive")
+    """One-vs-rest linear classifiers over the union of feature ids."""
     if len(vectors) != len(labels):
         raise InputError("vectors and labels differ in length")
-    categories = sorted(set(labels))
-    if len(categories) < 2:
-        raise InputError("need at least two categories to train")
+    categories, Y = _label_matrix(labels, np.ones((1, len(labels)), dtype=bool))
     feature_ids = sorted({fid for vec in vectors for fid in vec})
     X = _densify(vectors, feature_ids)
-    bound = math.sqrt(C * len(vectors)) + C * float(np.linalg.norm(X, axis=1).sum())
-    if not math.isfinite(bound * bound):
-        raise DataError("feature weights too large to train on: the weight "
-                        "norm bound (sqrt(C n) + C sum ||x_i||)^2 overflows")
-    Y = np.array([[1.0 if lab == cat else -1.0 for lab in labels]
-                  for cat in categories])
     weights, bias, epochs = _train_one_vs_rest(X, Y, C, max_epochs, tol)
     return LinearModel(categories, feature_ids, weights, bias, C, epochs)
 
@@ -153,17 +174,6 @@ def predict(model: LinearModel, vector: FeatureVector):
     x = _densify([vector], model.feature_ids)[0]
     scores = model.scores(x)
     return model.categories[int(np.argmax(scores))]
-
-
-def _support_vector_count(model: LinearModel, X: np.ndarray,
-                          labels: Sequence[Hashable]) -> int:
-    """Training examples with an active hinge margin for any category."""
-    active = np.zeros(len(labels), dtype=bool)
-    for k, cat in enumerate(model.categories):
-        y = np.where(np.asarray([lab == cat for lab in labels]), 1.0, -1.0)
-        margins = y * (X @ model.weights[k] + model.bias[k])
-        active |= margins <= 1.0 + MARGIN_SLACK
-    return int(np.sum(active))
 
 
 def stratified_folds(labels: Sequence[Hashable], k: int,
@@ -236,26 +246,25 @@ def cross_validate(vectors: Sequence[FeatureVector],
     if len(vectors) != len(labels):
         raise InputError("vectors and labels differ in length")
     folds = stratified_folds(labels, k, seed)
+    train_of = np.ones((k, len(labels)), dtype=bool)
+    for f, fold in enumerate(folds):
+        train_of[f, fold] = False
+    categories, Y = _label_matrix(labels, train_of)
     feature_ids = sorted({fid for vec in vectors for fid in vec})
-    col_of = {fid: i for i, fid in enumerate(feature_ids)}
     X_all = _densify(vectors, feature_ids)
+    # every fold's models at once; a feature unseen in a fold's training
+    # rows keeps weight 0 in that fold's (K x d) block
+    W, b, epochs = _train_one_vs_rest(X_all, Y, C, max_epochs, tol)
+    K = len(categories)
+    scores = X_all @ W.T + b  # (N, k*K)
+    active = (Y * scores.T <= 1.0 + MARGIN_SLACK) & (Y != 0)
+    fold_svs = active.reshape(k, K, -1).any(axis=1).sum(axis=1).tolist()
     correct_total = 0
-    fold_svs = []
     fold_accs = []
-    fold_epochs = []
-    for fold in folds:
-        test = set(fold)
-        train_idx = [i for i in range(len(labels)) if i not in test]
-        train_labels = [labels[i] for i in train_idx]
-        model = train([vectors[i] for i in train_idx], train_labels,
-                      C=C, max_epochs=max_epochs, tol=tol)
-        fold_epochs.append(tuple(model.epochs_run))
-        cols = [col_of[fid] for fid in model.feature_ids]
-        fold_svs.append(_support_vector_count(
-            model, X_all[np.ix_(train_idx, cols)], train_labels))
-        scores = X_all[np.ix_(fold, cols)] @ model.weights.T + model.bias
-        best = np.argmax(scores, axis=1)  # ties go to the first category
-        correct = sum(model.categories[j] == labels[i]
+    for f, fold in enumerate(folds):
+        # ties go to the first category
+        best = np.argmax(scores[fold, f * K:(f + 1) * K], axis=1)
+        correct = sum(categories[j] == labels[i]
                       for i, j in zip(fold, best.tolist()))
         fold_accs.append(correct / len(fold))
         correct_total += correct
@@ -268,7 +277,7 @@ def cross_validate(vectors: Sequence[FeatureVector],
         C=C,
         seed=seed,
         n_examples=len(labels),
-        categories=tuple(sorted(set(labels))),
-        fold_epochs=tuple(fold_epochs),
+        categories=tuple(categories),
+        fold_epochs=tuple(tuple(epochs[f * K:(f + 1) * K]) for f in range(k)),
         max_epochs=max_epochs,
     )

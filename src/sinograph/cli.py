@@ -262,7 +262,8 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    labels, vectors = formats.load_vectors(args.vectors)
+    # every category needs an example in each fold
+    labels, vectors = formats.load_vectors(args.vectors, min_per_label=args.k)
     report = cross_validate(vectors, labels, k=args.k, C=args.C, seed=args.seed)
     _write_lines(args.out, report.lines())
     if report.models_capped:

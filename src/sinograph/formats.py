@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 from typing import Mapping, Sequence, TextIO
 
 from .charstore import AllographClass, Language, Reading
@@ -36,6 +37,8 @@ SNAPSHOT_HEADER = "#sinograph-graph v1"
 VECTORS_HEADER = "#sparse-vectors v1"
 
 _SNAPSHOT_LANGS = tuple(lang.value for lang in Language)
+# sub, super, d_min and phi per language, then f1, f2, r, s_raw, s
+_EDGE_FIELDS = 2 + 2 * len(_SNAPSHOT_LANGS) + 5
 MISSING = "-"
 
 
@@ -51,14 +54,21 @@ def _records(text: str, path: str, n_fields: int):
         yield lineno, fields
 
 
-def _parse_cp(token: str, path: str, lineno: int) -> int:
+def _codepoint(token: str) -> int:
     try:
         cp = int(token, 16)
     except ValueError:
-        raise InputError(f"{path}:{lineno}: bad hex codepoint {token!r}") from None
+        raise InputError(f"bad hex codepoint {token!r}") from None
     if not 0 <= cp <= 0x10FFFF:
-        raise InputError(f"{path}:{lineno}: codepoint {token!r} out of range")
+        raise InputError(f"codepoint {token!r} out of range")
     return cp
+
+
+def _parse_cp(token: str, path: str, lineno: int) -> int:
+    try:
+        return _codepoint(token)
+    except InputError as exc:
+        raise InputError(f"{path}:{lineno}: {exc}") from None
 
 
 def _read(path: str) -> str:
@@ -218,17 +228,23 @@ def write_vectors(fh: TextIO, labels: Sequence[str],
         fh.write(f"{label}\t{cells}\n")
 
 
-def parse_vectors(text: str, path: str = "vectors"
+def parse_vectors(text: str, path: str = "vectors", min_per_label: int = 0
                   ) -> tuple[list[str], list[dict[int, float]]]:
+    """Labels and sparse vectors; a label on fewer than ``min_per_label``
+    lines is an error naming its first line."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != VECTORS_HEADER:
-        raise InputError(f"{path}: missing {VECTORS_HEADER!r} header")
+        raise InputError(f"{path}:1: missing {VECTORS_HEADER!r} header")
     labels: list[str] = []
     vectors: list[dict[int, float]] = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
-        label, _, cells = line.partition("\t")
+        label, tab, cells = line.partition("\t")
+        if not tab:
+            raise InputError(f"{path}:{lineno}: no tab after the label")
+        first_line.setdefault(label, lineno)
         vec: dict[int, float] = {}
         for cell in cells.split():
             try:
@@ -247,11 +263,16 @@ def parse_vectors(text: str, path: str = "vectors"
                              f"is not finite")
         labels.append(label)
         vectors.append(vec)
+    for label, count in Counter(labels).items():
+        if count < min_per_label:
+            raise InputError(f"{path}:{first_line[label]}: category {label!r} "
+                             f"has {count} examples, fewer than {min_per_label}")
     return labels, vectors
 
 
-def load_vectors(path: str) -> tuple[list[str], list[dict[int, float]]]:
-    return parse_vectors(_read(path), path)
+def load_vectors(path: str, min_per_label: int = 0
+                 ) -> tuple[list[str], list[dict[int, float]]]:
+    return parse_vectors(_read(path), path, min_per_label)
 
 
 # -- snapshot --------------------------------------------------------------
@@ -324,14 +345,16 @@ def parse_snapshot(text: str, path: str = "snapshot"
                               dict[int, set[str]]]:
     """Read a snapshot written by ``write_snapshot``.
 
-    Class ids must be unique, each codepoint must belong to one class
-    only, and every edge endpoint must be a class declared earlier in
-    NODES.  Edge weights must be finite and nonnegative, and phi, r and
-    s at most 1.  Any other content raises ``InputError`` naming the line.
+    Class ids must be unique, members and representatives must be
+    codepoints in 0..10FFFF, each codepoint must belong to one class only,
+    and every edge endpoint must be a class declared earlier in NODES.
+    An edge line has exactly its 13 fields.  Edge weights must be finite
+    and nonnegative, and phi, r and s at most 1.  Any other content
+    raises ``InputError`` naming the line.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != SNAPSHOT_HEADER:
-        raise InputError(f"{path}: missing {SNAPSHOT_HEADER!r} header")
+        raise InputError(f"{path}:1: missing {SNAPSHOT_HEADER!r} header")
     section = None
     g = InclusionGraph()
     classes: list[AllographClass] = []
@@ -353,17 +376,20 @@ def parse_snapshot(text: str, path: str = "snapshot"
                 cid = int(cid_tok)
                 if cid in g:
                     raise InputError(f"class id {cid} declared twice")
-                members = frozenset(int(m, 16) for m in members_tok.split())
+                members = frozenset(_codepoint(m) for m in members_tok.split())
                 for cp in members:
                     if cp in class_of:
                         raise InputError(f"codepoint {cp:X} is in classes "
                                          f"{class_of[cp]} and {cid}")
                     class_of[cp] = cid
-                classes.append(AllographClass(cid, members, int(rep_tok, 16)))
+                classes.append(AllographClass(cid, members, _codepoint(rep_tok)))
                 g.add_node(cid)
                 if synsets_tok != MISSING:
                     annotations[cid] = set(synsets_tok.split("|"))
             elif section == "EDGES":
+                if len(fields) != _EDGE_FIELDS:
+                    raise InputError(f"expected {_EDGE_FIELDS} tab-separated "
+                                     f"fields, got {len(fields)}")
                 sub, sup = int(fields[0]), int(fields[1])
                 if sub not in g or sup not in g:
                     missing = sup if sub in g else sub
@@ -389,7 +415,7 @@ def parse_snapshot(text: str, path: str = "snapshot"
                 raise InputError("content before any section header")
         except InputError as exc:  # before ValueError, its base class
             raise InputError(f"{path}:{lineno}: {exc}") from None
-        except (ValueError, IndexError):
+        except ValueError:
             raise InputError(f"{path}:{lineno}: malformed {section} line") from None
     return g, classes, annotations
 

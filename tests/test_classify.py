@@ -280,6 +280,69 @@ def test_rows_freeze_at_their_own_epoch():
     assert max_abs_diff(got.bias, want.bias) <= 1e-9
 
 
+def stacked_cross_validate(vectors, labels, k, seed, C, max_epochs, tol):
+    """cross_validate's report, with the (k*K, d) weights and the bias of
+    the one stacked training call it makes."""
+    trainer = classify._train_one_vs_rest
+    calls = []
+
+    def recording_trainer(*args):
+        calls.append(trainer(*args))
+        return calls[-1]
+
+    with mock.patch.object(classify, "_train_one_vs_rest", recording_trainer):
+        report = cross_validate(vectors, labels, k=k, C=C, seed=seed,
+                                max_epochs=max_epochs, tol=tol)
+    (weights, bias, _), = calls
+    return report, weights, bias
+
+
+def assert_folds_match_per_model_loop(vectors, labels, k, seed, C=1.0,
+                                      max_epochs=DEFAULT_MAX_EPOCHS,
+                                      tol=DEFAULT_TOL):
+    """Each fold's (K x d) block of the stacked run against the models
+    trained one category and one fold at a time; returns the blocks."""
+    report, W, b = stacked_cross_validate(vectors, labels, k, seed, C,
+                                          max_epochs, tol)
+    models, support_vectors, epochs = per_model_cross_validate(
+        vectors, labels, k, seed, C, max_epochs, tol)
+    assert report.fold_epochs == epochs
+    assert report.fold_support_vectors == support_vectors
+    feature_ids = sorted({fid for vec in vectors for fid in vec})
+    K = len(report.categories)
+    # the predictions, scored as cross_validate scores them
+    scores = _densify(vectors, feature_ids) @ W.T + b
+    folds = stratified_folds(labels, k, seed)
+    blocks = []
+    for f, (fold, want, accuracy) in enumerate(zip(folds, models,
+                                                   report.fold_accuracies)):
+        rows = slice(f * K, (f + 1) * K)
+        blocks.append((W[rows], b[rows]))
+        assert list(report.categories) == want.categories
+        seen = [feature_ids.index(fid) for fid in want.feature_ids]
+        unseen = sorted(set(range(len(feature_ids))) - set(seen))
+        assert not W[rows][:, unseen].any()  # exactly 0, not merely small
+        assert max_abs_diff(W[rows][:, seen], want.weights) <= 1e-9
+        assert max_abs_diff(b[rows], want.bias) <= 1e-9
+        best = np.argmax(scores[fold, rows], axis=1)
+        got_pred = [report.categories[j] for j in best]
+        correct = sum(p == labels[i] for p, i in zip(got_pred, fold))
+        assert correct / len(fold) == accuracy
+        vocab = set(want.feature_ids)  # unseen test features score 0
+        for i, pred in zip(fold, got_pred):
+            row = {fid: w for fid, w in vectors[i].items() if fid in vocab}
+            oracle = want.scores(_densify([row], want.feature_ids)[0])
+            # weights and bias within 1e-9 move a score by at most
+            # slack, and a difference of two scores by twice that
+            slack = 1e-9 * (sum(abs(w) for w in row.values()) + 1.0)
+            near = [cat for cat, s in zip(want.categories, oracle)
+                    if s >= oracle.max() - 2 * slack]
+            if len(near) == 1:
+                assert pred == predict(want, row)
+            assert pred in near
+    return blocks
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4).flatmap(
     lambda k: st.tuples(st.just(k), training_sets(min_per_category=k),
@@ -291,40 +354,29 @@ def test_rows_freeze_at_their_own_epoch():
               0.1, 1, 1e-2), 0))
 def test_cross_validate_equals_per_model_loop(case):
     k, (vectors, labels, C, max_epochs, tol), seed = case
-    batched = []
+    assert_folds_match_per_model_loop(vectors, labels, k, seed, C,
+                                      max_epochs, tol)
 
-    def recording_train(*args, **kwargs):
-        batched.append(train(*args, **kwargs))
-        return batched[-1]
 
-    with mock.patch.object(classify, "train", recording_train):
-        report = cross_validate(vectors, labels, k=k, C=C, seed=seed,
-                                max_epochs=max_epochs, tol=tol)
-    models, support_vectors, epochs = per_model_cross_validate(
-        vectors, labels, k, seed, C, max_epochs, tol)
-    assert report.fold_epochs == epochs
-    assert report.fold_support_vectors == support_vectors
-    folds = stratified_folds(labels, k, seed)
-    for fold, got, want, accuracy in zip(folds, batched, models,
-                                         report.fold_accuracies):
-        assert max_abs_diff(got.weights, want.weights) <= 1e-9
-        assert max_abs_diff(got.bias, want.bias) <= 1e-9
-        vocab = set(want.feature_ids)  # unseen test features score 0
-        rows = [{f: w for f, w in vectors[i].items() if f in vocab}
-                for i in fold]
-        # the batched predictions, scored as cross_validate scores them
-        X = _densify(rows, got.feature_ids)
-        best = np.argmax(X @ got.weights.T + got.bias, axis=1)
-        got_pred = [got.categories[j] for j in best]
-        correct = sum(p == labels[i] for p, i in zip(got_pred, fold))
-        assert correct / len(fold) == accuracy
-        for x, row, pred in zip(X, rows, got_pred):
-            scores = want.scores(x)
-            # weights and bias within 1e-9 move a score by at most
-            # slack, and a difference of two scores by twice that
-            slack = 1e-9 * (sum(abs(w) for w in row.values()) + 1.0)
-            near = [cat for cat, s in zip(want.categories, scores)
-                    if s >= scores.max() - 2 * slack]
-            if len(near) == 1:
-                assert pred == predict(want, row)
-            assert pred in near
+def test_stacked_folds_of_unequal_size():
+    # 7 examples per category in 3 folds: fold sizes 9, 6 and 6, so the
+    # stacked rows train on 12 or 15 examples, with their own lambda,
+    # step size and radius
+    vectors, labels = separable_corpus(n_per_class=7, n_classes=3, seed=5)
+    labels[0], labels[7] = labels[7], labels[0]
+    folds = stratified_folds(labels, 3, seed=2)
+    assert sorted(len(f) for f in folds) == [6, 6, 9]
+    assert_folds_match_per_model_loop(vectors, labels, 3, 2)
+
+
+def test_feature_only_in_one_folds_test_rows_keeps_weight_zero():
+    vectors, labels = separable_corpus(n_per_class=6, n_classes=2, seed=1)
+    vectors[4] = {**vectors[4], 99: 0.5}
+    folds = stratified_folds(labels, 3, seed=0)
+    blocks = assert_folds_match_per_model_loop(vectors, labels, 3, 0)
+    col = sorted({fid for vec in vectors for fid in vec}).index(99)
+    for fold, (W, _) in zip(folds, blocks):
+        if 4 in fold:
+            assert (W[:, col] == 0.0).all()
+        else:
+            assert (W[:, col] != 0.0).any()

@@ -254,6 +254,9 @@ def test_evaluate_missing_vectors_exit_2(tmp_path):
     ("1\t2\t", "1\t9\t", "edge endpoint 9 is not a declared node"),
     ("2\t4E02\t", "1\t4E02\t", "class id 1 declared twice"),
     ("2\t4E02\t", "2\t4E01 4E02\t", "codepoint 4E01 is in classes 1 and 2"),
+    ("2\t4E02\t", "2\t-1\t", "codepoint '-1' out of range"),
+    ("2\t4E02\t4E02\t", "2\t4E02\t110000\t", "codepoint '110000' out of range"),
+    ("1\t2\t", "1\t2\tgarbage\tmore\t", "expected 13 tab-separated fields, got 15"),
 ])
 def test_chains_rejects_inconsistent_snapshot(chain_inputs, capsys,
                                               old, new, problem):
@@ -298,6 +301,17 @@ def test_evaluate_rejects_repeated_feature(tmp_path, capsys):
     rc, vec_path = _evaluate_with_line(tmp_path, "two\t1:0.1 3:0.2 1:0.5")
     assert rc == 2
     assert f"{vec_path}:5: feature 1 repeated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("two 1:0.5", "no tab after the label"),
+    # a third category with one example cannot be in both folds
+    ("three\t1:0.5", "category 'three' has 1 examples, fewer than 2"),
+])
+def test_evaluate_names_the_line_of_a_bad_label(tmp_path, capsys, line, problem):
+    rc, vec_path = _evaluate_with_line(tmp_path, line)
+    assert rc == 2
+    assert f"{vec_path}:5: {problem}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cells", ["1:1e308 3:1e308", "1:1e200 3:1e200",
