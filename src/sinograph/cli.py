@@ -57,11 +57,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    try:
-        lo_tok, hi_tok = text.split("-")
-        lo, hi = int(lo_tok, 16), int(hi_tok, 16)
-    except ValueError:
-        raise InputError(f"bad codepoint range {text!r}; expected HEX-HEX") from None
+    tokens = text.split("-")
+    if len(tokens) != 2 or not all(formats.HEX_NUMBER.fullmatch(t) for t in tokens):
+        raise InputError(f"bad codepoint range {text!r}; expected HEX-HEX")
+    lo, hi = (int(t, 16) for t in tokens)
     if lo > hi:
         raise InputError(f"empty codepoint range {text!r}")
     return lo, hi
@@ -130,7 +129,8 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
 def cmd_annotate(args: argparse.Namespace) -> int:
     g, classes, annotations = formats.load_snapshot(args.snapshot)
 
-    table = FeatureTable.load(args.feature_table) if args.feature_table else None
+    # a table per invocation: its memos end with the command
+    table = FeatureTable.load(args.feature_table)
     languages = [Language.parse(tok) for tok in args.languages.split(",")] \
         if args.languages else list(Language)
 
@@ -189,7 +189,7 @@ def _resolve_class(args, classes) -> list[int]:
     for token in args.cls or []:
         if token.startswith("U+") or token.startswith("u+"):
             token = token[2:]
-        if all(c in "0123456789abcdefABCDEF" for c in token) and token:
+        if formats.HEX_NUMBER.fullmatch(token):
             cp = int(token, 16)
             if cp in by_cp:
                 ids.append(by_cp[cp])

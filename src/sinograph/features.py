@@ -12,7 +12,10 @@ outside the vocabulary are added to it, tagged with their provenance.
 weight vary, and ``CHAIN_KINDS`` holds both per kind: the most semantic
 chain weighted by the semanticity S, and the least phonetic chain
 weighted by the phoneticity phi.  ``STRATEGIES`` names the kinds each
-strategy adds, in summation order.
+strategy adds, in summation order.  Each class's chain of a kind is
+walked and weighed once, into steps (member, (1/i) * edge_weight); a
+document then gains coef * w at each step, the same product in the same
+order as (1/i) * edge_weight * w.
 """
 
 from __future__ import annotations
@@ -169,26 +172,35 @@ def semantic_chains(g: InclusionGraph, class_ids: set[int]) -> dict[int, list[in
     return class_chains(g, class_ids, "semantic")
 
 
-def _chain_additions(
-    vector: FeatureVector,
-    chains: Mapping[int, list[int]],
+def _compile_chains(
     g: InclusionGraph,
+    chains: Mapping[int, list[int]],
     weight: Callable[[InclusionGraph, int, int, Language], float | None],
     language: Language,
-) -> FeatureVector:
+) -> dict[int, list[tuple[int, float]]]:
+    """Each chain's steps as (member at depth i, (1/i) * edge weight);
+    steps whose edge has no weight are left out."""
+    steps: dict[int, list[tuple[int, float]]] = {}
+    for cid, chain in chains.items():
+        compiled = []
+        for i in range(1, len(chain)):
+            ew = weight(g, chain[i], chain[i - 1], language)
+            if ew is not None:
+                compiled.append((chain[i], (1.0 / i) * ew))
+        if compiled:
+            steps[cid] = compiled
+    return steps
+
+
+def _chain_additions(vector: FeatureVector,
+                     steps: Mapping[int, list[tuple[int, float]]]) -> FeatureVector:
     """Discounted chain weights triggered by one document's features."""
     additions: FeatureVector = {}
     for cid, w in vector.items():
-        chain = chains.get(cid)
-        if not chain or len(chain) < 2:
-            continue
-        for i in range(1, len(chain)):
-            ew = weight(g, chain[i], chain[i - 1], language)
-            if ew is None:
-                continue
-            gain = (1.0 / i) * ew * w
+        for member, coef in steps.get(cid, ()):
+            gain = coef * w
             if gain != 0.0:
-                additions[chain[i]] = additions.get(chain[i], 0.0) + gain
+                additions[member] = additions.get(member, 0.0) + gain
     return additions
 
 
@@ -210,14 +222,15 @@ def augment(
     document's total in the order of ``parts``.  Chain members missing
     from the vocabulary are added with chain provenance.
     """
-    walks = [(class_chains(g, vocab.ids, kind, language),
-              CHAIN_KINDS[kind].weight) for kind in parts]
+    walks = [_compile_chains(g, class_chains(g, vocab.ids, kind, language),
+                             CHAIN_KINDS[kind].weight, language)
+             for kind in parts]
     new_vocab = vocab.copy()
     out: list[FeatureVector] = []
     for vec in vectors:
         adds: FeatureVector = {}
-        for part_chains, weight in walks:
-            gains = _chain_additions(vec, part_chains, g, weight, language)
+        for steps in walks:
+            gains = _chain_additions(vec, steps)
             for cid, gain in gains.items():
                 adds[cid] = adds.get(cid, 0.0) + gain
         merged = dict(vec)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from collections import Counter
 from typing import Mapping, Sequence, TextIO
 
@@ -32,6 +33,10 @@ from .freqlists import FrequencyList, from_counts
 from .graphcore import EdgeData, InclusionGraph
 from .semantics import SemRelation
 from .strokesig import Stroke, parse_stroke_spec
+
+#: A hex number in every file and flag: hex digits only, either case.
+#: ``int(token, 16)`` alone would also take a sign, "_", blanks and "0x".
+HEX_NUMBER = re.compile("[0-9A-Fa-f]+")
 
 SNAPSHOT_HEADER = "#sinograph-graph v1"
 VECTORS_HEADER = "#sparse-vectors v1"
@@ -55,10 +60,11 @@ def _records(text: str, path: str, n_fields: int):
 
 
 def _codepoint(token: str) -> int:
-    try:
-        cp = int(token, 16)
-    except ValueError:
-        raise InputError(f"bad hex codepoint {token!r}") from None
+    # a leading minus passes here, so that a negative number is named
+    # out of range rather than malformed
+    if not HEX_NUMBER.fullmatch(token.removeprefix("-")):
+        raise InputError(f"bad hex codepoint {token!r}")
+    cp = int(token, 16)
     if not 0 <= cp <= 0x10FFFF:
         raise InputError(f"codepoint {token!r} out of range")
     return cp

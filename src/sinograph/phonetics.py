@@ -15,6 +15,10 @@ pairs stay close.
 The phoneticity of an edge maps the minimum reading distance between the
 two classes onto [0, 1], with 1 at distance zero and 0 at the largest
 finite distance observed in the graph.
+
+A ``FeatureTable`` memoises what depends on it alone: each token's
+features, each (language, token pair) distance and the largest segmental
+distance are computed once per table, and live as long as the table.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -64,6 +67,9 @@ class FeatureTable:
         self.consonants = consonants
         self.vowels = vowels
         self._onsets = sorted(consonants, key=len, reverse=True)
+        self._features: dict[str, SyllableFeatures] = {}
+        self._token_distances: dict[tuple[Language, str, str], float] = {}
+        self._max_segmental: float | None = None
 
     @classmethod
     def load(cls, path: str | None = None) -> "FeatureTable":
@@ -102,6 +108,12 @@ class FeatureTable:
         then the first vowel symbol of the remainder; a missing onset or
         nucleus maps to the null phoneme.  Tone digits are ignored here.
         """
+        features = self._features.get(token)
+        if features is None:
+            features = self._features[token] = self._syllable_features(token)
+        return features
+
+    def _syllable_features(self, token: str) -> SyllableFeatures:
         body = strip_tone(token)[0]
         if not body:
             raise InputError(f"empty syllable token {token!r}")
@@ -119,20 +131,15 @@ class FeatureTable:
     def max_segmental_distance(self) -> float:
         """Largest weighted distance realizable between two syllables of
         this inventory (used to scale the tone penalty)."""
-        return _max_segmental_distance(self)
-
-
-@lru_cache(maxsize=8)
-def _max_segmental_distance(table: FeatureTable) -> float:
-    wc = FEATURE_WEIGHTS[:4]
-    wv = FEATURE_WEIGHTS[4:]
-    best_c = max(
-        sum((w * (a - b)) ** 2 for w, a, b in zip(wc, ca, cb))
-        for ca in table.consonants.values() for cb in table.consonants.values())
-    best_v = max(
-        sum((w * (a - b)) ** 2 for w, a, b in zip(wv, va, vb))
-        for va in table.vowels.values() for vb in table.vowels.values())
-    return math.sqrt(best_c + best_v)
+        if self._max_segmental is None:
+            wc, wv = FEATURE_WEIGHTS[:4], FEATURE_WEIGHTS[4:]
+            cons, vows = self.consonants.values(), self.vowels.values()
+            best_c = max(sum((w * (a - b)) ** 2 for w, a, b in zip(wc, ca, cb))
+                         for ca in cons for cb in cons)
+            best_v = max(sum((w * (a - b)) ** 2 for w, a, b in zip(wv, va, vb))
+                         for va in vows for vb in vows)
+            self._max_segmental = math.sqrt(best_c + best_v)
+        return self._max_segmental
 
 
 _DEFAULT_TABLE: FeatureTable | None = None
@@ -164,11 +171,15 @@ def syllable_distance(a: SyllableFeatures, b: SyllableFeatures) -> float:
 def token_distance(language: Language, a: str, b: str,
                    table: FeatureTable | None = None) -> float:
     """Segmental syllable distance, plus the tone penalty for a Mandarin
-    tone mismatch."""
+    tone mismatch; computed once per (language, a, b) and table."""
     table = table or default_table()
-    d = syllable_distance(table.syllable_features(a), table.syllable_features(b))
-    if language is Language.MANDARIN and strip_tone(a)[1] != strip_tone(b)[1]:
-        d += TONE_PENALTY_FACTOR * table.max_segmental_distance()
+    key = (language, a, b)
+    d = table._token_distances.get(key)
+    if d is None:
+        d = syllable_distance(table.syllable_features(a), table.syllable_features(b))
+        if language is Language.MANDARIN and strip_tone(a)[1] != strip_tone(b)[1]:
+            d += TONE_PENALTY_FACTOR * table.max_segmental_distance()
+        table._token_distances[key] = d
     return d
 
 

@@ -1,10 +1,13 @@
 import functools
 import math
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import sinograph
 from sinograph import cli, formats
 from sinograph.charstore import Language
 from sinograph.classify import cross_validate
@@ -93,6 +96,18 @@ def test_build_graph_rejects_nan_coordinate(tmp_path, capsys):
                "--out", str(tmp_path / "g.snap")])
     assert rc == 2
     assert "strokes.tsv:1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["4_E00", "+4E00", " 4E00", "0x4E00"])
+def test_build_graph_rejects_non_hex_codepoint(tmp_path, capsys, token):
+    # int(token, 16) reads each of these as 4E00
+    strokes = write(tmp_path / "strokes.tsv",
+                    f"4E01\t{STROKE_B}\n{token}\t{STROKE_A}\n")
+    rc = main(["build-graph", "--strokes", strokes,
+               "--out", str(tmp_path / "g.snap")])
+    assert rc == 2
+    assert (f"strokes.tsv:2: bad hex codepoint {token!r}"
+            in capsys.readouterr().err)
 
 
 def test_usage_error_exit_1(capsys):
@@ -256,6 +271,8 @@ def test_evaluate_missing_vectors_exit_2(tmp_path):
     ("2\t4E02\t", "2\t4E01 4E02\t", "codepoint 4E01 is in classes 1 and 2"),
     ("2\t4E02\t", "2\t-1\t", "codepoint '-1' out of range"),
     ("2\t4E02\t4E02\t", "2\t4E02\t110000\t", "codepoint '110000' out of range"),
+    ("2\t4E02\t", "2\t4E_02\t", "bad hex codepoint '4E_02'"),
+    ("2\t4E02\t4E02\t", "2\t4E02\t+4E02\t", "bad hex codepoint '+4E02'"),
     ("1\t2\t", "1\t2\tgarbage\tmore\t", "expected 13 tab-separated fields, got 15"),
 ])
 def test_chains_rejects_inconsistent_snapshot(chain_inputs, capsys,
@@ -354,6 +371,9 @@ def pipeline_files(chain_inputs, tmp_path):
     "build-graph --strokes {strokes} --out {out} --tolerance -1",
     "build-graph --strokes {strokes} --out {out} --tolerance nan",
     "build-graph --strokes {strokes} --out {out} --codepoint-range 9FFF-4E00",
+    "build-graph --strokes {strokes} --out {out} --codepoint-range 4E_00-9FFF",
+    "build-graph --strokes {strokes} --out {out} --codepoint-range 4E00-+9FFF",
+    "build-graph --strokes {strokes} --out {out} --codepoint-range 0x4E00-9FFF",
     "annotate --snapshot {snap} --out {out} --readings {readings} "
     "--phi-histogram {hist} --bins 0",
     "annotate --snapshot {snap} --out {out} --synsets {synsets} "
@@ -444,6 +464,44 @@ def test_annotate_rejects_bad_feature_table_row(chain_inputs, capsys, row):
                "--readings", chain_inputs["readings"], "--feature-table", path])
     assert rc == 2
     assert "feature table line 3:" in capsys.readouterr().err
+
+
+def test_annotate_feature_tables_do_not_leak_between_invocations(
+        chain_inputs, tmp_path):
+    """Each ``annotate`` call memoises distances on its own table: the
+    output of a call does not depend on what ran before it in the same
+    process."""
+    rows = resources.files("sinograph").joinpath(
+        "data/phoneme_features.tsv").read_text(encoding="utf-8")
+    # moves the nin-kan distance and, by a far onset, the tone penalty
+    custom = write(tmp_path / "custom.tsv",
+                   rows.replace("V\ta\t2\t3\t0", "V\ta\t3\t3\t0")
+                   + "C\tkx\t40\t0\t1\t0\n")
+    snap = str(tmp_path / "g.snap")
+    assert main(["build-graph", "--strokes", chain_inputs["strokes"],
+                 "--out", snap]) == 0
+
+    def argv(table, out):
+        return (["annotate", "--snapshot", snap, "--out", str(out),
+                 "--readings", chain_inputs["readings"]]
+                + (["--feature-table", custom] if table else []))
+
+    def in_this_process(table, out):
+        assert main(argv(table, out)) == 0
+        return out.read_bytes()
+
+    def alone(table, out):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(sinograph.__file__)))
+        subprocess.run([sys.executable, "-m", "sinograph", *argv(table, out)],
+                       env=env, check=True, capture_output=True)
+        return out.read_bytes()
+
+    bundled, own = alone(False, tmp_path / "b.snap"), alone(True, tmp_path / "c.snap")
+    assert bundled != own
+    in_this_process(True, tmp_path / "c1.snap")
+    assert in_this_process(False, tmp_path / "b1.snap") == bundled
+    assert in_this_process(True, tmp_path / "c2.snap") == own
 
 
 def test_readings_unknown_language_names_the_line(chain_inputs, capsys):

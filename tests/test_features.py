@@ -336,9 +336,31 @@ def _two_chains_into_one_class():
     return g, vocab, [{2: 1.0, 3: 1.0}], "combined", ON, False
 
 
+def _zero_semanticity_step():
+    """Class 2's semantic chain is 2, 1, 0 with S = 0 on its first step:
+    that step adds nothing, not even vocabulary, and the second step
+    still adds (1/2) * 0.3."""
+    g = from_edges([(0, 1), (1, 2)])
+    g.edge(0, 1).s, g.edge(1, 2).s = 0.3, 0.0
+    return (g, Vocabulary({2: PROVENANCE_BASELINE}), [{2: 1.0}], "semantic",
+            ON, True)
+
+
+def _underflowing_gain():
+    """phi is the smallest subnormal, so (1/1) * phi * 0.25 rounds to 0.0
+    and adds nothing, while (1/1) * phi * 1.0 does add class 0."""
+    g = from_edges([(0, 1)])
+    g.edge(0, 1).s = 0.5
+    g.edge(0, 1).phi[ON.value] = 5e-324
+    return (g, Vocabulary({1: PROVENANCE_BASELINE}), [{1: 0.25}, {1: 1.0}],
+            "phonetic", ON, False)
+
+
 @settings(max_examples=300, deadline=None)
 @given(augmentation_cases())
 @example(_two_chains_into_one_class())
+@example(_zero_semanticity_step())
+@example(_underflowing_gain())
 def test_augment_equals_old_strategies(case):
     g, vocab, vectors, strategy, language, normalize = case
     got = _outcome(lambda: augment(g, vocab, vectors, STRATEGIES[strategy],

@@ -1,13 +1,18 @@
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sinograph.charstore import Language, Reading
 from sinograph.errors import DataError, InputError
 from sinograph.graphcore import from_edges
 from sinograph.phonetics import (
     FEATURE_WEIGHTS,
+    TONE_PENALTY_FACTOR,
+    FeatureTable,
     SyllableFeatures,
     class_distance,
     default_table,
@@ -15,6 +20,7 @@ from sinograph.phonetics import (
     phoneticity,
     phoneticity_histogram,
     reading_distance,
+    strip_tone,
     syllable_distance,
     token_distance,
 )
@@ -247,3 +253,106 @@ def test_histogram():
     empty = from_edges([(1, 2)])
     with pytest.raises(DataError):
         phoneticity_histogram(empty, on)
+
+
+# -- the distances before the table memoised them, kept as the oracle --
+
+def oracle_features(table, token):
+    body = strip_tone(token)[0]
+    onset = "-"
+    for cand in sorted(table.consonants, key=len, reverse=True):
+        if cand != "-" and body.startswith(cand):
+            onset = cand
+            body = body[len(cand):]
+            break
+    vowel = next((ch for ch in body if ch in table.vowels and ch != "-"), "-")
+    return SyllableFeatures(*table.consonants[onset], *table.vowels[vowel])
+
+
+@functools.cache  # one value per table; recomputed per token pair it is slow
+def oracle_max_segmental_distance(table):
+    wc, wv = FEATURE_WEIGHTS[:4], FEATURE_WEIGHTS[4:]
+    best_c = max(sum((w * (a - b)) ** 2 for w, a, b in zip(wc, ca, cb))
+                 for ca in table.consonants.values()
+                 for cb in table.consonants.values())
+    best_v = max(sum((w * (a - b)) ** 2 for w, a, b in zip(wv, va, vb))
+                 for va in table.vowels.values() for vb in table.vowels.values())
+    return math.sqrt(best_c + best_v)
+
+
+def oracle_token_distance(language, a, b, table):
+    d = syllable_distance(oracle_features(table, a), oracle_features(table, b))
+    if language is Language.MANDARIN and strip_tone(a)[1] != strip_tone(b)[1]:
+        d += TONE_PENALTY_FACTOR * oracle_max_segmental_distance(table)
+    return d
+
+
+def oracle_reading_distance(r1, r2, table):
+    short, long_ = sorted((r1.syllables, r2.syllables), key=len)
+    k = len(short)
+    return min(sum(oracle_token_distance(r1.language, short[i], long_[off + i],
+                                         table) for i in range(k)) / k
+               for off in range(len(long_) - k + 1))
+
+
+def oracle_class_distance(readings, class_a, class_b, language, table):
+    pairs = [(ra, rb) for ra in readings.get(class_a, ())
+             for rb in readings.get(class_b, ())
+             if ra.language is language and rb.language is language]
+    if not pairs:
+        return None
+    return min(oracle_reading_distance(ra, rb, table) for ra, rb in pairs)
+
+
+# One table for every example and language, so each memo entry is read
+# back by later calls, in other languages too.
+SHARED_TABLE = FeatureTable.load()
+CMN, ON, KUN = Language.MANDARIN, Language.JAPANESE_ON, Language.JAPANESE_KUN
+
+# tone digits on any language's token, so "ren2" is met in all three
+TOKENS = st.builds(lambda body, tone: body + tone,
+                   st.sampled_from(["ren", "nin", "ma", "shi", "zhong", "kan",
+                                    "ka", "Ka", "se", "ru", "a", "o"]),
+                   st.sampled_from(["", "1", "2", "4"]))
+
+
+@st.composite
+def class_readings(draw):
+    """Readings of up to four classes in any of the three languages; kun
+    readings have one to four syllables."""
+    readings = {}
+    for cid in range(draw(st.integers(1, 4))):
+        readings[cid] = [
+            Reading(lang, tuple(draw(st.lists(
+                TOKENS, min_size=1, max_size=4 if lang is KUN else 1))))
+            for lang in draw(st.lists(st.sampled_from(list(Language)),
+                                      max_size=3))]
+    return readings
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_readings())
+@example({0: [Reading(CMN, ("ren2",)), Reading(ON, ("ren4",))],
+          1: [Reading(CMN, ("ren4",)), Reading(ON, ("ren2",))]})
+@example({0: [Reading(KUN, ("ka", "se2"))],
+          1: [Reading(KUN, ("ma", "ka", "se4", "ru"))],
+          2: [Reading(KUN, ("se4",)), Reading(CMN, ("se2",))]})
+def test_memoised_distances_equal_the_unmemoised_oracle(readings):
+    table = SHARED_TABLE
+    every = [r for rs in readings.values() for r in rs]
+    tokens = sorted({t for r in every for t in r.syllables})
+    for lang in Language:
+        for a in tokens:
+            for b in tokens:
+                assert token_distance(lang, a, b, table) == \
+                    oracle_token_distance(lang, a, b, table)
+        same = [r for r in every if r.language is lang]
+        for r1 in same:
+            for r2 in same:
+                assert reading_distance(r1, r2, table) == \
+                    oracle_reading_distance(r1, r2, table)
+        for ca in readings:
+            for cb in readings:
+                assert class_distance(readings, ca, cb, lang, table) == \
+                    oracle_class_distance(readings, ca, cb, lang, table)
+    assert table.max_segmental_distance() == oracle_max_segmental_distance(table)
