@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .errors import DataError, InputError
+from .errors import InputError
 
 
 class Language(str, Enum):
@@ -69,14 +69,6 @@ class AllographClass:
             raise InputError("representative must be a class member")
 
 
-@dataclass(frozen=True)
-class ClassStatistics:
-    count: int
-    singleton_fraction: float
-    max_size: int
-    mean_size: float
-
-
 def build_allograph_classes(
     variant_pairs: Iterable[tuple[int, int]],
     chars: Iterable[int],
@@ -125,22 +117,8 @@ def build_allograph_classes(
     return classes
 
 
-def class_statistics(classes: Sequence[AllographClass]) -> ClassStatistics:
-    """Exact arithmetic over a class partition."""
-    if not classes:
-        raise DataError("cannot compute statistics of an empty class set")
-    sizes = [len(c.members) for c in classes]
-    n_chars = sum(sizes)
-    return ClassStatistics(
-        count=len(classes),
-        singleton_fraction=sum(1 for s in sizes if s == 1) / len(classes),
-        max_size=max(sizes),
-        mean_size=n_chars / len(classes),
-    )
-
-
 class CharacterStore:
-    """The class partition of a character set, indexed by codepoint."""
+    """The class partition of a character set."""
 
     def __init__(
         self,
@@ -150,12 +128,3 @@ class CharacterStore:
     ) -> None:
         self.classes: list[AllographClass] = build_allograph_classes(
             variant_pairs, chars, frequencies)
-        self._class_by_cp: dict[int, int] = {
-            cp: cls.id for cls in self.classes for cp in cls.members}
-
-    def class_of(self, codepoint: int) -> int:
-        """Id of the allographic class containing ``codepoint``."""
-        try:
-            return self._class_by_cp[codepoint]
-        except KeyError:
-            raise DataError(f"codepoint U+{codepoint:04X} not in store") from None

@@ -84,10 +84,12 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 def _load_synset_store(synsets_path: str, relations_path: str | None) -> SynsetStore:
     store = SynsetStore()
-    for sid, lemmas in formats.load_synsets(synsets_path):
+    synsets = formats.load_synsets(synsets_path)
+    for sid, lemmas in synsets:
         store.add_synset(sid, lemmas)
     if relations_path:
-        for rel in formats.load_relations(relations_path):
+        declared = {sid for sid, _ in synsets}
+        for rel in formats.load_relations(relations_path, declared):
             store.add_relation(rel.source, rel.relation_type, rel.target)
     return store
 
@@ -127,6 +129,10 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    for flag, path in (("--relations", args.relations),
+                       ("--definitions", args.definitions)):
+        if path and not args.synsets:
+            raise InputError(f"{flag} needs --synsets")
     g, classes, annotations = formats.load_snapshot(args.snapshot)
 
     # a table per invocation: its memos end with the command

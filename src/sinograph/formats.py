@@ -25,7 +25,7 @@ import io
 import math
 import re
 from collections import Counter
-from typing import Mapping, Sequence, TextIO
+from typing import Container, Mapping, Sequence, TextIO
 
 from .charstore import AllographClass, Language, Reading
 from .errors import InputError
@@ -139,6 +139,8 @@ def parse_radicals(text: str, path: str = "radicals.tsv") -> dict[int, int]:
     out: dict[int, int] = {}
     for lineno, (cp_tok, rad_tok) in _records(text, path, 2):
         cp = _parse_cp(cp_tok, path, lineno)
+        if cp in out:
+            raise InputError(f"{path}:{lineno}: duplicate codepoint {cp_tok}")
         try:
             rad = int(rad_tok)
         except ValueError:
@@ -155,10 +157,14 @@ def load_radicals(path: str) -> dict[int, int]:
 
 def parse_synsets(text: str, path: str = "synsets.tsv") -> list[tuple[str, list[str]]]:
     out = []
+    seen: set[str] = set()
     for lineno, (sid, lemmas) in _records(text, path, 2):
         words = [w for w in lemmas.split("|") if w]
         if not words:
             raise InputError(f"{path}:{lineno}: synset {sid!r} has no lemmas")
+        if sid in seen:
+            raise InputError(f"{path}:{lineno}: duplicate synset id {sid!r}")
+        seen.add(sid)
         out.append((sid, words))
     return out
 
@@ -167,13 +173,22 @@ def load_synsets(path: str) -> list[tuple[str, list[str]]]:
     return parse_synsets(_read(path), path)
 
 
-def parse_relations(text: str, path: str = "relations.tsv") -> list[SemRelation]:
-    return [SemRelation(src, typ, dst)
-            for _, (src, typ, dst) in _records(text, path, 3)]
+def parse_relations(text: str, synsets: Container[str],
+                    path: str = "relations.tsv") -> list[SemRelation]:
+    """Relations between the declared ``synsets``; an endpoint outside
+    them is an error naming its line."""
+    out = []
+    for lineno, (src, typ, dst) in _records(text, path, 3):
+        for role, sid in (("source", src), ("target", dst)):
+            if sid not in synsets:
+                raise InputError(f"{path}:{lineno}: relation {role} {sid!r} "
+                                 f"is not a declared synset")
+        out.append(SemRelation(src, typ, dst))
+    return out
 
 
-def load_relations(path: str) -> list[SemRelation]:
-    return parse_relations(_read(path), path)
+def load_relations(path: str, synsets: Container[str]) -> list[SemRelation]:
+    return parse_relations(_read(path), synsets, path)
 
 
 def parse_definitions(text: str, path: str = "definitions.tsv"

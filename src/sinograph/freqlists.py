@@ -52,12 +52,6 @@ class FrequencyList:
     def head_chars(self, n: int) -> set[int]:
         return {cp for cp, _ in self.entries[:n]}
 
-    def frequency(self, cp: int) -> float:
-        for c, f in self.entries:
-            if c == cp:
-                return f
-        return 0.0
-
     def as_dict(self) -> dict[int, float]:
         return dict(self.entries)
 
@@ -190,15 +184,6 @@ def aggregate_ufl(lists: Mapping[str, FrequencyList],
     ordered = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))
     source = sum(fl.source_size for fl in lists.values())
     return FrequencyList(entries=tuple(ordered), source_size=source)
-
-
-def weighted_coverage(fl: FrequencyList, charset: set[int]) -> float:
-    """Fraction of the list's frequency mass carried by ``charset``."""
-    if not len(fl):
-        raise InputError("empty frequency list")
-    total = sum(f for _, f in fl.entries)
-    covered = sum(f for cp, f in fl.entries if cp in charset)
-    return covered / total
 
 
 def distance_matrix(lists: Sequence[FrequencyList], n: int) -> list[list[float]]:

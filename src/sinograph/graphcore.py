@@ -1,5 +1,5 @@
-"""The inclusion DAG: lifting, transitive reduction, degree statistics,
-power-law exponent estimation.
+"""The inclusion DAG: lifting, transitive reduction, power-law exponent
+estimation.
 
 Edges point from subcharacter to containing character.  Detecting
 inclusions from signatures over-generates shortcut edges (every chain
@@ -11,7 +11,6 @@ between its endpoints exists, leaving reachability untouched.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -38,10 +37,6 @@ class EdgeData:
     r: float = 0.0
     s_raw: float | None = None
     s: float | None = None
-
-    def copy(self) -> "EdgeData":
-        return EdgeData(dict(self.d_min), dict(self.phi),
-                        self.f1, self.f2, self.r, self.s_raw, self.s)
 
 
 class InclusionGraph:
@@ -102,9 +97,6 @@ class InclusionGraph:
         except KeyError:
             raise DataError(f"no edge {sub} -> {sup}") from None
 
-    def has_edge(self, sub: int, sup: int) -> bool:
-        return (sub, sup) in self._edges
-
     def successors(self, node: int) -> set[int]:
         return set(self._succ[node])
 
@@ -127,15 +119,6 @@ class InclusionGraph:
             if not candidates:
                 return chain
             chain.append(min(candidates)[1])
-
-    def copy(self) -> "InclusionGraph":
-        g = InclusionGraph()
-        for n in self._nodes:
-            g.add_node(n)
-        for (a, b), data in self._edges.items():
-            g.add_edge(a, b, data.copy())
-        g.meta = dict(self.meta)
-        return g
 
     def topological_order(self) -> list[int]:
         """Kahn topological order; raises DataError naming a cycle witness."""
@@ -212,8 +195,9 @@ def transitive_reduce(g: InclusionGraph) -> InclusionGraph:
     """Unique transitive reduction of a DAG.
 
     Removes every edge (a, c) for which a path a -> ... -> c of length
-    at least 2 exists; reachability is preserved exactly.  Kept edges
-    retain their attributes.  Raises DataError on a cyclic input.
+    at least 2 exists; reachability is preserved exactly.  The reduced
+    graph shares each kept edge's ``EdgeData`` with ``g``, not a copy.
+    Raises DataError on a cyclic input.
     """
     order = g.topological_order()
     # Descendant sets are int bitsets.  A node's bit is its position in
@@ -239,34 +223,9 @@ def transitive_reduce(g: InclusionGraph) -> InclusionGraph:
         reduced.add_node(n)
     for a, c in g.edges():
         if not below[a] >> pos[c] & 1:
-            reduced.add_edge(a, c, g.edge(a, c).copy())
+            reduced.add_edge(a, c, g.edge(a, c))
     reduced.meta = dict(g.meta)
     return reduced
-
-
-@dataclass(frozen=True)
-class DegreeStatistics:
-    in_hist: dict[int, int]
-    out_hist: dict[int, int]
-    sources: set[int]
-    leaves: set[int]
-    max_in: int
-    max_out: int
-
-
-def degree_statistics(g: InclusionGraph) -> DegreeStatistics:
-    """Exact in/out degree histograms; sources have in-degree 0, leaves
-    out-degree 0."""
-    in_deg = {n: len(g.predecessors(n)) for n in g.nodes}
-    out_deg = {n: len(g.successors(n)) for n in g.nodes}
-    return DegreeStatistics(
-        in_hist=dict(Counter(in_deg.values())),
-        out_hist=dict(Counter(out_deg.values())),
-        sources={n for n, d in in_deg.items() if d == 0},
-        leaves={n for n, d in out_deg.items() if d == 0},
-        max_in=max(in_deg.values(), default=0),
-        max_out=max(out_deg.values(), default=0),
-    )
 
 
 def fit_power_law(degrees: Iterable[int]) -> float:

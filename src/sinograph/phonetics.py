@@ -142,16 +142,6 @@ class FeatureTable:
         return self._max_segmental
 
 
-_DEFAULT_TABLE: FeatureTable | None = None
-
-
-def default_table() -> FeatureTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = FeatureTable.load()
-    return _DEFAULT_TABLE
-
-
 def strip_tone(token: str) -> tuple[str, int]:
     """Split a syllable token into its segmental body and tone digit
     (0 when absent)."""
@@ -169,10 +159,9 @@ def syllable_distance(a: SyllableFeatures, b: SyllableFeatures) -> float:
 
 
 def token_distance(language: Language, a: str, b: str,
-                   table: FeatureTable | None = None) -> float:
+                   table: FeatureTable) -> float:
     """Segmental syllable distance, plus the tone penalty for a Mandarin
     tone mismatch; computed once per (language, a, b) and table."""
-    table = table or default_table()
     key = (language, a, b)
     d = table._token_distances.get(key)
     if d is None:
@@ -183,8 +172,7 @@ def token_distance(language: Language, a: str, b: str,
     return d
 
 
-def reading_distance(r1: Reading, r2: Reading,
-                     table: FeatureTable | None = None) -> float:
+def reading_distance(r1: Reading, r2: Reading, table: FeatureTable) -> float:
     """Sliding-window distance between two readings of one language.
 
     Equal lengths: mean of per-position syllable distances.  Unequal:
@@ -194,7 +182,6 @@ def reading_distance(r1: Reading, r2: Reading,
     if r1.language is not r2.language:
         raise InputError(f"cannot compare readings across languages "
                          f"({r1.language.value} vs {r2.language.value})")
-    table = table or default_table()
     short, long_ = sorted((r1.syllables, r2.syllables), key=len)
     k = len(short)
     best = math.inf
@@ -207,7 +194,7 @@ def reading_distance(r1: Reading, r2: Reading,
 
 def class_distance(readings: Mapping[int, Sequence[Reading]], class_a: int,
                    class_b: int, language: Language,
-                   table: FeatureTable | None = None) -> float | None:
+                   table: FeatureTable) -> float | None:
     """Minimum reading distance over all pairs of the two classes'
     readings, ``readings`` mapping a class id to the readings of all its
     members; ``None`` (unknown) when either class has no reading in the
@@ -216,7 +203,6 @@ def class_distance(readings: Mapping[int, Sequence[Reading]], class_a: int,
     readings_b = [r for r in readings.get(class_b, ()) if r.language is language]
     if not readings_a or not readings_b:
         return None
-    table = table or default_table()
     return min(reading_distance(ra, rb, table)
                for ra in readings_a for rb in readings_b)
 
@@ -231,8 +217,9 @@ def phoneticity(g: InclusionGraph, readings: Mapping[int, Sequence[Reading]],
     edges, so phi is 1 exactly at distance 0 and the farthest edge gets 0.
     Edges with an unknown distance stay unannotated.  D is recorded in the
     graph metadata.  Raises DataError when no edge has a finite distance.
+    Without a ``table`` the bundled one is loaded for this call.
     """
-    table = table or default_table()
+    table = table or FeatureTable.load()
     distances: dict[tuple[int, int], float] = {}
     for sub, sup in g.edges():
         d = class_distance(readings, sub, sup, language, table)

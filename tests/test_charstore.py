@@ -3,13 +3,11 @@ import random
 import pytest
 
 from sinograph.charstore import (
-    CharacterStore,
     Language,
     Reading,
     build_allograph_classes,
-    class_statistics,
 )
-from sinograph.errors import DataError, InputError
+from sinograph.errors import InputError
 
 
 def test_no_pairs_gives_singletons():
@@ -85,28 +83,6 @@ def test_adding_pair_never_increases_class_count():
         now = len(build_allograph_classes(pairs, chars))
         assert now <= prev
         prev = now
-
-
-def test_class_of_consistency():
-    store = CharacterStore({1, 2, 3, 4}, {(1, 2)})
-    assert store.class_of(1) == store.class_of(2)
-    assert store.class_of(3) != store.class_of(4)
-    assert store.class_of(3) == store.class_of(3)
-    with pytest.raises(DataError):
-        store.class_of(99)
-
-
-def test_class_statistics_examples():
-    singles = build_allograph_classes(set(), {1, 2, 3})
-    s = class_statistics(singles)
-    assert (s.count, s.singleton_fraction, s.max_size, s.mean_size) == (3, 1.0, 1, 1.0)
-
-    mixed = build_allograph_classes({(1, 2), (2, 3)}, {1, 2, 3, 4})
-    s = class_statistics(mixed)
-    assert (s.count, s.singleton_fraction, s.max_size, s.mean_size) == (2, 0.5, 3, 2.0)
-
-    with pytest.raises(DataError):
-        class_statistics([])
 
 
 def test_reading_invariants():

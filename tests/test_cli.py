@@ -12,7 +12,7 @@ from sinograph import cli, formats
 from sinograph.charstore import Language
 from sinograph.classify import cross_validate
 from sinograph.cli import main
-from sinograph.phonetics import reading_distance
+from sinograph.phonetics import FeatureTable, reading_distance
 from sinograph.synthdata import make_dataset
 
 # three characters where A's strokes are a prefix of B's and B's of C's,
@@ -436,13 +436,14 @@ def test_seed7_d_min_is_min_over_member_readings(tmp_path, capsys):
     for cp, reading in formats.load_readings(f"{data}/readings.tsv"):
         by_cp.setdefault(cp, []).append(reading)
     assert any(len(c.members) > 1 for c in classes)
+    table = FeatureTable.load()
     wrong = []
     for lang in Language:
         of_class = {c.id: [r for cp in c.members for r in by_cp.get(cp, ())
                            if r.language is lang] for c in classes}
         for sub, sup in g.edges():
             a, b = of_class[sub], of_class[sup]
-            want = (min(reading_distance(x, y) for x in a for y in b)
+            want = (min(reading_distance(x, y, table) for x in a for y in b)
                     if a and b else None)
             if g.edge(sub, sup).d_min.get(lang.value) != want:
                 wrong.append((sub, sup, lang.value))
@@ -553,3 +554,40 @@ def test_chains_rejects_out_of_range_edge_weight(chain_inputs, capsys,
                "--language", "ja_on", "--all"])
     assert rc == 2
     assert f"{bad}:{lineno}: {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, at, line, message", [
+    ("synsets", 1, "s_sub\t上", "2: duplicate synset id 's_sub'"),
+    ("relations", 0, "s_sup\thyponymy\ts_none",
+     "1: relation target 's_none' is not a declared synset"),
+    ("relations", 0, "s_none\thyponymy\ts_sup",
+     "1: relation source 's_none' is not a declared synset"),
+    ("radicals", 2, "4E01\t2", "3: duplicate codepoint 4E01"),
+])
+def test_annotate_names_the_line_of_a_bad_record(pipeline_files, capsys,
+                                                 name, at, line, message):
+    path = pipeline_files[name]
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines.insert(at, line)
+    write(path, "\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["annotate", "--snapshot", pipeline_files["snap"],
+               "--out", pipeline_files["out"],
+               "--radicals", pipeline_files["radicals"],
+               "--synsets", pipeline_files["synsets"],
+               "--relations", pipeline_files["relations"]])
+    assert rc == 2
+    assert f"{path}:{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--relations", "--definitions"])
+def test_annotate_refuses_synset_files_without_synsets(pipeline_files, capsys,
+                                                       flag):
+    capsys.readouterr()
+    rc = main(["annotate", "--snapshot", pipeline_files["snap"],
+               "--out", pipeline_files["out"],
+               "--radicals", pipeline_files["radicals"],
+               flag, pipeline_files[flag[2:]]])
+    assert rc == 2
+    assert f"{flag} needs --synsets" in capsys.readouterr().err

@@ -44,13 +44,19 @@ def test_parse_radicals():
         formats.parse_radicals("6BCF\t215\n")
     with pytest.raises(InputError):
         formats.parse_radicals("6BCF\tabc\n")
+    with pytest.raises(InputError, match="radicals.tsv:2: duplicate codepoint"):
+        formats.parse_radicals("6BCF\t80\n6BCF\t81\n")
 
 
 def test_parse_synsets_relations_definitions():
     syn = formats.parse_synsets("s1\t風疹|はしか\ns2\t礦物\n")
     assert syn == [("s1", ["風疹", "はしか"]), ("s2", ["礦物"])]
-    rel = formats.parse_relations("s1\thyponymy\ts2\n")
+    rel = formats.parse_relations("s1\thyponymy\ts2\n", {"s1", "s2"})
     assert rel[0].relation_type == "hyponymy"
+    with pytest.raises(InputError, match="relations.tsv:2: relation target"):
+        formats.parse_relations("s1\thyponymy\ts2\ns2\tx\ts3\n", {"s1", "s2"})
+    with pytest.raises(InputError, match="synsets.tsv:2: duplicate synset id"):
+        formats.parse_synsets("s1\t風疹\ns1\t礦物\n")
     defs = formats.parse_definitions("75B9\tはしか|measles\n")
     assert defs == {0x75B9: ["はしか", "measles"]}
 

@@ -16,7 +16,6 @@ from sinograph.freqlists import (
     distance_matrix,
     from_counts,
     spearman,
-    weighted_coverage,
 )
 
 
@@ -168,15 +167,6 @@ def test_aggregate_renormalizes_behind_flag():
     x2 = fl([(97, 1.0)])
     u = aggregate_ufl({"x1": x1, "x2": x2}, renormalize=True)
     assert sum(u.as_dict().values()) == pytest.approx(1.0)
-
-
-def test_weighted_coverage():
-    a = fl([(97, 0.75), (98, 0.25)])
-    assert weighted_coverage(a, {97, 98, 99}) == pytest.approx(1.0)
-    assert weighted_coverage(a, set()) == 0.0
-    assert weighted_coverage(a, {97}) == pytest.approx(0.75)
-    with pytest.raises(InputError):
-        weighted_coverage(fl([]), {97})
 
 
 def test_distance_matrix_shapes():

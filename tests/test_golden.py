@@ -1,6 +1,8 @@
 """Golden digest of every CLI artefact of the seed-7 synthetic pipeline.
 
-A change that alters any output byte fails here.  A change that alters
+The artefacts are the output files and ``stdout.txt``, the tab-separated
+summaries the subcommands print.  A change that alters any output byte
+fails here.  A change that alters
 behaviour on purpose regenerates the digest file in the same change and
 says why:
 
@@ -10,7 +12,6 @@ says why:
 import contextlib
 import hashlib
 import os
-import sys
 import tempfile
 
 from sinograph.cli import main as cli_main
@@ -35,12 +36,18 @@ def run_pipeline(base: str) -> dict[str, str]:
     out = {name: os.path.join(base, name) for name in (
         "graph.snap", "annotated.snap", "phi_hist.csv", "chains_semantic.txt",
         "chains_phonetic.txt", "chains_phonetic_cmn.txt", "queries.txt",
-        "report_baseline.txt", "report_combined.txt")}
+        "report_baseline.txt", "report_combined.txt", "stdout.txt")}
     for strategy in STRATEGIES + CMN_STRATEGIES:
         for kind in ("vectors", "vocab"):
             name = f"{kind}_{strategy}.txt"
             out[name] = os.path.join(base, name)
+    with open(out["stdout.txt"], "w", encoding="utf-8") as fh, \
+            contextlib.redirect_stdout(fh):
+        _run_subcommands(data, out)
+    return out
 
+
+def _run_subcommands(data: str, out: dict[str, str]) -> None:
     _run(["build-graph", "--strokes", f"{data}/strokes.tsv",
           "--variants", f"{data}/variants.tsv", "--ufl", f"{data}/freq.tsv",
           "--out", out["graph.snap"]])
@@ -71,7 +78,6 @@ def run_pipeline(base: str) -> dict[str, str]:
         _run(["evaluate", "--vectors", out[f"vectors_{strategy}.txt"],
               "--k", "10", "--C", "1", "--seed", "42",
               "--out", out[f"report_{strategy}.txt"]])
-    return out
 
 
 def digests(paths: dict[str, str]) -> dict[str, str]:
@@ -98,7 +104,6 @@ def test_seed7_artefacts_match_golden_digest(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stdout(sys.stderr):  # the CLI's summaries
-            paths = run_pipeline(tmp)
+        paths = run_pipeline(tmp)
         lines = [f"{d}  {name}" for name, d in sorted(digests(paths).items())]
     print("\n".join(lines))

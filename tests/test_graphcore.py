@@ -12,7 +12,6 @@ from sinograph.errors import DataError, InputError
 from sinograph.graphcore import (
     EdgeData,
     InclusionGraph,
-    degree_statistics,
     fit_power_law,
     from_edges,
     lift_to_classes,
@@ -201,23 +200,6 @@ def test_lift_counts_bounded():
     g = lift_to_classes(edges, classes)
     assert g.node_count() <= len(chars)
     assert g.edge_count() <= len(edges)
-
-
-def test_degree_statistics_cases():
-    g = from_edges([(1, 2)])
-    s = degree_statistics(g)
-    assert s.sources == {1} and s.leaves == {2}
-    assert s.max_in == 1 and s.max_out == 1
-
-    empty = from_edges([], nodes=[1, 2, 3])
-    s = degree_statistics(empty)
-    assert s.sources == {1, 2, 3} and s.leaves == {1, 2, 3}
-    assert s.max_in == 0 and s.max_out == 0
-
-    star = from_edges([(0, i) for i in range(1, 6)])
-    s = degree_statistics(star)
-    assert s.max_out == 5
-    assert s.in_hist == {0: 1, 1: 5}
 
 
 def test_power_law_recovery_single():

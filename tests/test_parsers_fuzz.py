@@ -6,6 +6,7 @@ allowed outcomes are a parsed value whose every float is finite, or an
 ``InputError``.
 """
 
+import functools
 import math
 import os
 import re
@@ -65,6 +66,8 @@ VALID = {
         "data/phoneme_features.tsv").read_text(encoding="utf-8"),
 }
 PARSERS = {name: getattr(formats, name) for name in VALID if name.startswith("parse_")}
+PARSERS["parse_relations"] = functools.partial(formats.parse_relations,
+                                               synsets={"s1", "s2"})
 PARSERS["FeatureTable.load"] = _load_feature_table
 
 
