@@ -78,8 +78,14 @@ def _parse_cp(token: str, path: str, lineno: int) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as the parsers number lines: by str.splitlines
+        line = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
+        raise InputError(f"{path}:{line}: not valid UTF-8") from None
 
 
 # -- inputs ----------------------------------------------------------------

@@ -591,3 +591,32 @@ def test_annotate_refuses_synset_files_without_synsets(pipeline_files, capsys,
                flag, pipeline_files[flag[2:]]])
     assert rc == 2
     assert f"{flag} needs --synsets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("strokes", "build-graph --strokes {strokes} --out {out}"),
+    ("vectors", "evaluate --vectors {vectors} --k 2"),
+    ("snap", "chains --snapshot {snap} --kind semantic --all"),
+])
+def test_non_utf8_input_names_the_line(pipeline_files, capsys, name, argv):
+    path = pipeline_files[name]
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    lines[2] = b"\xff" + lines[2]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines))
+    capsys.readouterr()
+    rc = main([token.format(**pipeline_files) for token in argv.split()])
+    assert rc == 2
+    assert f"{path}:3: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(sinograph.__file__)))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sinograph.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert loaded.strip() == "[]"

@@ -1,10 +1,12 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta
 from scipy.stats import zipf
 
 from sinograph.charstore import build_allograph_classes
@@ -12,6 +14,7 @@ from sinograph.errors import DataError, InputError
 from sinograph.graphcore import (
     EdgeData,
     InclusionGraph,
+    _zeta,
     fit_power_law,
     from_edges,
     lift_to_classes,
@@ -154,8 +157,25 @@ def test_cycle_reported_with_witness():
 def test_reduction_keeps_edge_attributes():
     g = from_edges([(1, 2), (2, 3), (1, 3)])
     g.edge(1, 2).f1 = 5
+    given = EdgeData(f1=7)
+    g.add_edge(3, 4, given)
     reduced = transitive_reduce(g)
     assert reduced.edge(1, 2).f1 == 5
+    assert reduced.edge(3, 4) is given  # shared with the input, not copied
+
+
+def test_edge_attributes_are_created_on_first_read():
+    g = from_edges([(1, 2), (2, 3), (1, 3)])
+    assert set(g._edges.values()) == {None}  # nothing stored before a read
+    data = g.edge(1, 2)
+    assert g.edge(1, 2) is data
+    assert data == EdgeData()
+    with pytest.raises(DataError, match="no edge 2 -> 1"):
+        g.edge(2, 1)
+    reduced = transitive_reduce(from_edges([(1, 2), (2, 3), (1, 3)]))
+    assert set(reduced._edges.values()) == {None}
+    assert reduced.edge(2, 3) == EdgeData()
+    assert reduced.edge(2, 3) is reduced.edge(2, 3)
 
 
 def test_self_loop_rejected():
@@ -218,3 +238,46 @@ def test_power_law_excludes_zeros_and_needs_samples():
 
 def test_power_law_degenerate_sentinel():
     assert fit_power_law([4] * 25) == math.inf
+
+
+def test_zeta_matches_scipy_over_the_bisection_range():
+    # the grid spans every argument fit_power_law evaluates, its bounds
+    # shifted by the finite-difference step h; the bound is 6 eps because
+    # the reference sums its terms in sequence and is itself off from the
+    # exact value by up to about 5 eps at some arguments
+    for s in np.linspace(1.0001 - 1e-6, 60 + 1e-6, 2001):
+        ref = zeta(s, 1)
+        assert abs(_zeta(float(s)) - ref) <= 6 * sys.float_info.epsilon * ref
+
+
+def _fit_power_law_with_scipy(degrees):
+    """The estimator as it stood on scipy.special.zeta and numpy."""
+    xs = np.asarray([d for d in degrees if d > 0], dtype=float)
+    mean_log = float(np.mean(np.log(xs)))
+    h = 1e-6
+
+    def score(a):
+        return (math.log(zeta(a + h, 1)) - math.log(zeta(a - h, 1))) / (2 * h) + mean_log
+
+    lo, hi = 1.0001, 60.0
+    if score(lo) >= 0:
+        return lo
+    if score(hi) <= 0:
+        return math.inf
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if score(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-10:
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_power_law_matches_the_scipy_estimator():
+    rng = np.random.default_rng(11)
+    for alpha in np.linspace(1.5, 4.0, 40):
+        xs = zipf(alpha).rvs(size=300, random_state=rng)
+        assert fit_power_law(xs) == pytest.approx(
+            _fit_power_law_with_scipy(xs), abs=1e-7)
