@@ -8,14 +8,13 @@ full-batch projected subgradient descent on the regularized hinge loss
 with lambda = 1 / (C n).  All models share X and differ only in their
 labels, so they train together: cross-validation stacks the K
 one-vs-rest models of all k folds into one (k*K x d) full-batch update,
-each row labelled 0 on its fold's held-out examples, and ``train`` is
-the single-fold case of the same update.  Each model (row) is frozen at
-the epoch where its own objective converges, which leaves every row's
-iteration that of a model trained alone.  Full-batch updates make
-training deterministic; the seed only drives fold assignment.  The
-reported support-vector count is the number of training examples whose
-hinge margin is active (y f(x) <= 1 + 1e-6) at convergence for at least
-one category, summed over folds.
+each row labelled 0 on its fold's held-out examples.  Each model (row)
+is frozen at the epoch where its own objective converges, which leaves
+every row's iteration that of a model trained alone.  Full-batch
+updates make training deterministic; the seed only drives fold
+assignment.  The reported support-vector count is the number of
+training examples whose hinge margin is active (y f(x) <= 1 + 1e-6) at
+convergence for at least one category, summed over folds.
 """
 
 from __future__ import annotations
@@ -39,30 +38,13 @@ DEFAULT_MAX_EPOCHS = 2000
 DEFAULT_TOL = 1e-5
 
 
-@dataclass
-class LinearModel:
-    categories: list
-    feature_ids: list[int]
-    weights: np.ndarray  # (n_categories, n_features)
-    bias: np.ndarray  # (n_categories,)
-    C: float
-    epochs_run: list[int]
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.weights @ x + self.bias
-
-
 def _densify(vectors: Sequence[FeatureVector],
              feature_ids: Sequence[int]) -> np.ndarray:
     index = {fid: i for i, fid in enumerate(feature_ids)}
     X = np.zeros((len(vectors), len(feature_ids)))
     for row, vec in enumerate(vectors):
         for fid, w in vec.items():
-            col = index.get(fid)
-            if col is None:
-                raise InputError(f"vector {row} uses feature {fid} outside "
-                                 f"the model vocabulary")
-            X[row, col] = w
+            X[row, index[fid]] = w
     return X
 
 
@@ -154,26 +136,6 @@ def _train_one_vs_rest(X: np.ndarray, Y: np.ndarray, C: float,
     W[rows] = Wl
     b[rows] = bl
     return W, b, epochs
-
-
-def train(vectors: Sequence[FeatureVector], labels: Sequence[Hashable],
-          C: float = DEFAULT_C, max_epochs: int = DEFAULT_MAX_EPOCHS,
-          tol: float = DEFAULT_TOL) -> LinearModel:
-    """One-vs-rest linear classifiers over the union of feature ids."""
-    if len(vectors) != len(labels):
-        raise InputError("vectors and labels differ in length")
-    categories, Y = _label_matrix(labels, np.ones((1, len(labels)), dtype=bool))
-    feature_ids = sorted({fid for vec in vectors for fid in vec})
-    X = _densify(vectors, feature_ids)
-    weights, bias, epochs = _train_one_vs_rest(X, Y, C, max_epochs, tol)
-    return LinearModel(categories, feature_ids, weights, bias, C, epochs)
-
-
-def predict(model: LinearModel, vector: FeatureVector):
-    """Category with the highest score; ties go to the earliest category."""
-    x = _densify([vector], model.feature_ids)[0]
-    scores = model.scores(x)
-    return model.categories[int(np.argmax(scores))]
 
 
 def stratified_folds(labels: Sequence[Hashable], k: int,

@@ -233,7 +233,7 @@ def cmd_freqdist(args: argparse.Namespace) -> int:
         lines.append("\t".join([name] + [f"{d:.6f}" for d in row]))
     _write_lines(args.out, lines)
     if args.ufl_out:
-        ufl = aggregate_ufl(dict(zip(names, lists)), renormalize=args.renormalize)
+        ufl = aggregate_ufl(lists, renormalize=args.renormalize)
         _write_lines(args.ufl_out,
                      [f"{cp:X}\t{f:.12g}" for cp, f in ufl.entries])
     return EXIT_OK

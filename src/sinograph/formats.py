@@ -77,7 +77,7 @@ def _parse_cp(token: str, path: str, lineno: int) -> int:
         raise InputError(f"{path}:{lineno}: {exc}") from None
 
 
-def _read(path: str) -> str:
+def read_text(path: str) -> str:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -104,7 +104,7 @@ def parse_strokes(text: str, path: str = "strokes.tsv") -> dict[int, list[Stroke
 
 
 def load_strokes(path: str) -> dict[int, list[Stroke]]:
-    return parse_strokes(_read(path), path)
+    return parse_strokes(read_text(path), path)
 
 
 def parse_readings(text: str, path: str = "readings.tsv"
@@ -121,7 +121,7 @@ def parse_readings(text: str, path: str = "readings.tsv"
 
 
 def load_readings(path: str) -> list[tuple[int, Reading]]:
-    return parse_readings(_read(path), path)
+    return parse_readings(read_text(path), path)
 
 
 def parse_variants(text: str, path: str = "variants.tsv"
@@ -138,7 +138,7 @@ def parse_variants(text: str, path: str = "variants.tsv"
 
 
 def load_variants(path: str) -> set[tuple[int, int]]:
-    return parse_variants(_read(path), path)
+    return parse_variants(read_text(path), path)
 
 
 def parse_radicals(text: str, path: str = "radicals.tsv") -> dict[int, int]:
@@ -158,7 +158,7 @@ def parse_radicals(text: str, path: str = "radicals.tsv") -> dict[int, int]:
 
 
 def load_radicals(path: str) -> dict[int, int]:
-    return parse_radicals(_read(path), path)
+    return parse_radicals(read_text(path), path)
 
 
 def parse_synsets(text: str, path: str = "synsets.tsv") -> list[tuple[str, list[str]]]:
@@ -176,7 +176,7 @@ def parse_synsets(text: str, path: str = "synsets.tsv") -> list[tuple[str, list[
 
 
 def load_synsets(path: str) -> list[tuple[str, list[str]]]:
-    return parse_synsets(_read(path), path)
+    return parse_synsets(read_text(path), path)
 
 
 def parse_relations(text: str, synsets: Container[str],
@@ -194,7 +194,7 @@ def parse_relations(text: str, synsets: Container[str],
 
 
 def load_relations(path: str, synsets: Container[str]) -> list[SemRelation]:
-    return parse_relations(_read(path), synsets, path)
+    return parse_relations(read_text(path), synsets, path)
 
 
 def parse_definitions(text: str, path: str = "definitions.tsv"
@@ -208,7 +208,7 @@ def parse_definitions(text: str, path: str = "definitions.tsv"
 
 
 def load_definitions(path: str) -> dict[int, list[str]]:
-    return parse_definitions(_read(path), path)
+    return parse_definitions(read_text(path), path)
 
 
 def parse_freq_counts(text: str, path: str = "freq.tsv") -> FrequencyList:
@@ -228,7 +228,7 @@ def parse_freq_counts(text: str, path: str = "freq.tsv") -> FrequencyList:
 
 
 def load_freq_counts(path: str) -> FrequencyList:
-    return parse_freq_counts(_read(path), path)
+    return parse_freq_counts(read_text(path), path)
 
 
 def parse_corpus(text: str, path: str = "corpus.tsv") -> list[tuple[str, str]]:
@@ -242,7 +242,7 @@ def parse_corpus(text: str, path: str = "corpus.tsv") -> list[tuple[str, str]]:
 
 
 def load_corpus(path: str) -> list[tuple[str, str]]:
-    return parse_corpus(_read(path), path)
+    return parse_corpus(read_text(path), path)
 
 
 # -- sparse vectors --------------------------------------------------------
@@ -299,7 +299,7 @@ def parse_vectors(text: str, path: str = "vectors", min_per_label: int = 0
 
 def load_vectors(path: str, min_per_label: int = 0
                  ) -> tuple[list[str], list[dict[int, float]]]:
-    return parse_vectors(_read(path), path, min_per_label)
+    return parse_vectors(read_text(path), path, min_per_label)
 
 
 # -- snapshot --------------------------------------------------------------
@@ -449,7 +449,7 @@ def parse_snapshot(text: str, path: str = "snapshot"
 
 def load_snapshot(path: str) -> tuple[InclusionGraph, list[AllographClass],
                                       dict[int, set[str]]]:
-    return parse_snapshot(_read(path), path)
+    return parse_snapshot(read_text(path), path)
 
 
 def snapshot_to_string(g: InclusionGraph, classes: Sequence[AllographClass],

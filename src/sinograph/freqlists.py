@@ -158,7 +158,7 @@ def distance_dN(a: FrequencyList, b: FrequencyList, n: int) -> float:
     return d
 
 
-def aggregate_ufl(lists: Mapping[str, FrequencyList],
+def aggregate_ufl(lists: Sequence[FrequencyList],
                   renormalize: bool = False) -> FrequencyList:
     """Aggregate several frequency lists into one universal list.
 
@@ -170,11 +170,11 @@ def aggregate_ufl(lists: Mapping[str, FrequencyList],
     if not lists:
         raise InputError("need at least one list to aggregate")
     union: set[int] = set()
-    for fl in lists.values():
+    for fl in lists:
         union |= fl.charset()
     total_chars = len(union)
     agg: dict[int, float] = {cp: 0.0 for cp in union}
-    for fl in lists.values():
+    for fl in lists:
         weight = len(fl) / total_chars
         for cp, f in fl.entries:
             agg[cp] += f * weight
@@ -182,7 +182,7 @@ def aggregate_ufl(lists: Mapping[str, FrequencyList],
         s = sum(agg.values())
         agg = {cp: f / s for cp, f in agg.items()}
     ordered = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))
-    source = sum(fl.source_size for fl in lists.values())
+    source = sum(fl.source_size for fl in lists)
     return FrequencyList(entries=tuple(ordered), source_size=source)
 
 

@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 
 from .charstore import Language, Reading
 from .errors import DataError, InputError
+from .formats import read_text
 from .graphcore import InclusionGraph
 
 FEATURE_WEIGHTS = (4.0, 1.0, 4.0, 1.0, 5.0, 1.0, 1.0)
@@ -74,31 +75,30 @@ class FeatureTable:
     @classmethod
     def load(cls, path: str | None = None) -> "FeatureTable":
         if path is None:
-            ref = resources.files("sinograph").joinpath("data/phoneme_features.tsv")
-            text = ref.read_text(encoding="utf-8")
+            path = "data/phoneme_features.tsv"
+            text = resources.files("sinograph").joinpath(path).read_text("utf-8")
         else:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+            text = read_text(path)
         consonants: dict[str, tuple[float, float, float, float]] = {}
         vowels: dict[str, tuple[float, float, float]] = {}
         for lineno, row in enumerate(csv.reader(text.splitlines(), delimiter="\t"), 1):
             if not row or row[0].startswith("#"):
                 continue
             if len(row) < 2 or not row[1]:
-                raise InputError(f"feature table line {lineno}: malformed row {row!r}")
+                raise InputError(f"{path}:{lineno}: malformed row {row!r}")
             kind, symbol, *values = row
             try:
                 nums = tuple(float(v) for v in values)
             except ValueError:
-                raise InputError(f"feature table line {lineno}: bad number") from None
+                raise InputError(f"{path}:{lineno}: bad number") from None
             if not all(math.isfinite(v) for v in nums):
-                raise InputError(f"feature table line {lineno}: non-finite number")
+                raise InputError(f"{path}:{lineno}: non-finite number")
             if kind == "C" and len(nums) == 4:
                 consonants[symbol] = nums  # type: ignore[assignment]
             elif kind == "V" and len(nums) == 3:
                 vowels[symbol] = nums  # type: ignore[assignment]
             else:
-                raise InputError(f"feature table line {lineno}: malformed row {row!r}")
+                raise InputError(f"{path}:{lineno}: malformed row {row!r}")
         return cls(consonants, vowels)
 
     def syllable_features(self, token: str) -> SyllableFeatures:

@@ -225,10 +225,12 @@ def semanticity(
     Raw score per edge: a*log(1+f1) + b*log(1+f2) + c*r with natural
     logarithms and counts defaulting to 0 where absent.  Raw scores are
     divided by their maximum over all edges (recorded in the metadata);
-    if every raw score is 0 all edges get S = 0.
+    if every raw score is 0 all edges get S = 0.  Coefficients must be
+    finite and nonnegative (InputError), and a maximum that overflows to
+    inf is refused (DataError).
     """
-    if len(coefficients) != 3 or any(not c >= 0 for c in coefficients):
-        raise InputError("coefficients must be three nonnegative numbers")
+    if len(coefficients) != 3 or any(not 0 <= c < math.inf for c in coefficients):
+        raise InputError("coefficients must be three finite nonnegative numbers")
     f1 = f1 or {}
     f2 = f2 or {}
     r = r or {}
@@ -242,6 +244,9 @@ def semanticity(
         raw[key] = (a * math.log1p(data.f1) + b * math.log1p(data.f2)
                     + c * data.r)
     max_raw = max(raw.values(), default=0.0)
+    if not math.isfinite(max_raw):
+        raise DataError(f"largest raw semanticity {max_raw!r} is not finite; "
+                        f"the coefficients are too large")
     for key, value in raw.items():
         data = g.edge(*key)
         data.s_raw = value

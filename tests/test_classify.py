@@ -13,12 +13,11 @@ from sinograph.classify import (
     DEFAULT_MAX_EPOCHS,
     DEFAULT_TOL,
     MARGIN_SLACK,
-    LinearModel,
     _densify,
+    _label_matrix,
+    _train_one_vs_rest,
     cross_validate,
-    predict,
     stratified_folds,
-    train,
 )
 from sinograph.errors import InputError
 
@@ -36,45 +35,65 @@ def separable_corpus(n_per_class=30, n_classes=3, seed=0):
     return vectors, labels
 
 
+def top_category(categories, scores):
+    """The category of the highest score; ties go to the first."""
+    return categories[int(np.argmax(scores))]
+
+
+def fit_all(vectors, labels, C=1.0, max_epochs=DEFAULT_MAX_EPOCHS,
+            tol=DEFAULT_TOL):
+    """The batched trainer on one training set of every example: the
+    categories, X, and the (K, d) weights, bias and epochs it returns."""
+    categories, Y = _label_matrix(labels, np.ones((1, len(labels)), dtype=bool))
+    X = _densify(vectors, sorted({fid for vec in vectors for fid in vec}))
+    return (categories, X, *_train_one_vs_rest(X, Y, C, max_epochs, tol))
+
+
+def fitted_labels(vectors, labels, C=1.0):
+    categories, X, W, b, _ = fit_all(vectors, labels, C=C)
+    return [top_category(categories, s) for s in X @ W.T + b]
+
+
 def test_separable_training_accuracy():
     vectors, labels = separable_corpus()
-    model = train(vectors, labels, C=1.0)
-    assert all(predict(model, v) == lab for v, lab in zip(vectors, labels))
+    assert fitted_labels(vectors, labels) == labels
 
 
 def test_contradictory_labels_no_crash():
     vectors = [{0: 1.0}, {0: 1.0}, {1: 1.0}, {1: 1.0}]
     labels = ["a", "b", "a", "b"]
-    model = train(vectors, labels)
-    correct = sum(predict(model, v) == lab for v, lab in zip(vectors, labels))
-    assert correct < len(labels)
+    predicted = fitted_labels(vectors, labels)
+    assert sum(p == lab for p, lab in zip(predicted, labels)) < len(labels)
 
 
 def test_small_c_shrinks_weights():
     vectors, labels = separable_corpus(n_per_class=10, n_classes=2)
-    tiny = train(vectors, labels, C=1e-9)
-    assert float(abs(tiny.weights).max()) < 1e-3
+    _, _, W, _, _ = fit_all(vectors, labels, C=1e-9)
+    assert float(abs(W).max()) < 1e-3
 
 
 def test_single_category_rejected():
     with pytest.raises(InputError):
-        train([{0: 1.0}, {0: 0.5}], ["same", "same"])
+        cross_validate([{0: 1.0}, {0: 0.5}], ["same", "same"], k=2)
 
 
-def test_predict_tie_goes_to_first_category():
-    model = LinearModel(categories=["a", "b"], feature_ids=[0],
-                        weights=__import__("numpy").zeros((2, 1)),
-                        bias=__import__("numpy").zeros(2),
-                        C=1.0, epochs_run=[1, 1])
-    assert predict(model, {0: 1.0}) == "a"
-    assert predict(model, {}) == "a"  # zero vector: bias argmax, tie
+def test_cross_validate_ties_go_to_the_first_category():
+    # zero weights and bias score every category 0 on every example;
+    # the categories are listed last-first and differ in size, so only
+    # the first sorted category ("a") gives each fold half its examples
+    labels = ["z"] * 3 + ["m"] * 6 + ["a"] * 9
+    vectors = [{i % 4: 1.0} for i in range(len(labels))]
 
+    def zero_trainer(X, Y, C, max_epochs, tol):
+        return np.zeros((len(Y), X.shape[1])), np.zeros(len(Y)), [1] * len(Y)
 
-def test_predict_dimension_mismatch():
-    vectors, labels = separable_corpus(n_per_class=5, n_classes=2)
-    model = train(vectors, labels)
-    with pytest.raises(InputError):
-        predict(model, {999: 1.0})
+    with mock.patch.object(classify, "_train_one_vs_rest", zero_trainer):
+        report = cross_validate(vectors, labels, k=3, seed=0)
+    assert report.categories[0] == "a"
+    for fold, accuracy in zip(stratified_folds(labels, 3, seed=0),
+                              report.fold_accuracies):
+        assert accuracy == sum(labels[i] == "a" for i in fold) / len(fold)
+    assert report.mean_accuracy == 0.5
 
 
 def test_fold_partition_properties():
@@ -139,11 +158,9 @@ def test_cross_validate_reports_epochs_and_capped_models():
 
 def test_scale_invariance_of_predictions():
     vectors, labels = separable_corpus(n_per_class=10, n_classes=2, seed=2)
-    base = train(vectors, labels, C=1.0)
     scaled_vectors = [{k: 3.0 * w for k, w in v.items()} for v in vectors]
-    scaled = train(scaled_vectors, labels, C=1.0 / 9.0)
-    for v, sv in zip(vectors, scaled_vectors):
-        assert predict(base, v) == predict(scaled, sv)
+    assert (fitted_labels(vectors, labels, C=1.0)
+            == fitted_labels(scaled_vectors, labels, C=1.0 / 9.0))
 
 
 def test_chance_level_on_shuffled_labels():
@@ -187,7 +204,8 @@ def train_binary(X, y, C, max_epochs, tol):
 
 def per_model_train(vectors, labels, C=1.0, max_epochs=DEFAULT_MAX_EPOCHS,
                     tol=DEFAULT_TOL):
-    """One-vs-rest models trained one category at a time."""
+    """One-vs-rest models trained one category at a time: the categories,
+    feature ids, (K, d) weights, bias and epochs."""
     categories = sorted(set(labels))
     feature_ids = sorted({fid for vec in vectors for fid in vec})
     X = _densify(vectors, feature_ids)
@@ -198,7 +216,7 @@ def per_model_train(vectors, labels, C=1.0, max_epochs=DEFAULT_MAX_EPOCHS,
         y = np.where(np.asarray([lab == cat for lab in labels]), 1.0, -1.0)
         weights[k], bias[k], ep = train_binary(X, y, C, max_epochs, tol)
         epochs.append(ep)
-    return LinearModel(categories, feature_ids, weights, bias, C, epochs)
+    return categories, feature_ids, weights, bias, epochs
 
 
 def per_model_cross_validate(vectors, labels, k, seed, C, max_epochs, tol):
@@ -211,15 +229,15 @@ def per_model_cross_validate(vectors, labels, k, seed, C, max_epochs, tol):
         tr_labels = [labels[i] for i in idx]
         model = per_model_train(tr_vectors, tr_labels, C=C,
                                 max_epochs=max_epochs, tol=tol)
-        X = _densify(tr_vectors, model.feature_ids)
+        categories, feature_ids, weights, bias, model_epochs = model
+        X = _densify(tr_vectors, feature_ids)
         active = np.zeros(len(idx), dtype=bool)
-        for row, cat in enumerate(model.categories):
+        for row, cat in enumerate(categories):
             y = np.where(np.asarray([lab == cat for lab in tr_labels]), 1.0, -1.0)
-            active |= y * (X @ model.weights[row] + model.bias[row]) \
-                <= 1.0 + MARGIN_SLACK
+            active |= y * (X @ weights[row] + bias[row]) <= 1.0 + MARGIN_SLACK
         support_vectors.append(int(active.sum()))
         models.append(model)
-        epochs.append(tuple(model.epochs_run))
+        epochs.append(tuple(model_epochs))
     return models, tuple(support_vectors), tuple(epochs)
 
 
@@ -258,13 +276,13 @@ def training_sets(draw, min_per_category=1):
           ["c0", "c1", "c2", "c0", "c1", "c2"], 1.0, 20, 1e-2))
 def test_batched_training_equals_per_model(case):
     vectors, labels, C, max_epochs, tol = case
-    got = train(vectors, labels, C=C, max_epochs=max_epochs, tol=tol)
-    want = per_model_train(vectors, labels, C=C, max_epochs=max_epochs, tol=tol)
-    assert got.categories == want.categories
-    assert got.feature_ids == want.feature_ids
-    assert list(got.epochs_run) == want.epochs_run
-    assert max_abs_diff(got.weights, want.weights) <= 1e-9
-    assert max_abs_diff(got.bias, want.bias) <= 1e-9
+    categories, _, W, b, epochs = fit_all(vectors, labels, C=C,
+                                          max_epochs=max_epochs, tol=tol)
+    want_categories, _, want_W, want_b, want_epochs = per_model_train(
+        vectors, labels, C=C, max_epochs=max_epochs, tol=tol)
+    assert (categories, epochs) == (want_categories, want_epochs)
+    assert max_abs_diff(W, want_W) <= 1e-9
+    assert max_abs_diff(b, want_b) <= 1e-9
 
 
 def test_rows_freeze_at_their_own_epoch():
@@ -272,12 +290,13 @@ def test_rows_freeze_at_their_own_epoch():
     # at the cap.  Every row must match its model trained alone.
     vectors, labels = separable_corpus(n_per_class=8, n_classes=5, seed=3)
     labels[0], labels[9] = labels[9], labels[0]
-    got = train(vectors, labels, max_epochs=500)
-    want = per_model_train(vectors, labels, max_epochs=500)
-    assert want.epochs_run == [380, 500, 460, 414, 500]
-    assert list(got.epochs_run) == want.epochs_run
-    assert max_abs_diff(got.weights, want.weights) <= 1e-9
-    assert max_abs_diff(got.bias, want.bias) <= 1e-9
+    _, _, W, b, epochs = fit_all(vectors, labels, max_epochs=500)
+    _, _, want_W, want_b, want_epochs = per_model_train(vectors, labels,
+                                                        max_epochs=500)
+    assert want_epochs == [380, 500, 460, 414, 500]
+    assert epochs == want_epochs
+    assert max_abs_diff(W, want_W) <= 1e-9
+    assert max_abs_diff(b, want_b) <= 1e-9
 
 
 def stacked_cross_validate(vectors, labels, k, seed, C, max_epochs, tol):
@@ -318,27 +337,28 @@ def assert_folds_match_per_model_loop(vectors, labels, k, seed, C=1.0,
                                                    report.fold_accuracies)):
         rows = slice(f * K, (f + 1) * K)
         blocks.append((W[rows], b[rows]))
-        assert list(report.categories) == want.categories
-        seen = [feature_ids.index(fid) for fid in want.feature_ids]
+        categories, fold_ids, want_W, want_b, _ = want
+        assert list(report.categories) == categories
+        seen = [feature_ids.index(fid) for fid in fold_ids]
         unseen = sorted(set(range(len(feature_ids))) - set(seen))
         assert not W[rows][:, unseen].any()  # exactly 0, not merely small
-        assert max_abs_diff(W[rows][:, seen], want.weights) <= 1e-9
-        assert max_abs_diff(b[rows], want.bias) <= 1e-9
+        assert max_abs_diff(W[rows][:, seen], want_W) <= 1e-9
+        assert max_abs_diff(b[rows], want_b) <= 1e-9
         best = np.argmax(scores[fold, rows], axis=1)
         got_pred = [report.categories[j] for j in best]
         correct = sum(p == labels[i] for p, i in zip(got_pred, fold))
         assert correct / len(fold) == accuracy
-        vocab = set(want.feature_ids)  # unseen test features score 0
+        vocab = set(fold_ids)  # unseen test features score 0
         for i, pred in zip(fold, got_pred):
             row = {fid: w for fid, w in vectors[i].items() if fid in vocab}
-            oracle = want.scores(_densify([row], want.feature_ids)[0])
+            oracle = want_W @ _densify([row], fold_ids)[0] + want_b
             # weights and bias within 1e-9 move a score by at most
             # slack, and a difference of two scores by twice that
             slack = 1e-9 * (sum(abs(w) for w in row.values()) + 1.0)
-            near = [cat for cat, s in zip(want.categories, oracle)
+            near = [cat for cat, s in zip(categories, oracle)
                     if s >= oracle.max() - 2 * slack]
             if len(near) == 1:
-                assert pred == predict(want, row)
+                assert pred == top_category(categories, oracle)
             assert pred in near
     return blocks
 

@@ -209,6 +209,20 @@ def test_freqdist_self_distance_zero(tmp_path, capsys):
     assert out[1].split("\t")[2] == "0.000000"
 
 
+def test_freqdist_ufl_keeps_every_list_of_one_file_name(tmp_path):
+    text = "61\t3\n62\t1\n"
+    path = write(tmp_path / "freq.tsv", text)
+    copy = write(tmp_path / "copy.tsv", text)
+    outs = []
+    for lists in ([path, path], [path, copy]):
+        out = tmp_path / f"ufl{len(outs)}.tsv"
+        assert main(["freqdist", "--lists", *lists, "--n", "2",
+                     "--ufl-out", str(out)]) == 0
+        outs.append(out.read_text(encoding="utf-8"))
+    # two lists over the same two characters each weigh 1
+    assert outs == ["61\t1.5\n62\t0.5\n"] * 2
+
+
 def test_features_and_evaluate_separable(chain_inputs, tmp_path, capsys):
     snap = _annotate(chain_inputs)
     # 2 categories, disjoint characters, k-fold friendly
@@ -364,6 +378,12 @@ def pipeline_files(chain_inputs, tmp_path):
                             "one\t一一一\ntwo\t丁丁丁\n" * 10)
     files["vectors"] = write(tmp_path / "vec.txt", formats.VECTORS_HEADER + "\n"
                              + "one\t0:1.0\ntwo\t1:1.0\n" * 10)
+    files["variants"] = write(tmp_path / "variants.tsv",
+                              "4E00\t4E01\n4E01\t4E02\n4E00\t4E02\n")
+    files["ufl"] = write(tmp_path / "freq.tsv", "4E00\t5\n4E01\t3\n4E02\t1\n")
+    files["table"] = write(tmp_path / "table.tsv", resources.files("sinograph")
+                           .joinpath("data/phoneme_features.tsv")
+                           .read_text(encoding="utf-8"))
     return files
 
 
@@ -380,6 +400,8 @@ def pipeline_files(chain_inputs, tmp_path):
     "--coefficients 1 -1 0",
     "annotate --snapshot {snap} --out {out} --synsets {synsets} "
     "--coefficients nan 0 0",
+    "annotate --snapshot {snap} --out {out} --synsets {synsets} "
+    "--radicals {radicals} --coefficients 0.5 0.25 inf",
     "chains --snapshot {snap} --kind phonetic --all --language xx",
     "features --snapshot {snap} --corpus {corpus} --out {out} --language xx",
     "features --snapshot {snap} --corpus {corpus} --out {out} --min-count 0",
@@ -393,6 +415,21 @@ def test_out_of_range_flag_is_an_input_error(pipeline_files, capsys, argv):
     rc = main([token.format(**pipeline_files) for token in argv.split()])
     assert rc == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_annotate_refuses_an_overflowing_semanticity(pipeline_files, capsys):
+    # 1.7e308 times a radical agreement of 1 plus any relation count
+    # is past the largest float
+    capsys.readouterr()
+    rc = main(["annotate", "--snapshot", pipeline_files["snap"],
+               "--out", pipeline_files["out"],
+               "--radicals", pipeline_files["radicals"],
+               "--synsets", pipeline_files["synsets"],
+               "--relations", pipeline_files["relations"],
+               "--coefficients", "1.7e308", "1.7e308", "1.7e308"])
+    assert rc == 3
+    assert "largest raw semanticity inf is not finite" in capsys.readouterr().err
+    assert not os.path.exists(pipeline_files["out"])
 
 
 def test_annotate_reads_the_readings_of_variant_members(tmp_path, capsys):
@@ -464,7 +501,7 @@ def test_annotate_rejects_bad_feature_table_row(chain_inputs, capsys, row):
                "--out", str(chain_inputs["dir"] / "a.snap"),
                "--readings", chain_inputs["readings"], "--feature-table", path])
     assert rc == 2
-    assert "feature table line 3:" in capsys.readouterr().err
+    assert f"{path}:3:" in capsys.readouterr().err
 
 
 def test_annotate_feature_tables_do_not_leak_between_invocations(
@@ -593,22 +630,40 @@ def test_annotate_refuses_synset_files_without_synsets(pipeline_files, capsys,
     assert f"{flag} needs --synsets" in capsys.readouterr().err
 
 
+ANNOTATE = "annotate --snapshot {snap} --out {out}"
+
+
+# every flag of every subcommand that reads a file
 @pytest.mark.parametrize("name, argv", [
     ("strokes", "build-graph --strokes {strokes} --out {out}"),
-    ("vectors", "evaluate --vectors {vectors} --k 2"),
+    ("variants", "build-graph --strokes {strokes} --variants {variants} --out {out}"),
+    ("ufl", "build-graph --strokes {strokes} --ufl {ufl} --out {out}"),
+    ("snap", ANNOTATE),
+    ("readings", ANNOTATE + " --readings {readings}"),
+    ("radicals", ANNOTATE + " --radicals {radicals}"),
+    ("synsets", ANNOTATE + " --synsets {synsets}"),
+    ("relations", ANNOTATE + " --synsets {synsets} --relations {relations}"),
+    ("definitions", ANNOTATE + " --synsets {synsets} --definitions {definitions}"),
+    ("table", ANNOTATE + " --readings {readings} --feature-table {table}"),
     ("snap", "chains --snapshot {snap} --kind semantic --all"),
+    ("ufl", "freqdist --lists {ufl} {ufl}"),
+    ("snap", "features --snapshot {snap} --corpus {corpus} --out {out}"),
+    ("corpus", "features --snapshot {snap} --corpus {corpus} --out {out}"),
+    ("vectors", "evaluate --vectors {vectors} --k 2"),
+    ("snap", "query-unknown --snapshot {snap} --all"),
 ])
 def test_non_utf8_input_names_the_line(pipeline_files, capsys, name, argv):
     path = pipeline_files[name]
     with open(path, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
-    lines[2] = b"\xff" + lines[2]
+    at = min(2, len(lines) - 1)  # the third line, or the last of a shorter file
+    lines[at] = b"\xff" + lines[at]
     with open(path, "wb") as fh:
         fh.write(b"".join(lines))
     capsys.readouterr()
     rc = main([token.format(**pipeline_files) for token in argv.split()])
     assert rc == 2
-    assert f"{path}:3: not valid UTF-8" in capsys.readouterr().err
+    assert f"{path}:{at + 1}: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

@@ -131,14 +131,14 @@ def test_singleton_overlap_uses_zero_rho():
 
 def test_aggregate_single_list_identity():
     a = from_counts({97: 1, 98: 1})
-    u = aggregate_ufl({"a": a})
+    u = aggregate_ufl([a])
     assert u.entries == a.entries
 
 
 def test_aggregate_formula_verbatim():
     x1 = fl([(97, 0.5), (98, 0.5)])
     x2 = fl([(97, 1.0)])
-    u = aggregate_ufl({"x1": x1, "x2": x2})
+    u = aggregate_ufl([x1, x2])
     d = u.as_dict()
     assert d[97] == pytest.approx(0.5 * (2 / 2) + 1.0 * (1 / 2))
     assert d[98] == pytest.approx(0.5)
@@ -146,17 +146,17 @@ def test_aggregate_formula_verbatim():
 
 
 def test_aggregate_disjoint_singletons():
-    u = aggregate_ufl({"a": fl([(97, 1.0)]), "b": fl([(98, 1.0)])})
+    u = aggregate_ufl([fl([(97, 1.0)]), fl([(98, 1.0)])])
     d = u.as_dict()
     assert d[97] == pytest.approx(0.5)
     assert d[98] == pytest.approx(0.5)
     with pytest.raises(InputError):
-        aggregate_ufl({})
+        aggregate_ufl([])
 
 
 def test_aggregate_identical_copies_scales_by_multiplicity():
     a = from_counts({97: 3, 98: 1})
-    u = aggregate_ufl({"c1": a, "c2": a, "c3": a})
+    u = aggregate_ufl([a, a, a])
     # the weight formula gives each copy weight 1, so masses add verbatim
     for cp, f in a.entries:
         assert u.as_dict()[cp] == pytest.approx(3 * f)
@@ -165,7 +165,7 @@ def test_aggregate_identical_copies_scales_by_multiplicity():
 def test_aggregate_renormalizes_behind_flag():
     x1 = fl([(97, 0.5), (98, 0.5)])
     x2 = fl([(97, 1.0)])
-    u = aggregate_ufl({"x1": x1, "x2": x2}, renormalize=True)
+    u = aggregate_ufl([x1, x2], renormalize=True)
     assert sum(u.as_dict().values()) == pytest.approx(1.0)
 
 

@@ -306,6 +306,13 @@ def test_semanticity_all_zero():
     assert g.edge(0, 1).s == 0.0
 
 
+def test_semanticity_refuses_an_overflowing_raw_score():
+    # 1e308 * log(11) is inf, and inf / inf would make S nan
+    g = from_edges([(0, 1), (2, 3)])
+    with pytest.raises(DataError):
+        semanticity(g, {(0, 1): 10}, coefficients=(1e308, 0.0, 0.0))
+
+
 def test_semanticity_monotone_in_counts():
     def raw(f1, f2, r):
         g = from_edges([(0, 1)])
