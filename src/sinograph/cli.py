@@ -17,7 +17,6 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import formats
@@ -64,22 +63,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise InputError(f"empty codepoint range {text!r}")
     return lo, hi
-
-
-def _out_stream(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
-
-
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    fh, close = _out_stream(path)
-    try:
-        for line in lines:
-            fh.write(line + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _load_synset_store(synsets_path: str, relations_path: str | None) -> SynsetStore:
@@ -137,7 +120,9 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
     # a table per invocation: its memos end with the command
     table = FeatureTable.load(args.feature_table)
-    languages = [Language.parse(tok) for tok in args.languages.split(",")] \
+    # each language once, in order of first mention
+    languages = list(dict.fromkeys(Language.parse(tok) for tok in
+                                   args.languages.split(","))) \
         if args.languages else list(Language)
 
     annotated_phi = []
@@ -178,7 +163,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             edges, counts = phoneticity_histogram(g, lang, bins=args.bins)
             for i, c in enumerate(counts):
                 lines.append(f"{lang.value},{edges[i]:g},{edges[i + 1]:g},{c}")
-        _write_lines(args.phi_histogram, lines)
+        formats.write_lines(args.phi_histogram, lines)
 
     formats.save_snapshot(args.out, g, classes, annotations)
     print(f"phi_languages\t{' '.join(l.value for l in annotated_phi) or '-'}")
@@ -218,24 +203,24 @@ def cmd_chains(args: argparse.Namespace) -> int:
     walk = CHAIN_KINDS[args.kind].walk
     lines = [f"{cid}\t" + " ".join(str(c) for c in walk(g, cid, language))
              for cid in _resolve_class(args, classes)]
-    _write_lines(args.out, lines)
+    formats.write_lines(args.out, lines)
     return EXIT_OK
 
 
 def cmd_freqdist(args: argparse.Namespace) -> int:
     lists = [formats.load_freq_counts(p) for p in args.lists]
-    names = [os.path.splitext(os.path.basename(p))[0] for p in args.lists]
     if len(lists) < 2:
         raise InputError("need at least two frequency lists")
     mat = distance_matrix(lists, args.n)
-    lines = ["\t".join(["list"] + names)]
-    for name, row in zip(names, mat):
+    # each list is named by its path as given: basenames can repeat
+    lines = ["\t".join(["list"] + args.lists)]
+    for name, row in zip(args.lists, mat):
         lines.append("\t".join([name] + [f"{d:.6f}" for d in row]))
-    _write_lines(args.out, lines)
+    formats.write_lines(args.out, lines)
     if args.ufl_out:
         ufl = aggregate_ufl(lists, renormalize=args.renormalize)
-        _write_lines(args.ufl_out,
-                     [f"{cp:X}\t{f:.12g}" for cp, f in ufl.entries])
+        formats.write_lines(args.ufl_out, [f"{cp:X}\t{f:.12g}"
+                                           for cp, f in ufl.entries])
     return EXIT_OK
 
 
@@ -251,16 +236,12 @@ def cmd_features(args: argparse.Namespace) -> int:
     vocab, vectors = augment(g, vocab, vectors, STRATEGIES[args.strategy],
                              language)
 
-    fh, close = _out_stream(args.out)
-    try:
+    with formats.open_output(args.out) as fh:
         formats.write_vectors(fh, labels, vectors)
-    finally:
-        if close:
-            fh.close()
     if args.vocab_out:
         lines = [f"{cid}\t{vocab.provenance[cid]}"
                  for cid in sorted(vocab.provenance)]
-        _write_lines(args.vocab_out, lines)
+        formats.write_lines(args.vocab_out, lines)
     print(f"documents\t{len(vectors)}")
     print(f"vocabulary\t{len(vocab)}")
     print(f"vocabulary_added\t{len(vocab.added_ids())}")
@@ -271,7 +252,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # every category needs an example in each fold
     labels, vectors = formats.load_vectors(args.vectors, min_per_label=args.k)
     report = cross_validate(vectors, labels, k=args.k, C=args.C, seed=args.seed)
-    _write_lines(args.out, report.lines())
+    formats.write_lines(args.out, report.lines())
     if report.models_capped:
         print(f"note: {report.models_capped} of {report.models} one-vs-rest "
               f"models stopped at the {report.max_epochs}-epoch cap",
@@ -292,7 +273,7 @@ def cmd_query_unknown(args: argparse.Namespace) -> int:
             continue
         for sid, w in sorted(vec.items(), key=lambda kv: (-kv[1], kv[0])):
             lines.append(f"{cid}\t{sid}\t{w:.6f}")
-    _write_lines(args.out, lines)
+    formats.write_lines(args.out, lines)
     return EXIT_OK
 
 

@@ -12,23 +12,28 @@ a comment line.  Codepoints are bare hex (no ``U+`` prefix).
 * definitions.tsv  ``<hex cp>\\t<gloss word>[|<gloss word>...]``
 * freq.tsv         ``<hex cp>\\t<count>``
 * corpus.tsv       ``<label>\\t<document text>`` (one document per line)
+* feature table    ``C\\t<symbol>\\t<4 numbers>`` or ``V\\t<symbol>\\t<3 numbers>``
 * vectors file     ``#sparse-vectors v1`` header, then
                    ``<label>\\t<id>:<weight>[ <id>:<weight>...]``
 
 The snapshot is line oriented with a version header and three sections
 (META, NODES, EDGES); see ``write_snapshot`` for the columns.
+
+Every file the program writes is opened by ``open_output`` below.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import re
+import sys
 from collections import Counter
-from typing import Container, Mapping, Sequence, TextIO
+from typing import Container, Iterable, Mapping, Sequence, TextIO
 
 from .charstore import AllographClass, Language, Reading
-from .errors import InputError
+from .errors import DataError, InputError
 from .freqlists import FrequencyList, from_counts
 from .graphcore import EdgeData, InclusionGraph
 from .semantics import SemRelation
@@ -47,14 +52,16 @@ _EDGE_FIELDS = 2 + 2 * len(_SNAPSHOT_LANGS) + 5
 MISSING = "-"
 
 
-def _records(text: str, path: str, n_fields: int):
+def _records(text: str, path: str, *n_fields: int):
+    """(line number, fields) of each record with one of ``n_fields``
+    fields; blank and comment lines are skipped."""
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) != n_fields:
-            raise InputError(f"{path}:{lineno}: expected {n_fields} "
+        if len(fields) not in n_fields:
+            expected = " or ".join(map(str, n_fields))
+            raise InputError(f"{path}:{lineno}: expected {expected} "
                              f"tab-separated fields, got {len(fields)}")
         yield lineno, fields
 
@@ -86,6 +93,21 @@ def read_text(path: str) -> str:
         # numbered as the parsers number lines: by str.splitlines
         line = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
         raise InputError(f"{path}:{line}: not valid UTF-8") from None
+
+
+def open_output(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
+    """Standard output for ``None`` or ``-``, left open on exit; otherwise
+    ``path`` opened for writing as UTF-8 with ``\\n`` line ends."""
+    if path is None or path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def write_lines(path: str | None, lines: Iterable[str]) -> None:
+    """Write each line and a ``\\n`` to ``open_output(path)``."""
+    with open_output(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 # -- inputs ----------------------------------------------------------------
@@ -245,6 +267,33 @@ def load_corpus(path: str) -> list[tuple[str, str]]:
     return parse_corpus(read_text(path), path)
 
 
+PhonemeScales = dict[str, tuple[float, ...]]
+
+
+def parse_feature_table(text: str, path: str = "phoneme_features.tsv"
+                        ) -> tuple[PhonemeScales, PhonemeScales]:
+    """Consonant and vowel scale values, from ``C<TAB>symbol`` rows with
+    four numbers and ``V<TAB>symbol`` rows with three; both inventories
+    must hold the ``-`` null phoneme."""
+    scales: dict[str, PhonemeScales] = {"C": {}, "V": {}}
+    width = {"C": 4, "V": 3}
+    for lineno, (kind, symbol, *values) in _records(text, path, 5, 6):
+        if not symbol or width.get(kind) != len(values):
+            raise InputError(f"{path}:{lineno}: malformed row "
+                             f"{[kind, symbol, *values]!r}")
+        try:
+            nums = tuple(float(v) for v in values)
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: bad number") from None
+        if not all(math.isfinite(v) for v in nums):
+            raise InputError(f"{path}:{lineno}: non-finite number")
+        scales[kind][symbol] = nums
+    if "-" not in scales["C"] or "-" not in scales["V"]:
+        raise InputError(f"{path}: feature table must define the '-' null "
+                         f"phonemes")
+    return scales["C"], scales["V"]
+
+
 # -- sparse vectors --------------------------------------------------------
 
 def write_vectors(fh: TextIO, labels: Sequence[str],
@@ -346,7 +395,7 @@ def write_snapshot(
 def save_snapshot(path: str, g: InclusionGraph,
                   classes: Sequence[AllographClass],
                   annotations: Mapping[int, set[str]] | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         write_snapshot(fh, g, classes, annotations)
 
 
@@ -377,7 +426,8 @@ def parse_snapshot(text: str, path: str = "snapshot"
     and every edge endpoint must be a class declared earlier in NODES.
     An edge line has exactly its 13 fields.  Edge weights must be finite
     and nonnegative, and phi, r and s at most 1.  Any other content
-    raises ``InputError`` naming the line.
+    raises ``InputError`` naming the line; edges that close a cycle raise
+    it naming one.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != SNAPSHOT_HEADER:
@@ -444,6 +494,10 @@ def parse_snapshot(text: str, path: str = "snapshot"
             raise InputError(f"{path}:{lineno}: {exc}") from None
         except ValueError:
             raise InputError(f"{path}:{lineno}: malformed {section} line") from None
+    try:
+        g.topological_order()  # a chain walk would circle a cycle forever
+    except DataError as exc:
+        raise InputError(f"{path}: {exc}") from None
     return g, classes, annotations
 
 

@@ -23,7 +23,6 @@ distance are computed once per table, and live as long as the table.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -31,7 +30,7 @@ from typing import Mapping, Sequence
 
 from .charstore import Language, Reading
 from .errors import DataError, InputError
-from .formats import read_text
+from .formats import parse_feature_table, read_text
 from .graphcore import InclusionGraph
 
 FEATURE_WEIGHTS = (4.0, 1.0, 4.0, 1.0, 5.0, 1.0, 1.0)
@@ -61,10 +60,8 @@ class SyllableFeatures:
 class FeatureTable:
     """Phoneme -> scale values, loaded from a TSV data table."""
 
-    def __init__(self, consonants: dict[str, tuple[float, float, float, float]],
-                 vowels: dict[str, tuple[float, float, float]]) -> None:
-        if "-" not in consonants or "-" not in vowels:
-            raise InputError("feature table must define the '-' null phonemes")
+    def __init__(self, consonants: dict[str, tuple[float, ...]],
+                 vowels: dict[str, tuple[float, ...]]) -> None:
         self.consonants = consonants
         self.vowels = vowels
         self._onsets = sorted(consonants, key=len, reverse=True)
@@ -79,27 +76,7 @@ class FeatureTable:
             text = resources.files("sinograph").joinpath(path).read_text("utf-8")
         else:
             text = read_text(path)
-        consonants: dict[str, tuple[float, float, float, float]] = {}
-        vowels: dict[str, tuple[float, float, float]] = {}
-        for lineno, row in enumerate(csv.reader(text.splitlines(), delimiter="\t"), 1):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) < 2 or not row[1]:
-                raise InputError(f"{path}:{lineno}: malformed row {row!r}")
-            kind, symbol, *values = row
-            try:
-                nums = tuple(float(v) for v in values)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: bad number") from None
-            if not all(math.isfinite(v) for v in nums):
-                raise InputError(f"{path}:{lineno}: non-finite number")
-            if kind == "C" and len(nums) == 4:
-                consonants[symbol] = nums  # type: ignore[assignment]
-            elif kind == "V" and len(nums) == 3:
-                vowels[symbol] = nums  # type: ignore[assignment]
-            else:
-                raise InputError(f"{path}:{lineno}: malformed row {row!r}")
-        return cls(consonants, vowels)
+        return cls(*parse_feature_table(text, path))
 
     def syllable_features(self, token: str) -> SyllableFeatures:
         """Map a romanized syllable token to its feature vector.

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import os
+from collections import Counter
 from random import Random
 
+from .formats import write_lines
 from .strokesig import Stroke, format_stroke_spec
 
 ATOM_BASE = 0x4E00
@@ -113,43 +115,32 @@ def make_dataset(outdir: str, seed: int = 7) -> dict[str, str]:
     os.makedirs(outdir, exist_ok=True)
     chars, atoms_of, variant_pairs, tier1, tier2 = build_characters(rng)
 
-    paths = {name: os.path.join(outdir, name + ".tsv")
-             for name in ("strokes", "readings", "variants", "radicals",
-                          "synsets", "relations", "definitions", "freq",
-                          "corpus")}
-
-    with open(paths["strokes"], "w", encoding="utf-8", newline="\n") as fh:
-        for cp in sorted(chars):
-            fh.write(f"{cp:X}\t{format_stroke_spec(chars[cp])}\n")
-
-    with open(paths["variants"], "w", encoding="utf-8", newline="\n") as fh:
-        for a, b in variant_pairs:
-            fh.write(f"{a:X}\t{b:X}\n")
+    # each file as its lines, built in the order the RNG is drawn
+    files: dict[str, list[str]] = {}
+    files["strokes"] = [f"{cp:X}\t{format_stroke_spec(chars[cp])}"
+                        for cp in sorted(chars)]
+    files["variants"] = [f"{a:X}\t{b:X}" for a, b in variant_pairs]
 
     # readings: composites inherit an on reading from a contained atom half
     # the time, correlating phonetics with structure
     atom_on = {i: rng.choice(_JA_ON) for i in range(len(_ATOMS))}
-    with open(paths["readings"], "w", encoding="utf-8", newline="\n") as fh:
-        for cp in sorted(chars):
-            if rng.random() < 0.85:
-                fh.write(f"{cp:X}\tcmn\t{rng.choice(_MANDARIN)}\n")
-            if rng.random() < 0.75:
-                if atoms_of[cp] and rng.random() < 0.5:
-                    on = atom_on[rng.choice(atoms_of[cp])]
-                else:
-                    on = rng.choice(_JA_ON)
-                fh.write(f"{cp:X}\tja_on\t{on}\n")
-            if rng.random() < 0.6:
-                fh.write(f"{cp:X}\tja_kun\t{rng.choice(_JA_KUN)}\n")
-
-    with open(paths["radicals"], "w", encoding="utf-8", newline="\n") as fh:
-        for cp in sorted(chars):
-            first = atoms_of[cp][0]
-            if rng.random() < 0.6:
-                rad = first * 3 % 214 + 1
+    readings = files["readings"] = []
+    for cp in sorted(chars):
+        if rng.random() < 0.85:
+            readings.append(f"{cp:X}\tcmn\t{rng.choice(_MANDARIN)}")
+        if rng.random() < 0.75:
+            if atoms_of[cp] and rng.random() < 0.5:
+                on = atom_on[rng.choice(atoms_of[cp])]
             else:
-                rad = rng.randrange(1, 215)
-            fh.write(f"{cp:X}\t{rad}\n")
+                on = rng.choice(_JA_ON)
+            readings.append(f"{cp:X}\tja_on\t{on}")
+        if rng.random() < 0.6:
+            readings.append(f"{cp:X}\tja_kun\t{rng.choice(_JA_KUN)}")
+
+    files["radicals"] = [
+        f"{cp:X}\t" + str(atoms_of[cp][0] * 3 % 214 + 1 if rng.random() < 0.6
+                          else rng.randrange(1, 215))
+        for cp in sorted(chars)]
 
     # toy synsets: words over the generated characters; related synset
     # pairs share an inclusion (atom word on the source side, composite
@@ -178,19 +169,12 @@ def make_dataset(outdir: str, seed: int = 7) -> dict[str, str]:
         a, _, b = rng.choice(relations)
         c = f"syn{rng.randrange(40, 50):03d}"
         relations.append((b, rng.choice(rel_types), c))
-
-    with open(paths["synsets"], "w", encoding="utf-8", newline="\n") as fh:
-        for sid, words in synsets:
-            fh.write(f"{sid}\t{'|'.join(words)}\n")
-    with open(paths["relations"], "w", encoding="utf-8", newline="\n") as fh:
-        for src, typ, dst in relations:
-            fh.write(f"{src}\t{typ}\t{dst}\n")
+    files["synsets"] = [f"{sid}\t{'|'.join(words)}" for sid, words in synsets]
+    files["relations"] = ["\t".join(rel) for rel in relations]
 
     lemma_pool = [w for _, words in synsets for w in words]
-    with open(paths["definitions"], "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(len(_ATOMS)):
-            if rng.random() < 0.7:
-                fh.write(f"{ATOM_BASE + i:X}\t{rng.choice(lemma_pool)}\n")
+    files["definitions"] = [f"{ATOM_BASE + i:X}\t{rng.choice(lemma_pool)}"
+                            for i in range(len(_ATOMS)) if rng.random() < 0.7]
 
     # corpus: five categories, each preferring its own slice of tier-2
     # characters; remaining text drawn from a shared pool
@@ -208,18 +192,15 @@ def make_dataset(outdir: str, seed: int = 7) -> dict[str, str]:
                 for _ in range(length))
             docs.append((cat, text))
     rng.shuffle(docs)
-    with open(paths["corpus"], "w", encoding="utf-8", newline="\n") as fh:
-        for cat, text in docs:
-            fh.write(f"{cat}\t{text}\n")
+    files["corpus"] = [f"{cat}\t{text}" for cat, text in docs]
 
-    counts: dict[int, int] = {}
-    for _, text in docs:
-        for ch in text:
-            counts[ord(ch)] = counts.get(ord(ch), 0) + 1
-    with open(paths["freq"], "w", encoding="utf-8", newline="\n") as fh:
-        for cp in sorted(counts):
-            fh.write(f"{cp:X}\t{counts[cp]}\n")
+    counts = Counter(ch for _, text in docs for ch in text)
+    files["freq"] = [f"{ord(ch):X}\t{counts[ch]}"
+                     for ch in sorted(counts, key=ord)]
 
+    paths = {name: os.path.join(outdir, name + ".tsv") for name in files}
+    for name, path in paths.items():
+        write_lines(path, files[name])
     return paths
 
 

@@ -223,6 +223,17 @@ def test_freqdist_ufl_keeps_every_list_of_one_file_name(tmp_path):
     assert outs == ["61\t1.5\n62\t0.5\n"] * 2
 
 
+def test_freqdist_names_each_list_by_its_path(tmp_path, capsys):
+    paths = []
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        paths.append(write(tmp_path / d / "freq.tsv", "61\t3\n62\t1\n"))
+    assert main(["freqdist", "--lists", *paths, "--n", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split("\t") == ["list", *paths]
+    assert [row.split("\t")[0] for row in rows] == paths
+
+
 def test_features_and_evaluate_separable(chain_inputs, tmp_path, capsys):
     snap = _annotate(chain_inputs)
     # 2 categories, disjoint characters, k-fold friendly
@@ -300,6 +311,35 @@ def test_chains_rejects_inconsistent_snapshot(chain_inputs, capsys,
     rc = main(["chains", "--snapshot", bad, "--kind", "semantic", "--all"])
     assert rc == 2
     assert f"{bad}:{lineno}: {problem}" in capsys.readouterr().err
+
+
+def _run_alone(argv, timeout=30):
+    """``sinograph argv`` in its own process, killed after ``timeout`` s."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(sinograph.__file__)))
+    return subprocess.run([sys.executable, "-m", "sinograph", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("argv", [
+    "chains --snapshot {snap} --kind semantic --class 0",
+    "chains --snapshot {snap} --kind phonetic --language ja_on --all",
+    "features --snapshot {snap} --corpus {corpus} --strategy combined "
+    "--out {out}",
+    "query-unknown --snapshot {snap} --all",
+])
+def test_cyclic_snapshot_is_an_input_error(pipeline_files, argv):
+    """A snapshot whose EDGES close a cycle is refused on load, before a
+    chain walk could circle it forever."""
+    with open(pipeline_files["snap"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    at = lines.index("EDGES") + 1
+    sub, sup, rest = lines[at].split("\t", 2)
+    lines.insert(at + 1, f"{sup}\t{sub}\t{rest}")
+    bad = write(pipeline_files["dir"] / "cyclic.snap", "\n".join(lines) + "\n")
+    done = _run_alone(argv.format(**dict(pipeline_files, snap=bad)).split())
+    assert done.returncode == 2
+    assert f"{bad}: graph has a cycle: " in done.stderr
 
 
 def test_evaluate_rejects_non_finite_weight(tmp_path, capsys):
@@ -529,10 +569,7 @@ def test_annotate_feature_tables_do_not_leak_between_invocations(
         return out.read_bytes()
 
     def alone(table, out):
-        env = dict(os.environ,
-                   PYTHONPATH=os.path.dirname(os.path.dirname(sinograph.__file__)))
-        subprocess.run([sys.executable, "-m", "sinograph", *argv(table, out)],
-                       env=env, check=True, capture_output=True)
+        _run_alone(argv(table, out)).check_returncode()
         return out.read_bytes()
 
     bundled, own = alone(False, tmp_path / "b.snap"), alone(True, tmp_path / "c.snap")
@@ -540,6 +577,18 @@ def test_annotate_feature_tables_do_not_leak_between_invocations(
     in_this_process(True, tmp_path / "c1.snap")
     assert in_this_process(False, tmp_path / "b1.snap") == bundled
     assert in_this_process(True, tmp_path / "c2.snap") == own
+
+
+def test_annotate_takes_a_repeated_language_once(chain_inputs, capsys):
+    hists = []
+    for languages in ("cmn", "cmn,cmn"):
+        hist = chain_inputs["dir"] / f"{languages}.csv"
+        _annotate(chain_inputs, extra=["--languages", languages,
+                                       "--phi-histogram", str(hist)])
+        assert "phi_languages\tcmn\n" in capsys.readouterr().out
+        hists.append(hist.read_text(encoding="utf-8"))
+    assert hists[1] == hists[0]
+    assert len(hists[0].splitlines()) == 1 + 20  # header, one row per bin
 
 
 def test_readings_unknown_language_names_the_line(chain_inputs, capsys):

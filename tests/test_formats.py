@@ -149,3 +149,22 @@ def test_snapshot_file_io(tmp_path):
     g2, classes2, ann2 = formats.load_snapshot(str(path))
     assert g2.edges() == g.edges()
     assert ann2 == annotations
+
+
+def test_snapshot_rejects_a_cycle():
+    g, classes, _ = _sample_graph()
+    text = formats.snapshot_to_string(g, classes)
+    edge = next(line for line in text.splitlines() if line.startswith("0\t1\t"))
+    cyclic = text.replace(edge, edge + "\n1\t0\t" + edge[4:], 1)
+    with pytest.raises(InputError, match=r"^g\.snap: graph has a cycle: "
+                                         r"(0 -> 1 -> 0|1 -> 0 -> 1)$"):
+        formats.parse_snapshot(cyclic, "g.snap")
+
+
+def test_write_lines_to_a_file_or_standard_output(tmp_path, capsys):
+    path = tmp_path / "out.txt"
+    formats.write_lines(str(path), ["一\tb", "c"])
+    assert path.read_bytes() == "一\tb\nc\n".encode("utf-8")
+    for dash in (None, "-"):
+        formats.write_lines(dash, ["x"])
+    assert capsys.readouterr().out == "x\nx\n"

@@ -1,10 +1,10 @@
-"""Golden digest of every CLI artefact of the seed-7 synthetic pipeline.
+"""Golden digest of every file of the seed-7 synthetic pipeline.
 
-The artefacts are the output files and ``stdout.txt``, the tab-separated
-summaries the subcommands print.  A change that alters any output byte
-fails here.  A change that alters
-behaviour on purpose regenerates the digest file in the same change and
-says why:
+The files are the nine inputs ``make_dataset`` writes (``data/*.tsv``),
+the CLI output files and ``stdout.txt``, the tab-separated summaries the
+subcommands print.  A change that alters any byte of them fails here.
+A change that alters behaviour on purpose regenerates the digest file in
+the same change and says why:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/seed7.sha256
 """
@@ -30,9 +30,9 @@ def _run(argv):
 
 
 def run_pipeline(base: str) -> dict[str, str]:
-    """Run every subcommand on the seed-7 data; artefact name -> path."""
+    """Run every subcommand on the seed-7 data; file name -> path."""
     data = os.path.join(base, "data")
-    make_dataset(data, seed=7)
+    inputs = make_dataset(data, seed=7)
     out = {name: os.path.join(base, name) for name in (
         "graph.snap", "annotated.snap", "phi_hist.csv", "chains_semantic.txt",
         "chains_phonetic.txt", "chains_phonetic_cmn.txt", "queries.txt",
@@ -41,6 +41,7 @@ def run_pipeline(base: str) -> dict[str, str]:
         for kind in ("vectors", "vocab"):
             name = f"{kind}_{strategy}.txt"
             out[name] = os.path.join(base, name)
+    out.update({f"data/{name}.tsv": path for name, path in inputs.items()})
     with open(out["stdout.txt"], "w", encoding="utf-8") as fh, \
             contextlib.redirect_stdout(fh):
         _run_subcommands(data, out)

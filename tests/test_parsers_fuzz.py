@@ -62,9 +62,10 @@ VALID = {
     "parse_corpus": "one\t一二三\ntwo\t人人\n",
     "parse_vectors": f"{formats.VECTORS_HEADER}\none\t0:1.0 3:0.5\ntwo\t1:2\n",
     "parse_snapshot": _snapshot_text(),
-    "FeatureTable.load": resources.files("sinograph").joinpath(
+    "parse_feature_table": resources.files("sinograph").joinpath(
         "data/phoneme_features.tsv").read_text(encoding="utf-8"),
 }
+VALID["FeatureTable.load"] = VALID["parse_feature_table"]
 PARSERS = {name: getattr(formats, name) for name in VALID if name.startswith("parse_")}
 PARSERS["parse_relations"] = functools.partial(formats.parse_relations,
                                                synsets={"s1", "s2"})

@@ -1,6 +1,8 @@
 import functools
 import math
 import random
+import re
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +33,27 @@ def feat(**over):
                 vowel_rounding=0)
     base.update(over)
     return SyllableFeatures(**base)
+
+
+BUNDLED_TABLE = resources.files("sinograph").joinpath(
+    "data/phoneme_features.tsv").read_text(encoding="utf-8")
+
+
+def test_feature_table_skips_blank_lines(tmp_path):
+    path = tmp_path / "table.tsv"
+    path.write_text(BUNDLED_TABLE.replace("\nC\tb\t", "\n  \n\t\nC\tb\t", 1),
+                    encoding="utf-8")
+    table = FeatureTable.load(str(path))
+    assert table.consonants == FeatureTable.load().consonants
+
+
+def test_feature_table_without_null_phonemes_names_the_file(tmp_path):
+    path = tmp_path / "table.tsv"
+    path.write_text(BUNDLED_TABLE.replace("C\t-\t", "C\t_\t", 1),
+                    encoding="utf-8")
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: feature "
+                       f"table must define the '-' null phonemes$"):
+        FeatureTable.load(str(path))
 
 
 def test_syllable_distance_identity_and_symmetry():
