@@ -35,12 +35,7 @@ from .freqlists import aggregate_ufl, distance_matrix
 from .graphcore import from_edges, lift_to_classes, transitive_reduce
 from .inferschar import DEFAULT_MAX_DEPTH, semantic_approximation
 from .phonetics import DEFAULT_BINS, FeatureTable, phoneticity, phoneticity_histogram
-from .semantics import (
-    SEMANTICITY_COEFFICIENTS,
-    SynsetStore,
-    annotate_classes,
-    annotate_semanticity,
-)
+from .semantics import SEMANTICITY_COEFFICIENTS, annotate_classes, annotate_semanticity
 from .strokesig import DEFAULT_TOLERANCE, char_signature, detect_inclusions
 
 EXIT_OK = 0
@@ -63,18 +58,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise InputError(f"empty codepoint range {text!r}")
     return lo, hi
-
-
-def _load_synset_store(synsets_path: str, relations_path: str | None) -> SynsetStore:
-    store = SynsetStore()
-    synsets = formats.load_synsets(synsets_path)
-    for sid, lemmas in synsets:
-        store.add_synset(sid, lemmas)
-    if relations_path:
-        declared = {sid for sid, _ in synsets}
-        for rel in formats.load_relations(relations_path, declared):
-            store.add_relation(rel.source, rel.relation_type, rel.target)
-    return store
 
 
 # -- subcommands -------------------------------------------------------------
@@ -112,21 +95,22 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    for flag, path in (("--relations", args.relations),
-                       ("--definitions", args.definitions)):
-        if path and not args.synsets:
-            raise InputError(f"{flag} needs --synsets")
+    # flags that act only on the data of another flag's file
+    for flag, needed in (("relations", "synsets"), ("definitions", "synsets"),
+                         ("phi_histogram", "readings"), ("languages", "readings"),
+                         ("feature_table", "readings")):
+        if getattr(args, flag) and not getattr(args, needed):
+            raise InputError(f"--{flag.replace('_', '-')} needs --{needed}")
     g, classes, annotations = formats.load_snapshot(args.snapshot)
-
-    # a table per invocation: its memos end with the command
-    table = FeatureTable.load(args.feature_table)
-    # each language once, in order of first mention
-    languages = list(dict.fromkeys(Language.parse(tok) for tok in
-                                   args.languages.split(","))) \
-        if args.languages else list(Language)
 
     annotated_phi = []
     if args.readings:
+        # a table per invocation: its memos end with the command
+        table = FeatureTable.load(args.feature_table)
+        # each language once, in order of first mention
+        languages = list(dict.fromkeys(Language.parse(tok) for tok in
+                                       args.languages.split(","))) \
+            if args.languages else list(Language)
         # a class reads as all its members do, variants included
         class_of = {cp: cls.id for cls in classes for cp in cls.members}
         readings: dict[int, list[Reading]] = {}
@@ -142,8 +126,9 @@ def cmd_annotate(args: argparse.Namespace) -> int:
                       file=sys.stderr)
 
     radicals = formats.load_radicals(args.radicals) if args.radicals else {}
-    synstore = (_load_synset_store(args.synsets, args.relations)
-                if args.synsets else None)
+    synstore = formats.load_synsets(args.synsets) if args.synsets else None
+    if args.relations:  # checked above to come with --synsets
+        formats.load_relations(args.relations, synstore)
     annotate_semanticity(g, classes, synstore, radicals,
                          coefficients=tuple(args.coefficients))
 

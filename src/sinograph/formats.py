@@ -16,6 +16,8 @@ a comment line.  Codepoints are bare hex (no ``U+`` prefix).
 * vectors file     ``#sparse-vectors v1`` header, then
                    ``<label>\\t<id>:<weight>[ <id>:<weight>...]``
 
+Every error a record raises names its ``file:line``.
+
 The snapshot is line oriented with a version header and three sections
 (META, NODES, EDGES); see ``write_snapshot`` for the columns.
 
@@ -30,13 +32,13 @@ import math
 import re
 import sys
 from collections import Counter
-from typing import Container, Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .charstore import AllographClass, Language, Reading
 from .errors import DataError, InputError
 from .freqlists import FrequencyList, from_counts
 from .graphcore import EdgeData, InclusionGraph
-from .semantics import SemRelation
+from .semantics import SynsetStore
 from .strokesig import Stroke, parse_stroke_spec
 
 #: A hex number in every file and flag: hex digits only, either case.
@@ -52,18 +54,48 @@ _EDGE_FIELDS = 2 + 2 * len(_SNAPSHOT_LANGS) + 5
 MISSING = "-"
 
 
-def _records(text: str, path: str, *n_fields: int):
-    """(line number, fields) of each record with one of ``n_fields``
-    fields; blank and comment lines are skipped."""
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) not in n_fields:
-            expected = " or ".join(map(str, n_fields))
-            raise InputError(f"{path}:{lineno}: expected {expected} "
-                             f"tab-separated fields, got {len(fields)}")
-        yield lineno, fields
+class _Reader:
+    """One input text.  ``lines`` and ``records`` keep ``lineno`` at the
+    line last yielded, and at ``None`` when done; inside ``with``, an
+    ``InputError`` is prefixed with ``path:lineno:``, or ``path:``."""
+
+    def __init__(self, text: str, path: str) -> None:
+        self.text, self.path = text, path
+        self.lineno: int | None = None
+
+    def __enter__(self) -> _Reader:
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, InputError):
+            where = self.path if self.lineno is None else f"{self.path}:{self.lineno}"
+            raise InputError(f"{where}: {exc}") from None
+
+    def lines(self, header: str | None = None) -> Iterator[str]:
+        """Each nonblank line; given a ``header``, line 1 must be it and
+        is not yielded."""
+        numbered = enumerate(self.text.splitlines(), 1)
+        if header is not None:
+            self.lineno = 1
+            if next(numbered, (1, ""))[1].strip() != header:
+                raise InputError(f"missing {header!r} header")
+        for self.lineno, line in numbered:
+            if line.strip():
+                yield line
+        self.lineno = None
+
+    def records(self, *n_fields: int) -> Iterator[list[str]]:
+        """The tab-separated fields of each line but ``#`` comments; a
+        line must hold one of ``n_fields`` fields."""
+        for line in self.lines():
+            if line.lstrip().startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) not in n_fields:
+                expected = " or ".join(map(str, n_fields))
+                raise InputError(f"expected {expected} tab-separated "
+                                 f"fields, got {len(fields)}")
+            yield fields
 
 
 def _codepoint(token: str) -> int:
@@ -77,11 +109,14 @@ def _codepoint(token: str) -> int:
     return cp
 
 
-def _parse_cp(token: str, path: str, lineno: int) -> int:
-    try:
-        return _codepoint(token)
-    except InputError as exc:
-        raise InputError(f"{path}:{lineno}: {exc}") from None
+def _decimal(token: str) -> int:
+    """A decimal integer in every file: ASCII digits after an optional "-",
+    else a ``ValueError``.  ``int(token)`` alone would also take "_",
+    blanks, "+" and non-ASCII digits."""
+    if token.isascii() and (token.isdigit()
+                            or token[:1] == "-" and token[1:].isdigit()):
+        return int(token)
+    raise ValueError(f"bad decimal integer {token!r}")
 
 
 def read_text(path: str) -> str:
@@ -114,14 +149,12 @@ def write_lines(path: str | None, lines: Iterable[str]) -> None:
 
 def parse_strokes(text: str, path: str = "strokes.tsv") -> dict[int, list[Stroke]]:
     out: dict[int, list[Stroke]] = {}
-    for lineno, (cp_tok, spec) in _records(text, path, 2):
-        cp = _parse_cp(cp_tok, path, lineno)
-        if cp in out:
-            raise InputError(f"{path}:{lineno}: duplicate codepoint {cp_tok}")
-        try:
+    with _Reader(text, path) as reader:
+        for cp_tok, spec in reader.records(2):
+            cp = _codepoint(cp_tok)
+            if cp in out:
+                raise InputError(f"duplicate codepoint {cp_tok}")
             out[cp] = parse_stroke_spec(spec)
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -132,13 +165,11 @@ def load_strokes(path: str) -> dict[int, list[Stroke]]:
 def parse_readings(text: str, path: str = "readings.tsv"
                    ) -> list[tuple[int, Reading]]:
     out = []
-    for lineno, (cp_tok, lang_tok, sylls) in _records(text, path, 3):
-        cp = _parse_cp(cp_tok, path, lineno)
-        tokens = tuple(t for t in sylls.split(" ") if t)
-        try:
+    with _Reader(text, path) as reader:
+        for cp_tok, lang_tok, sylls in reader.records(3):
+            cp = _codepoint(cp_tok)
+            tokens = tuple(t for t in sylls.split(" ") if t)
             out.append((cp, Reading(Language.parse(lang_tok), tokens)))
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -149,13 +180,12 @@ def load_readings(path: str) -> list[tuple[int, Reading]]:
 def parse_variants(text: str, path: str = "variants.tsv"
                    ) -> set[tuple[int, int]]:
     pairs = set()
-    for lineno, (a_tok, b_tok) in _records(text, path, 2):
-        a = _parse_cp(a_tok, path, lineno)
-        b = _parse_cp(b_tok, path, lineno)
-        if a == b:
-            raise InputError(f"{path}:{lineno}: a codepoint cannot be its "
-                             f"own variant")
-        pairs.add((min(a, b), max(a, b)))
+    with _Reader(text, path) as reader:
+        for a_tok, b_tok in reader.records(2):
+            a, b = _codepoint(a_tok), _codepoint(b_tok)
+            if a == b:
+                raise InputError("a codepoint cannot be its own variant")
+            pairs.add((min(a, b), max(a, b)))
     return pairs
 
 
@@ -165,17 +195,18 @@ def load_variants(path: str) -> set[tuple[int, int]]:
 
 def parse_radicals(text: str, path: str = "radicals.tsv") -> dict[int, int]:
     out: dict[int, int] = {}
-    for lineno, (cp_tok, rad_tok) in _records(text, path, 2):
-        cp = _parse_cp(cp_tok, path, lineno)
-        if cp in out:
-            raise InputError(f"{path}:{lineno}: duplicate codepoint {cp_tok}")
-        try:
-            rad = int(rad_tok)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: bad radical {rad_tok!r}") from None
-        if not 1 <= rad <= 214:
-            raise InputError(f"{path}:{lineno}: radical {rad} outside 1..214")
-        out[cp] = rad
+    with _Reader(text, path) as reader:
+        for cp_tok, rad_tok in reader.records(2):
+            cp = _codepoint(cp_tok)
+            if cp in out:
+                raise InputError(f"duplicate codepoint {cp_tok}")
+            try:
+                rad = _decimal(rad_tok)
+            except ValueError:
+                raise InputError(f"bad radical {rad_tok!r}") from None
+            if not 1 <= rad <= 214:
+                raise InputError(f"radical {rad} outside 1..214")
+            out[cp] = rad
     return out
 
 
@@ -183,49 +214,39 @@ def load_radicals(path: str) -> dict[int, int]:
     return parse_radicals(read_text(path), path)
 
 
-def parse_synsets(text: str, path: str = "synsets.tsv") -> list[tuple[str, list[str]]]:
-    out = []
-    seen: set[str] = set()
-    for lineno, (sid, lemmas) in _records(text, path, 2):
-        words = [w for w in lemmas.split("|") if w]
-        if not words:
-            raise InputError(f"{path}:{lineno}: synset {sid!r} has no lemmas")
-        if sid in seen:
-            raise InputError(f"{path}:{lineno}: duplicate synset id {sid!r}")
-        seen.add(sid)
-        out.append((sid, words))
-    return out
+def parse_synsets(text: str, path: str = "synsets.tsv") -> SynsetStore:
+    """A store of the synsets, each checked by the store."""
+    store = SynsetStore()
+    with _Reader(text, path) as reader:
+        for sid, lemmas in reader.records(2):
+            store.add_synset(sid, lemmas.split("|"))
+    return store
 
 
-def load_synsets(path: str) -> list[tuple[str, list[str]]]:
+def load_synsets(path: str) -> SynsetStore:
     return parse_synsets(read_text(path), path)
 
 
-def parse_relations(text: str, synsets: Container[str],
-                    path: str = "relations.tsv") -> list[SemRelation]:
-    """Relations between the declared ``synsets``; an endpoint outside
-    them is an error naming its line."""
-    out = []
-    for lineno, (src, typ, dst) in _records(text, path, 3):
-        for role, sid in (("source", src), ("target", dst)):
-            if sid not in synsets:
-                raise InputError(f"{path}:{lineno}: relation {role} {sid!r} "
-                                 f"is not a declared synset")
-        out.append(SemRelation(src, typ, dst))
-    return out
+def parse_relations(text: str, store: SynsetStore,
+                    path: str = "relations.tsv") -> SynsetStore:
+    """``store`` with the relations added, each checked by the store."""
+    with _Reader(text, path) as reader:
+        for src, typ, dst in reader.records(3):
+            store.add_relation(src, typ, dst)
+    return store
 
 
-def load_relations(path: str, synsets: Container[str]) -> list[SemRelation]:
-    return parse_relations(read_text(path), synsets, path)
+def load_relations(path: str, store: SynsetStore) -> SynsetStore:
+    return parse_relations(read_text(path), store, path)
 
 
 def parse_definitions(text: str, path: str = "definitions.tsv"
                       ) -> dict[int, list[str]]:
     out: dict[int, list[str]] = {}
-    for lineno, (cp_tok, words) in _records(text, path, 2):
-        cp = _parse_cp(cp_tok, path, lineno)
-        glosses = [w for w in words.split("|") if w]
-        out.setdefault(cp, []).extend(glosses)
+    with _Reader(text, path) as reader:
+        for cp_tok, words in reader.records(2):
+            glosses = [w for w in words.split("|") if w]
+            out.setdefault(_codepoint(cp_tok), []).extend(glosses)
     return out
 
 
@@ -235,17 +256,18 @@ def load_definitions(path: str) -> dict[int, list[str]]:
 
 def parse_freq_counts(text: str, path: str = "freq.tsv") -> FrequencyList:
     counts: dict[int, int] = {}
-    for lineno, (cp_tok, cnt_tok) in _records(text, path, 2):
-        cp = _parse_cp(cp_tok, path, lineno)
-        try:
-            cnt = int(cnt_tok)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: bad count {cnt_tok!r}") from None
-        if cnt <= 0:
-            raise InputError(f"{path}:{lineno}: count must be positive")
-        counts[cp] = counts.get(cp, 0) + cnt
-    if not counts:
-        raise InputError(f"{path}: no frequency records")
+    with _Reader(text, path) as reader:
+        for cp_tok, cnt_tok in reader.records(2):
+            cp = _codepoint(cp_tok)
+            try:
+                cnt = _decimal(cnt_tok)
+            except ValueError:
+                raise InputError(f"bad count {cnt_tok!r}") from None
+            if cnt <= 0:
+                raise InputError("count must be positive")
+            counts[cp] = counts.get(cp, 0) + cnt
+        if not counts:
+            raise InputError("no frequency records")
     return from_counts(counts)
 
 
@@ -254,12 +276,10 @@ def load_freq_counts(path: str) -> FrequencyList:
 
 
 def parse_corpus(text: str, path: str = "corpus.tsv") -> list[tuple[str, str]]:
-    docs = []
-    for lineno, fields in _records(text, path, 2):
-        label, doc = fields
-        docs.append((label, doc))
-    if not docs:
-        raise InputError(f"{path}: empty corpus")
+    with _Reader(text, path) as reader:
+        docs = [(label, doc) for label, doc in reader.records(2)]
+        if not docs:
+            raise InputError("empty corpus")
     return docs
 
 
@@ -277,20 +297,19 @@ def parse_feature_table(text: str, path: str = "phoneme_features.tsv"
     must hold the ``-`` null phoneme."""
     scales: dict[str, PhonemeScales] = {"C": {}, "V": {}}
     width = {"C": 4, "V": 3}
-    for lineno, (kind, symbol, *values) in _records(text, path, 5, 6):
-        if not symbol or width.get(kind) != len(values):
-            raise InputError(f"{path}:{lineno}: malformed row "
-                             f"{[kind, symbol, *values]!r}")
-        try:
-            nums = tuple(float(v) for v in values)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: bad number") from None
-        if not all(math.isfinite(v) for v in nums):
-            raise InputError(f"{path}:{lineno}: non-finite number")
-        scales[kind][symbol] = nums
-    if "-" not in scales["C"] or "-" not in scales["V"]:
-        raise InputError(f"{path}: feature table must define the '-' null "
-                         f"phonemes")
+    with _Reader(text, path) as reader:
+        for kind, symbol, *values in reader.records(5, 6):
+            if not symbol or width.get(kind) != len(values):
+                raise InputError(f"malformed row {[kind, symbol, *values]!r}")
+            try:
+                nums = tuple(float(v) for v in values)
+            except ValueError:
+                raise InputError("bad number") from None
+            if not all(math.isfinite(v) for v in nums):
+                raise InputError("non-finite number")
+            scales[kind][symbol] = nums
+        if "-" not in scales["C"] or "-" not in scales["V"]:
+            raise InputError("feature table must define the '-' null phonemes")
     return scales["C"], scales["V"]
 
 
@@ -306,43 +325,43 @@ def write_vectors(fh: TextIO, labels: Sequence[str],
 
 def parse_vectors(text: str, path: str = "vectors", min_per_label: int = 0
                   ) -> tuple[list[str], list[dict[int, float]]]:
-    """Labels and sparse vectors; a label on fewer than ``min_per_label``
-    lines is an error naming its first line."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != VECTORS_HEADER:
-        raise InputError(f"{path}:1: missing {VECTORS_HEADER!r} header")
+    """Labels and sparse vectors.  With ``min_per_label`` set, as for
+    training, a label on fewer lines is an error naming its first line,
+    and fewer than two labels one naming the first record, or the file."""
     labels: list[str] = []
     vectors: list[dict[int, float]] = []
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        label, tab, cells = line.partition("\t")
-        if not tab:
-            raise InputError(f"{path}:{lineno}: no tab after the label")
-        first_line.setdefault(label, lineno)
-        vec: dict[int, float] = {}
-        for cell in cells.split():
-            try:
-                cid_tok, w_tok = cell.split(":")
-                cid, w = int(cid_tok), float(w_tok)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: bad cell {cell!r}") from None
-            if not math.isfinite(w):
-                raise InputError(f"{path}:{lineno}: non-finite weight {cell!r}")
-            if cid in vec:
-                raise InputError(f"{path}:{lineno}: feature {cid} repeated")
-            vec[cid] = w
-        # An infinite ||x||^2 would overflow the classifier's margins.
-        if not math.isfinite(sum(w * w for w in vec.values())):
-            raise InputError(f"{path}:{lineno}: squared norm of the weights "
-                             f"is not finite")
-        labels.append(label)
-        vectors.append(vec)
-    for label, count in Counter(labels).items():
-        if count < min_per_label:
-            raise InputError(f"{path}:{first_line[label]}: category {label!r} "
-                             f"has {count} examples, fewer than {min_per_label}")
+    with _Reader(text, path) as reader:
+        for line in reader.lines(VECTORS_HEADER):
+            label, tab, cells = line.partition("\t")
+            if not tab:
+                raise InputError("no tab after the label")
+            first_line.setdefault(label, reader.lineno)
+            vec: dict[int, float] = {}
+            for cell in cells.split():
+                try:
+                    cid_tok, w_tok = cell.split(":")
+                    cid, w = _decimal(cid_tok), float(w_tok)
+                except ValueError:
+                    raise InputError(f"bad cell {cell!r}") from None
+                if not math.isfinite(w):
+                    raise InputError(f"non-finite weight {cell!r}")
+                if cid in vec:
+                    raise InputError(f"feature {cid} repeated")
+                vec[cid] = w
+            # An infinite ||x||^2 would overflow the classifier's margins.
+            if not math.isfinite(sum(w * w for w in vec.values())):
+                raise InputError("squared norm of the weights is not finite")
+            labels.append(label)
+            vectors.append(vec)
+        for label, count in Counter(labels).items():
+            if count < min_per_label:
+                reader.lineno = first_line[label]
+                raise InputError(f"category {label!r} has {count} examples, "
+                                 f"fewer than {min_per_label}")
+        if min_per_label and len(first_line) < 2:
+            reader.lineno = next(iter(first_line.values()), None)
+            raise InputError(f"need at least two categories, got {len(first_line)}")
     return labels, vectors
 
 
@@ -410,7 +429,7 @@ def _weight(token: str, name: str, upper: float = math.inf) -> float:
 
 def _count(token: str, name: str) -> int:
     """An edge count cell: an integer >= 0."""
-    value = int(token)
+    value = _decimal(token)
     if value >= 0:
         return value
     raise InputError(f"{name} {token!r} is negative")
@@ -429,75 +448,71 @@ def parse_snapshot(text: str, path: str = "snapshot"
     raises ``InputError`` naming the line; edges that close a cycle raise
     it naming one.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SNAPSHOT_HEADER:
-        raise InputError(f"{path}:1: missing {SNAPSHOT_HEADER!r} header")
     section = None
     g = InclusionGraph()
     classes: list[AllographClass] = []
     annotations: dict[int, set[str]] = {}
     class_of: dict[int, int] = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        if line in ("META", "NODES", "EDGES"):
-            section = line
-            continue
-        fields = line.split("\t")
+    with _Reader(text, path) as reader:
+        for line in reader.lines(SNAPSHOT_HEADER):
+            if line in ("META", "NODES", "EDGES"):
+                section = line
+                continue
+            fields = line.split("\t")
+            try:
+                if section == "META":
+                    key, value = fields
+                    g.meta[key] = value
+                elif section == "NODES":
+                    cid_tok, members_tok, rep_tok, synsets_tok = fields
+                    cid = _decimal(cid_tok)
+                    if cid in g:
+                        raise InputError(f"class id {cid} declared twice")
+                    members = frozenset(_codepoint(m) for m in members_tok.split())
+                    for cp in members:
+                        if cp in class_of:
+                            raise InputError(f"codepoint {cp:X} is in classes "
+                                             f"{class_of[cp]} and {cid}")
+                        class_of[cp] = cid
+                    classes.append(AllographClass(cid, members, _codepoint(rep_tok)))
+                    g.add_node(cid)
+                    if synsets_tok != MISSING:
+                        annotations[cid] = set(synsets_tok.split("|"))
+                elif section == "EDGES":
+                    if len(fields) != _EDGE_FIELDS:
+                        raise InputError(f"expected {_EDGE_FIELDS} tab-separated "
+                                         f"fields, got {len(fields)}")
+                    sub, sup = _decimal(fields[0]), _decimal(fields[1])
+                    if sub not in g or sup not in g:
+                        missing = sup if sub in g else sub
+                        raise InputError(f"edge endpoint {missing} is not a "
+                                         f"declared node")
+                    data = EdgeData()
+                    i = 2
+                    for lang in _SNAPSHOT_LANGS:
+                        if fields[i] != MISSING:
+                            data.d_min[lang] = _weight(fields[i], "d_min")
+                        if fields[i + 1] != MISSING:
+                            data.phi[lang] = _weight(fields[i + 1], "phi", 1.0)
+                        i += 2
+                    data.f1 = _count(fields[i], "f1")
+                    data.f2 = _count(fields[i + 1], "f2")
+                    data.r = _weight(fields[i + 2], "r", 1.0)
+                    if fields[i + 3] != MISSING:
+                        data.s_raw = _weight(fields[i + 3], "s_raw")
+                    if fields[i + 4] != MISSING:
+                        data.s = _weight(fields[i + 4], "s", 1.0)
+                    g.add_edge(sub, sup, data)
+                else:
+                    raise InputError("content before any section header")
+            except InputError:  # a ValueError too, but with its own message
+                raise
+            except ValueError:
+                raise InputError(f"malformed {section} line") from None
         try:
-            if section == "META":
-                key, value = fields
-                g.meta[key] = value
-            elif section == "NODES":
-                cid_tok, members_tok, rep_tok, synsets_tok = fields
-                cid = int(cid_tok)
-                if cid in g:
-                    raise InputError(f"class id {cid} declared twice")
-                members = frozenset(_codepoint(m) for m in members_tok.split())
-                for cp in members:
-                    if cp in class_of:
-                        raise InputError(f"codepoint {cp:X} is in classes "
-                                         f"{class_of[cp]} and {cid}")
-                    class_of[cp] = cid
-                classes.append(AllographClass(cid, members, _codepoint(rep_tok)))
-                g.add_node(cid)
-                if synsets_tok != MISSING:
-                    annotations[cid] = set(synsets_tok.split("|"))
-            elif section == "EDGES":
-                if len(fields) != _EDGE_FIELDS:
-                    raise InputError(f"expected {_EDGE_FIELDS} tab-separated "
-                                     f"fields, got {len(fields)}")
-                sub, sup = int(fields[0]), int(fields[1])
-                if sub not in g or sup not in g:
-                    missing = sup if sub in g else sub
-                    raise InputError(f"edge endpoint {missing} is not a "
-                                     f"declared node")
-                data = EdgeData()
-                i = 2
-                for lang in _SNAPSHOT_LANGS:
-                    if fields[i] != MISSING:
-                        data.d_min[lang] = _weight(fields[i], "d_min")
-                    if fields[i + 1] != MISSING:
-                        data.phi[lang] = _weight(fields[i + 1], "phi", 1.0)
-                    i += 2
-                data.f1 = _count(fields[i], "f1")
-                data.f2 = _count(fields[i + 1], "f2")
-                data.r = _weight(fields[i + 2], "r", 1.0)
-                if fields[i + 3] != MISSING:
-                    data.s_raw = _weight(fields[i + 3], "s_raw")
-                if fields[i + 4] != MISSING:
-                    data.s = _weight(fields[i + 4], "s", 1.0)
-                g.add_edge(sub, sup, data)
-            else:
-                raise InputError("content before any section header")
-        except InputError as exc:  # before ValueError, its base class
-            raise InputError(f"{path}:{lineno}: {exc}") from None
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: malformed {section} line") from None
-    try:
-        g.topological_order()  # a chain walk would circle a cycle forever
-    except DataError as exc:
-        raise InputError(f"{path}: {exc}") from None
+            g.topological_order()  # a chain walk would circle a cycle forever
+        except DataError as exc:
+            raise InputError(str(exc)) from None
     return g, classes, annotations
 
 

@@ -121,9 +121,9 @@ class FeatureTable:
 
 def strip_tone(token: str) -> tuple[str, int]:
     """Split a syllable token into its segmental body and tone digit
-    (0 when absent)."""
+    (0 when absent); the digit is ASCII, as ``int`` reads no other."""
     token = token.strip().lower()
-    if token and token[-1].isdigit():
+    if token and "0" <= token[-1] <= "9":
         return token[:-1], int(token[-1])
     return token, 0
 

@@ -51,8 +51,8 @@ class SynsetStore:
 
     def __init__(self) -> None:
         self._lemmas: dict[str, frozenset[str]] = {}
-        self._relations: list[SemRelation] = []
-        self._relation_set: set[SemRelation] = set()
+        # a dict, to keep each distinct relation once in insertion order
+        self._relations: dict[SemRelation, None] = {}
         self._successors: dict[str, Counter[str]] = defaultdict(Counter)
         self._word_index: dict[str, set[str]] = defaultdict(set)
         # char -> synset id -> number of the synset's lemma words holding it
@@ -71,14 +71,13 @@ class SynsetStore:
                 self._char_index[ch][synset_id] += 1
 
     def add_relation(self, source: str, relation_type: str, target: str) -> None:
-        if source not in self._lemmas:
-            raise InputError(f"relation source {source!r} is not a known synset")
-        if target not in self._lemmas:
-            raise InputError(f"relation target {target!r} is not a known synset")
+        for role, synset_id in (("source", source), ("target", target)):
+            if synset_id not in self._lemmas:
+                raise InputError(f"relation {role} {synset_id!r} is not a "
+                                 f"declared synset")
         rel = SemRelation(source, relation_type, target)
-        if rel not in self._relation_set:
-            self._relation_set.add(rel)
-            self._relations.append(rel)
+        if rel not in self._relations:
+            self._relations[rel] = None
             self._successors[source][target] += 1
 
     def lemmas(self, synset_id: str) -> frozenset[str]:

@@ -667,16 +667,37 @@ def test_annotate_names_the_line_of_a_bad_record(pipeline_files, capsys,
     assert f"{path}:{message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--relations", "--definitions"])
-def test_annotate_refuses_synset_files_without_synsets(pipeline_files, capsys,
-                                                       flag):
+@pytest.mark.parametrize("flag, value, needed", [
+    ("--relations", "{relations}", "--synsets"),
+    ("--definitions", "{definitions}", "--synsets"),
+    ("--phi-histogram", "{hist}", "--readings"),
+    ("--languages", "cmn", "--readings"),
+    ("--feature-table", "{table}", "--readings"),
+])
+def test_annotate_refuses_a_flag_without_the_file_it_acts_on(
+        pipeline_files, capsys, flag, value, needed):
+    # --bins 0 would be refused only if a histogram were made
+    argv = (f"annotate --snapshot {{snap}} --out {{out}} --radicals {{radicals}} "
+            f"--bins 0 {flag} {value}")
     capsys.readouterr()
-    rc = main(["annotate", "--snapshot", pipeline_files["snap"],
-               "--out", pipeline_files["out"],
-               "--radicals", pipeline_files["radicals"],
-               flag, pipeline_files[flag[2:]]])
+    rc = main([token.format(**pipeline_files) for token in argv.split()])
     assert rc == 2
-    assert f"{flag} needs --synsets" in capsys.readouterr().err
+    assert f"{flag} needs {needed}" in capsys.readouterr().err
+    assert not os.path.exists(pipeline_files["hist"])
+
+
+@pytest.mark.parametrize("records, where", [
+    ("", ""),
+    ("a\t0:1\n" * 10, ":2"),
+], ids=["header only", "one label"])
+def test_evaluate_names_the_file_without_two_categories(tmp_path, capsys,
+                                                         records, where):
+    vectors = write(tmp_path / "vec.txt", formats.VECTORS_HEADER + "\n" + records)
+    capsys.readouterr()
+    assert main(["evaluate", "--vectors", vectors]) == 2
+    count = 1 if records else 0
+    assert (f"{vectors}{where}: need at least two categories, got {count}"
+            in capsys.readouterr().err)
 
 
 ANNOTATE = "annotate --snapshot {snap} --out {out}"

@@ -49,14 +49,18 @@ def test_parse_radicals():
 
 
 def test_parse_synsets_relations_definitions():
-    syn = formats.parse_synsets("s1\t風疹|はしか\ns2\t礦物\n")
-    assert syn == [("s1", ["風疹", "はしか"]), ("s2", ["礦物"])]
-    rel = formats.parse_relations("s1\thyponymy\ts2\n", {"s1", "s2"})
-    assert rel[0].relation_type == "hyponymy"
-    with pytest.raises(InputError, match="relations.tsv:2: relation target"):
-        formats.parse_relations("s1\thyponymy\ts2\ns2\tx\ts3\n", {"s1", "s2"})
+    store = formats.parse_synsets("s1\t風疹|はしか\ns2\t礦物\n")
+    assert store.lemmas("s1") == {"風疹", "はしか"}
+    assert store.lemmas("s2") == {"礦物"}
+    assert formats.parse_relations("s1\thyponymy\ts2\n", store) is store
+    assert [r.relation_type for r in store.relations] == ["hyponymy"]
+    with pytest.raises(InputError, match="relations.tsv:2: relation target "
+                                         "'s3' is not a declared synset"):
+        formats.parse_relations("s1\thyponymy\ts2\ns2\tx\ts3\n", store)
     with pytest.raises(InputError, match="synsets.tsv:2: duplicate synset id"):
         formats.parse_synsets("s1\t風疹\ns1\t礦物\n")
+    with pytest.raises(InputError, match="synsets.tsv:1: synset 's1' has no lemmas"):
+        formats.parse_synsets("s1\t|\n")
     defs = formats.parse_definitions("75B9\tはしか|measles\n")
     assert defs == {0x75B9: ["はしか", "measles"]}
 
@@ -168,3 +172,59 @@ def test_write_lines_to_a_file_or_standard_output(tmp_path, capsys):
     for dash in (None, "-"):
         formats.write_lines(dash, ["x"])
     assert capsys.readouterr().out == "x\nx\n"
+
+
+# int() alone reads each of these: "_" separators, blanks, "+" and
+# non-ASCII digits ("２" is fullwidth, "٣" Arabic-Indic)
+NOT_DECIMAL = ("1_4", "２１", " +3", "+3", "3 ", "٣", "")
+
+
+@pytest.mark.parametrize("token", NOT_DECIMAL)
+def test_decimal_fields_take_ascii_digits_only(token):
+    with pytest.raises(InputError) as radical:
+        formats.parse_radicals(f"4E00\t1\n4E01\t{token}\n")
+    assert str(radical.value) == f"radicals.tsv:2: bad radical {token!r}"
+    with pytest.raises(InputError) as count:
+        formats.parse_freq_counts(f"4E00\t{token}\n")
+    assert str(count.value) == f"freq.tsv:1: bad count {token!r}"
+    if " " not in token:  # a blank ends a vector cell
+        cell = f"{token}:0.5"
+        with pytest.raises(InputError) as vector:
+            formats.parse_vectors(f"{formats.VECTORS_HEADER}\na\t{cell}\n")
+        assert str(vector.value) == f"vectors:2: bad cell {cell!r}"
+
+
+@pytest.mark.parametrize("token", NOT_DECIMAL)
+@pytest.mark.parametrize("section, field", [("NODES", 0), ("EDGES", 0),
+                                            ("EDGES", 1), ("EDGES", 8)])
+def test_snapshot_integers_take_ascii_digits_only(token, section, field):
+    g, classes, _ = _sample_graph()
+    lines = formats.snapshot_to_string(g, classes).splitlines()
+    lineno = lines.index(section) + 2
+    fields = lines[lineno - 1].split("\t")
+    fields[field] = token
+    lines[lineno - 1] = "\t".join(fields)
+    with pytest.raises(InputError) as exc:
+        formats.parse_snapshot("\n".join(lines) + "\n", "g.snap")
+    assert str(exc.value) == f"g.snap:{lineno}: malformed {section} line"
+
+
+def test_a_negative_decimal_keeps_its_range_message():
+    with pytest.raises(InputError, match="radicals.tsv:1: radical -3 outside 1..214"):
+        formats.parse_radicals("4E00\t-3\n")
+    with pytest.raises(InputError, match="freq.tsv:1: count must be positive"):
+        formats.parse_freq_counts("4E00\t-3\n")
+    assert formats.parse_vectors(f"{formats.VECTORS_HEADER}\na\t-1:0.5\n") == \
+        (["a"], [{-1: 0.5}])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "vectors: need at least two categories, got 0"),
+    ("\na\t1:1\n\na\t2:1\n", "vectors:3: need at least two categories, got 1"),
+])
+def test_vectors_name_the_file_when_too_few_categories(text, message):
+    text = formats.VECTORS_HEADER + "\n" + text
+    formats.parse_vectors(text)  # no minimum by default
+    with pytest.raises(InputError) as exc:
+        formats.parse_vectors(text, min_per_label=1)
+    assert str(exc.value) == message

@@ -3,10 +3,10 @@
 Each parser gets a small valid file whose lines are mutated: a field is
 dropped or duplicated, or a token is replaced by a hostile one.  The only
 allowed outcomes are a parsed value whose every float is finite, or an
-``InputError``.
+``InputError`` whose message names the file, and the line where it has
+one.
 """
 
-import functools
 import math
 import os
 import re
@@ -25,6 +25,7 @@ from sinograph.phonetics import FeatureTable
 
 HOSTILE = ("nan", "inf", "-1", "-", "", "zz", "1e400")
 TOKEN = re.compile(r"[\w.+]+")
+NAMES_THE_FILE = re.compile(r"^[^:\s]+:(\d+:)? ")
 
 
 def _snapshot_text() -> str:
@@ -67,8 +68,8 @@ VALID = {
 }
 VALID["FeatureTable.load"] = VALID["parse_feature_table"]
 PARSERS = {name: getattr(formats, name) for name in VALID if name.startswith("parse_")}
-PARSERS["parse_relations"] = functools.partial(formats.parse_relations,
-                                               synsets={"s1", "s2"})
+PARSERS["parse_relations"] = lambda text: formats.parse_relations(
+    text, formats.parse_synsets(VALID["parse_synsets"]))
 PARSERS["FeatureTable.load"] = _load_feature_table
 
 
@@ -122,7 +123,8 @@ def test_mutated_input_parses_or_is_an_input_error(name, data):
     text = "\n".join(lines) + "\n"
     try:
         result = PARSERS[name](text)
-    except InputError:
+    except InputError as exc:
+        assert NAMES_THE_FILE.match(str(exc)), f"{name}: {exc} from {text!r}"
         return
     bad = [v for v in _floats(result) if not math.isfinite(v)]
     assert not bad, f"{name} returned non-finite numbers {bad} from {text!r}"

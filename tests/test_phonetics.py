@@ -124,6 +124,14 @@ def test_tone_digits_ignored_outside_mandarin():
         assert token_distance(lang, "ren2", "ren4", table) == 0.0
 
 
+def test_only_an_ascii_digit_is_a_tone():
+    assert strip_tone("ren2") == ("ren", 2)
+    # "²" is a digit to str.isdigit, but int() cannot read it
+    assert strip_tone("ren²") == ("ren²", 0)
+    assert token_distance(Language.MANDARIN, "ren²", "ren4",
+                          FeatureTable.load()) >= 0.0
+
+
 def test_class_distance_shared_reading_is_zero():
     on = Language.JAPANESE_ON
     readings = {0: [Reading(on, ("nin",))], 1: [Reading(on, ("nin",))]}
