@@ -36,9 +36,19 @@ class Language(str, Enum):
 MAX_KUN_SYLLABLES = 12
 
 
+def strip_tone(token: str) -> tuple[str, int]:
+    """Split a syllable token into its segmental body and tone digit
+    (0 when absent); the digit is ASCII, as ``int`` reads no other."""
+    token = token.strip().lower()
+    if token and "0" <= token[-1] <= "9":
+        return token[:-1], int(token[-1])
+    return token, 0
+
+
 @dataclass(frozen=True)
 class Reading:
-    """One pronunciation of a character in one language."""
+    """One pronunciation of a character in one language; every syllable
+    has a body besides its tone digit."""
 
     language: Language
     syllables: tuple[str, ...]
@@ -52,6 +62,9 @@ class Reading:
         if self.language is Language.JAPANESE_KUN and len(self.syllables) > MAX_KUN_SYLLABLES:
             raise InputError(
                 f"kun reading longer than {MAX_KUN_SYLLABLES} syllables: {self.syllables!r}")
+        for token in self.syllables:
+            if not strip_tone(token)[0]:
+                raise InputError(f"empty syllable token {token!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from . import formats
-from .charstore import CharacterStore, Language, Reading
+from .charstore import CharacterStore, Language
 from .classify import DEFAULT_C, DEFAULT_K, cross_validate
 from .errors import DataError, InputError
 from .features import (
@@ -34,7 +34,13 @@ from .features import (
 from .freqlists import aggregate_ufl, distance_matrix
 from .graphcore import from_edges, lift_to_classes, transitive_reduce
 from .inferschar import DEFAULT_MAX_DEPTH, semantic_approximation
-from .phonetics import DEFAULT_BINS, FeatureTable, phoneticity, phoneticity_histogram
+from .phonetics import (
+    DEFAULT_BINS,
+    FeatureTable,
+    class_readings,
+    phoneticity,
+    phoneticity_histogram,
+)
 from .semantics import SEMANTICITY_COEFFICIENTS, annotate_classes, annotate_semanticity
 from .strokesig import DEFAULT_TOLERANCE, char_signature, detect_inclusions
 
@@ -111,12 +117,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         languages = list(dict.fromkeys(Language.parse(tok) for tok in
                                        args.languages.split(","))) \
             if args.languages else list(Language)
-        # a class reads as all its members do, variants included
-        class_of = {cp: cls.id for cls in classes for cp in cls.members}
-        readings: dict[int, list[Reading]] = {}
-        for cp, reading in formats.load_readings(args.readings):
-            if cp in class_of:
-                readings.setdefault(class_of[cp], []).append(reading)
+        readings = class_readings(formats.load_readings(args.readings), classes)
         for lang in languages:
             try:
                 phoneticity(g, readings, lang, table)
@@ -171,7 +172,7 @@ def _resolve_class(args, classes) -> list[int]:
                 ids.append(by_cp[cp])
                 continue
         try:
-            cid = int(token)
+            cid = formats.decimal(token)
         except ValueError:
             raise InputError(f"cannot resolve class {token!r}") from None
         if not any(cls.id == cid for cls in classes):
@@ -296,7 +297,7 @@ def build_parser() -> _Parser:
                    default=list(SEMANTICITY_COEFFICIENTS),
                    metavar=("F1", "F2", "R"))
     p.add_argument("--phi-histogram", help="write a phi histogram CSV here")
-    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
+    p.add_argument("--bins", type=formats.decimal, default=DEFAULT_BINS)
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("chains", help="least-phonetic / most-semantic chains")
@@ -311,7 +312,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("freqdist", help="pairwise frequency-list distances")
     p.add_argument("--lists", nargs="+", required=True)
-    p.add_argument("--n", type=int, default=3000)
+    p.add_argument("--n", type=formats.decimal, default=3000)
     p.add_argument("--ufl-out", help="write the aggregated list here")
     p.add_argument("--renormalize", action="store_true")
     p.add_argument("--out")
@@ -320,7 +321,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("features", help="document feature vectors")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--min-count", type=int, default=DEFAULT_MIN_COUNT)
+    p.add_argument("--min-count", type=formats.decimal, default=DEFAULT_MIN_COUNT)
     p.add_argument("--strategy", choices=list(STRATEGIES), default="baseline")
     p.add_argument("--language", default=DEFAULT_LANGUAGE.value)
     p.add_argument("--vocab-out")
@@ -329,9 +330,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="cross-validated classification")
     p.add_argument("--vectors", required=True)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--k", type=formats.decimal, default=DEFAULT_K)
     p.add_argument("--C", type=float, default=DEFAULT_C)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=formats.decimal, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
@@ -341,7 +342,7 @@ def build_parser() -> _Parser:
     p.add_argument("--class", dest="cls", action="append",
                    help="class id, or a member codepoint in hex")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--max-depth", type=formats.decimal, default=DEFAULT_MAX_DEPTH)
     p.add_argument("--direction", choices=["sub", "super"], default="sub")
     p.add_argument("--out")
     p.set_defaults(func=cmd_query_unknown)

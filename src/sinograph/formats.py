@@ -109,10 +109,10 @@ def _codepoint(token: str) -> int:
     return cp
 
 
-def _decimal(token: str) -> int:
-    """A decimal integer in every file: ASCII digits after an optional "-",
-    else a ``ValueError``.  ``int(token)`` alone would also take "_",
-    blanks, "+" and non-ASCII digits."""
+def decimal(token: str) -> int:
+    """A decimal integer in every file and flag: ASCII digits after an
+    optional "-", else a ``ValueError``.  ``int(token)`` alone would also
+    take "_", blanks, "+" and non-ASCII digits."""
     if token.isascii() and (token.isdigit()
                             or token[:1] == "-" and token[1:].isdigit()):
         return int(token)
@@ -201,7 +201,7 @@ def parse_radicals(text: str, path: str = "radicals.tsv") -> dict[int, int]:
             if cp in out:
                 raise InputError(f"duplicate codepoint {cp_tok}")
             try:
-                rad = _decimal(rad_tok)
+                rad = decimal(rad_tok)
             except ValueError:
                 raise InputError(f"bad radical {rad_tok!r}") from None
             if not 1 <= rad <= 214:
@@ -260,7 +260,7 @@ def parse_freq_counts(text: str, path: str = "freq.tsv") -> FrequencyList:
         for cp_tok, cnt_tok in reader.records(2):
             cp = _codepoint(cp_tok)
             try:
-                cnt = _decimal(cnt_tok)
+                cnt = decimal(cnt_tok)
             except ValueError:
                 raise InputError(f"bad count {cnt_tok!r}") from None
             if cnt <= 0:
@@ -289,12 +289,16 @@ def load_corpus(path: str) -> list[tuple[str, str]]:
 
 PhonemeScales = dict[str, tuple[float, ...]]
 
+#: The largest magnitude of a scale value.  A squared weighted difference
+#: is then at most (5 * 2e100)**2, so every distance stays finite.
+MAX_SCALE = 1e100
+
 
 def parse_feature_table(text: str, path: str = "phoneme_features.tsv"
                         ) -> tuple[PhonemeScales, PhonemeScales]:
     """Consonant and vowel scale values, from ``C<TAB>symbol`` rows with
-    four numbers and ``V<TAB>symbol`` rows with three; both inventories
-    must hold the ``-`` null phoneme."""
+    four numbers and ``V<TAB>symbol`` rows with three, each within
+    ``MAX_SCALE`` of 0; both inventories must hold the ``-`` null phoneme."""
     scales: dict[str, PhonemeScales] = {"C": {}, "V": {}}
     width = {"C": 4, "V": 3}
     with _Reader(text, path) as reader:
@@ -305,8 +309,8 @@ def parse_feature_table(text: str, path: str = "phoneme_features.tsv"
                 nums = tuple(float(v) for v in values)
             except ValueError:
                 raise InputError("bad number") from None
-            if not all(math.isfinite(v) for v in nums):
-                raise InputError("non-finite number")
+            if not all(abs(v) <= MAX_SCALE for v in nums):  # nan fails too
+                raise InputError(f"scale value outside [-{MAX_SCALE:g}, {MAX_SCALE:g}]")
             scales[kind][symbol] = nums
         if "-" not in scales["C"] or "-" not in scales["V"]:
             raise InputError("feature table must define the '-' null phonemes")
@@ -341,7 +345,7 @@ def parse_vectors(text: str, path: str = "vectors", min_per_label: int = 0
             for cell in cells.split():
                 try:
                     cid_tok, w_tok = cell.split(":")
-                    cid, w = _decimal(cid_tok), float(w_tok)
+                    cid, w = decimal(cid_tok), float(w_tok)
                 except ValueError:
                     raise InputError(f"bad cell {cell!r}") from None
                 if not math.isfinite(w):
@@ -429,7 +433,7 @@ def _weight(token: str, name: str, upper: float = math.inf) -> float:
 
 def _count(token: str, name: str) -> int:
     """An edge count cell: an integer >= 0."""
-    value = _decimal(token)
+    value = decimal(token)
     if value >= 0:
         return value
     raise InputError(f"{name} {token!r} is negative")
@@ -465,7 +469,7 @@ def parse_snapshot(text: str, path: str = "snapshot"
                     g.meta[key] = value
                 elif section == "NODES":
                     cid_tok, members_tok, rep_tok, synsets_tok = fields
-                    cid = _decimal(cid_tok)
+                    cid = decimal(cid_tok)
                     if cid in g:
                         raise InputError(f"class id {cid} declared twice")
                     members = frozenset(_codepoint(m) for m in members_tok.split())
@@ -482,7 +486,7 @@ def parse_snapshot(text: str, path: str = "snapshot"
                     if len(fields) != _EDGE_FIELDS:
                         raise InputError(f"expected {_EDGE_FIELDS} tab-separated "
                                          f"fields, got {len(fields)}")
-                    sub, sup = _decimal(fields[0]), _decimal(fields[1])
+                    sub, sup = decimal(fields[0]), decimal(fields[1])
                     if sub not in g or sup not in g:
                         missing = sup if sub in g else sub
                         raise InputError(f"edge endpoint {missing} is not a "

@@ -16,19 +16,20 @@ The phoneticity of an edge maps the minimum reading distance between the
 two classes onto [0, 1], with 1 at distance zero and 0 at the largest
 finite distance observed in the graph.
 
-A ``FeatureTable`` memoises what depends on it alone: each token's
-features, each (language, token pair) distance and the largest segmental
-distance are computed once per table, and live as long as the table.
+A ``FeatureTable`` owns every quantity that depends on it alone: each
+token's features and each (language, token pair) distance are computed
+once per table, and the largest segmental distance when it is made.
+``class_readings`` indexes the readings once per language and class,
+and the class and edge distances read that index.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .charstore import Language, Reading
+from .charstore import AllographClass, Language, Reading, strip_tone
 from .errors import DataError, InputError
 from .formats import parse_feature_table, read_text
 from .graphcore import InclusionGraph
@@ -40,34 +41,30 @@ DEFAULT_BINS = 20
 #: mismatch.
 TONE_PENALTY_FACTOR = 0.1
 
-
-@dataclass(frozen=True)
-class SyllableFeatures:
-    consonant_place: float
-    consonant_voicing: float
-    consonant_manner: float
-    consonant_palatalization: float
-    vowel_frontness: float
-    vowel_height: float
-    vowel_rounding: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.consonant_place, self.consonant_voicing,
-                self.consonant_manner, self.consonant_palatalization,
-                self.vowel_frontness, self.vowel_height, self.vowel_rounding)
+#: Language -> class id -> the readings of the class's members.
+ClassReadings = Mapping[Language, Mapping[int, Sequence[Reading]]]
 
 
 class FeatureTable:
-    """Phoneme -> scale values, loaded from a TSV data table."""
+    """Phoneme -> scale values, loaded from a TSV data table, and the
+    syllable distances computed from them."""
 
     def __init__(self, consonants: dict[str, tuple[float, ...]],
                  vowels: dict[str, tuple[float, ...]]) -> None:
         self.consonants = consonants
         self.vowels = vowels
         self._onsets = sorted(consonants, key=len, reverse=True)
-        self._features: dict[str, SyllableFeatures] = {}
+        self._features: dict[str, tuple[float, ...]] = {}
         self._token_distances: dict[tuple[Language, str, str], float] = {}
-        self._max_segmental: float | None = None
+        # the largest distance between two syllables of this inventory,
+        # which scales the tone penalty
+        wc, wv = FEATURE_WEIGHTS[:4], FEATURE_WEIGHTS[4:]
+        cons, vows = consonants.values(), vowels.values()
+        best_c = max(sum((w * (a - b)) ** 2 for w, a, b in zip(wc, ca, cb))
+                     for ca in cons for cb in cons)
+        best_v = max(sum((w * (a - b)) ** 2 for w, a, b in zip(wv, va, vb))
+                     for va in vows for vb in vows)
+        self.max_segmental = math.sqrt(best_c + best_v)
 
     @classmethod
     def load(cls, path: str | None = None) -> "FeatureTable":
@@ -78,8 +75,10 @@ class FeatureTable:
             text = read_text(path)
         return cls(*parse_feature_table(text, path))
 
-    def syllable_features(self, token: str) -> SyllableFeatures:
-        """Map a romanized syllable token to its feature vector.
+    def syllable_features(self, token: str) -> tuple[float, ...]:
+        """Map a romanized syllable token to its 7 feature values: the
+        consonant scales of its onset, then the vowel scales of its
+        nucleus.
 
         The longest matching onset from the consonant inventory is taken,
         then the first vowel symbol of the remainder; a missing onset or
@@ -87,66 +86,50 @@ class FeatureTable:
         """
         features = self._features.get(token)
         if features is None:
-            features = self._features[token] = self._syllable_features(token)
+            body = strip_tone(token)[0]
+            onset = "-"
+            for cand in self._onsets:
+                if cand != "-" and body.startswith(cand):
+                    onset = cand
+                    body = body[len(cand):]
+                    break
+            vowel = next((ch for ch in body if ch in self.vowels and ch != "-"), "-")
+            features = self.consonants[onset] + self.vowels[vowel]
+            self._features[token] = features
         return features
 
-    def _syllable_features(self, token: str) -> SyllableFeatures:
-        body = strip_tone(token)[0]
-        if not body:
-            raise InputError(f"empty syllable token {token!r}")
-        onset = "-"
-        for cand in self._onsets:
-            if cand != "-" and body.startswith(cand):
-                onset = cand
-                body = body[len(cand):]
-                break
-        vowel = next((ch for ch in body if ch in self.vowels and ch != "-"), "-")
-        c = self.consonants[onset]
-        v = self.vowels[vowel]
-        return SyllableFeatures(*c, *v)
-
-    def max_segmental_distance(self) -> float:
-        """Largest weighted distance realizable between two syllables of
-        this inventory (used to scale the tone penalty)."""
-        if self._max_segmental is None:
-            wc, wv = FEATURE_WEIGHTS[:4], FEATURE_WEIGHTS[4:]
-            cons, vows = self.consonants.values(), self.vowels.values()
-            best_c = max(sum((w * (a - b)) ** 2 for w, a, b in zip(wc, ca, cb))
-                         for ca in cons for cb in cons)
-            best_v = max(sum((w * (a - b)) ** 2 for w, a, b in zip(wv, va, vb))
-                         for va in vows for vb in vows)
-            self._max_segmental = math.sqrt(best_c + best_v)
-        return self._max_segmental
+    def token_distance(self, language: Language, a: str, b: str) -> float:
+        """Segmental syllable distance, plus the tone penalty for a
+        Mandarin tone mismatch; computed once per (language, a, b)."""
+        key = (language, a, b)
+        d = self._token_distances.get(key)
+        if d is None:
+            d = syllable_distance(self.syllable_features(a),
+                                  self.syllable_features(b))
+            if language is Language.MANDARIN and strip_tone(a)[1] != strip_tone(b)[1]:
+                d += TONE_PENALTY_FACTOR * self.max_segmental
+            self._token_distances[key] = d
+        return d
 
 
-def strip_tone(token: str) -> tuple[str, int]:
-    """Split a syllable token into its segmental body and tone digit
-    (0 when absent); the digit is ASCII, as ``int`` reads no other."""
-    token = token.strip().lower()
-    if token and "0" <= token[-1] <= "9":
-        return token[:-1], int(token[-1])
-    return token, 0
-
-
-def syllable_distance(a: SyllableFeatures, b: SyllableFeatures) -> float:
+def syllable_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Euclidean distance after scaling each axis by its weight."""
     return math.sqrt(sum(
-        (w * (x - y)) ** 2
-        for w, x, y in zip(FEATURE_WEIGHTS, a.as_tuple(), b.as_tuple())))
+        (w * (x - y)) ** 2 for w, x, y in zip(FEATURE_WEIGHTS, a, b)))
 
 
-def token_distance(language: Language, a: str, b: str,
-                   table: FeatureTable) -> float:
-    """Segmental syllable distance, plus the tone penalty for a Mandarin
-    tone mismatch; computed once per (language, a, b) and table."""
-    key = (language, a, b)
-    d = table._token_distances.get(key)
-    if d is None:
-        d = syllable_distance(table.syllable_features(a), table.syllable_features(b))
-        if language is Language.MANDARIN and strip_tone(a)[1] != strip_tone(b)[1]:
-            d += TONE_PENALTY_FACTOR * table.max_segmental_distance()
-        table._token_distances[key] = d
-    return d
+def class_readings(readings: Iterable[tuple[int, Reading]],
+                   classes: Iterable[AllographClass]
+                   ) -> dict[Language, dict[int, list[Reading]]]:
+    """Index (codepoint, reading) pairs by language, then class id: a
+    class reads as all its members do, variants included.  Codepoints
+    outside every class are dropped."""
+    class_of = {cp: cls.id for cls in classes for cp in cls.members}
+    index: dict[Language, dict[int, list[Reading]]] = {lang: {} for lang in Language}
+    for cp, reading in readings:
+        if cp in class_of:
+            index[reading.language].setdefault(class_of[cp], []).append(reading)
+    return index
 
 
 def reading_distance(r1: Reading, r2: Reading, table: FeatureTable) -> float:
@@ -163,32 +146,29 @@ def reading_distance(r1: Reading, r2: Reading, table: FeatureTable) -> float:
     k = len(short)
     best = math.inf
     for offset in range(len(long_) - k + 1):
-        mean = sum(token_distance(r1.language, short[i], long_[offset + i], table)
+        mean = sum(table.token_distance(r1.language, short[i], long_[offset + i])
                    for i in range(k)) / k
         best = min(best, mean)
     return best
 
 
-def class_distance(readings: Mapping[int, Sequence[Reading]], class_a: int,
-                   class_b: int, language: Language,
-                   table: FeatureTable) -> float | None:
+def class_distance(readings: ClassReadings, class_a: int, class_b: int,
+                   language: Language, table: FeatureTable) -> float | None:
     """Minimum reading distance over all pairs of the two classes'
-    readings, ``readings`` mapping a class id to the readings of all its
-    members; ``None`` (unknown) when either class has no reading in the
-    language."""
-    readings_a = [r for r in readings.get(class_a, ()) if r.language is language]
-    readings_b = [r for r in readings.get(class_b, ()) if r.language is language]
+    ``language`` readings in the ``class_readings`` index; ``None``
+    (unknown) when either class has no reading in the language."""
+    of_class = readings[language]
+    readings_a, readings_b = of_class.get(class_a), of_class.get(class_b)
     if not readings_a or not readings_b:
         return None
     return min(reading_distance(ra, rb, table)
                for ra in readings_a for rb in readings_b)
 
 
-def phoneticity(g: InclusionGraph, readings: Mapping[int, Sequence[Reading]],
-                language: Language,
+def phoneticity(g: InclusionGraph, readings: ClassReadings, language: Language,
                 table: FeatureTable | None = None) -> InclusionGraph:
     """Annotate every edge with its phoneticity for ``language``, from
-    ``readings`` mapping each class id to the readings of its members.
+    the ``class_readings`` index ``readings``.
 
     phi = 1 - d_min / D with D the maximum finite class distance over all
     edges, so phi is 1 exactly at distance 0 and the farthest edge gets 0.

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import math
 import os
@@ -745,3 +746,92 @@ def test_cli_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, check=True, capture_output=True, text=True).stdout
     assert loaded.strip() == "[]"
+
+
+@pytest.mark.parametrize("languages", [[], ["--languages", "ja_on"]])
+def test_annotate_refuses_a_feature_table_without_finite_distances(
+        pipeline_files, capsys, languages):
+    # squared, 1e200 is past the largest float; only cmn's tone penalty
+    # reads the largest distance, but the table itself is refused
+    path = pipeline_files["table"]
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lineno = lines.index("C\tb\t1\t1\t1\t0") + 1
+    lines[lineno - 1] = "C\tb\t1e200\t1\t1\t0"
+    write(path, "\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["annotate", "--snapshot", pipeline_files["snap"],
+               "--out", pipeline_files["out"],
+               "--readings", pipeline_files["readings"],
+               "--feature-table", path, *languages])
+    assert rc == 2
+    assert (f"input error: {path}:{lineno}: scale value outside [-1e+100, 1e+100]"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("record, token", [("4E00\tcmn\t5", "5"),
+                                           ("4E02\tja_kun\thi 2", "2")])
+def test_a_tone_only_syllable_names_its_line(chain_inputs, capsys, record, token):
+    readings = chain_inputs["readings"]
+    with open(readings, encoding="utf-8") as fh:
+        lineno = len(fh.read().splitlines()) + 1
+    with open(readings, "a", encoding="utf-8") as fh:
+        fh.write(record + "\n")
+    snap = str(chain_inputs["dir"] / "g.snap")
+    assert main(["build-graph", "--strokes", chain_inputs["strokes"],
+                 "--out", snap]) == 0
+    capsys.readouterr()
+    rc = main(["annotate", "--snapshot", snap,
+               "--out", str(chain_inputs["dir"] / "a.snap"), "--readings", readings])
+    assert rc == 2
+    assert (f"input error: {readings}:{lineno}: empty syllable token {token!r}"
+            in capsys.readouterr().err)
+
+
+def _integer_flags():
+    """(subcommand, flag, action) of every flag that takes an integer."""
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for name, sub in commands.items():
+        for action in sub._actions:
+            if action.type in (int, formats.decimal) or type(action.default) is int:
+                yield name, action.option_strings[0], action
+
+
+def test_every_integer_flag_takes_ascii_digits_only():
+    flags = list(_integer_flags())
+    assert {(name, flag) for name, flag, _ in flags} == {
+        ("annotate", "--bins"), ("freqdist", "--n"), ("features", "--min-count"),
+        ("evaluate", "--k"), ("evaluate", "--seed"), ("query-unknown", "--max-depth")}
+    for name, flag, action in flags:
+        assert action.type("3") == 3 and action.type("-3") == -3
+        for token in ("+3", "1_0", "３"):
+            with pytest.raises(ValueError):
+                action.type(token)
+
+
+@pytest.mark.parametrize("argv", [
+    "evaluate --vectors {vectors} --k +3",
+    "evaluate --vectors {vectors} --k １０",
+    "freqdist --lists {ufl} {ufl} --n 1_0",
+    "features --snapshot {snap} --corpus {corpus} --out {out} --min-count +1_0",
+    "annotate --snapshot {snap} --out {out} --readings {readings} --bins +2",
+])
+def test_a_non_decimal_integer_flag_is_a_usage_error(pipeline_files, capsys, argv):
+    capsys.readouterr()
+    rc = main([token.format(**pipeline_files) for token in argv.split()])
+    assert rc == 1
+    assert "invalid decimal value" in capsys.readouterr().err
+    assert not os.path.exists(pipeline_files["out"])
+
+
+@pytest.mark.parametrize("command", ["chains --kind semantic", "query-unknown"])
+@pytest.mark.parametrize("token", ["+1", "１", "1_0"])
+def test_a_non_decimal_class_id_is_an_input_error(pipeline_files, capsys,
+                                                  command, token):
+    capsys.readouterr()
+    rc = main(command.split() + ["--snapshot", pipeline_files["snap"],
+                                 "--class", token])
+    assert rc == 2
+    assert f"cannot resolve class {token!r}" in capsys.readouterr().err

@@ -2,7 +2,9 @@
 
 The files are the nine inputs ``make_dataset`` writes (``data/*.tsv``),
 the CLI output files and ``stdout.txt``, the tab-separated summaries the
-subcommands print.  A change that alters any byte of them fails here.
+subcommands print.  ``freqdist`` compares ``data/freq.tsv`` with a list
+counted here from the first half of ``data/corpus.tsv``.  A change that
+alters any byte of them fails here.
 A change that alters behaviour on purpose regenerates the digest file in
 the same change and says why:
 
@@ -13,7 +15,9 @@ import contextlib
 import hashlib
 import os
 import tempfile
+from collections import Counter
 
+from sinograph import formats
 from sinograph.cli import main as cli_main
 from sinograph.synthdata import make_dataset
 
@@ -36,7 +40,8 @@ def run_pipeline(base: str) -> dict[str, str]:
     out = {name: os.path.join(base, name) for name in (
         "graph.snap", "annotated.snap", "phi_hist.csv", "chains_semantic.txt",
         "chains_phonetic.txt", "chains_phonetic_cmn.txt", "queries.txt",
-        "report_baseline.txt", "report_combined.txt", "stdout.txt")}
+        "report_baseline.txt", "report_combined.txt", "stdout.txt",
+        "freqdist.txt", "ufl.txt")}
     for strategy in STRATEGIES + CMN_STRATEGIES:
         for kind in ("vectors", "vocab"):
             name = f"{kind}_{strategy}.txt"
@@ -45,6 +50,7 @@ def run_pipeline(base: str) -> dict[str, str]:
     with open(out["stdout.txt"], "w", encoding="utf-8") as fh, \
             contextlib.redirect_stdout(fh):
         _run_subcommands(data, out)
+    _run_freqdist(base)
     return out
 
 
@@ -79,6 +85,23 @@ def _run_subcommands(data: str, out: dict[str, str]) -> None:
         _run(["evaluate", "--vectors", out[f"vectors_{strategy}.txt"],
               "--k", "10", "--C", "1", "--seed", "42",
               "--out", out[f"report_{strategy}.txt"]])
+
+
+def _run_freqdist(base: str) -> None:
+    """``freqdist`` of ``data/freq.tsv`` and the counts of the first half
+    of the corpus, two lists that differ in ranking and coverage."""
+    docs = formats.load_corpus(os.path.join(base, "data", "corpus.tsv"))
+    counts = Counter(ord(ch) for _, text in docs[:len(docs) // 2] for ch in text)
+    formats.write_lines(os.path.join(base, "freq_half.tsv"),
+                        [f"{cp:X}\t{n}" for cp, n in sorted(counts.items())])
+    # lists are named by their paths as given, so these are relative
+    cwd = os.getcwd()
+    os.chdir(base)
+    try:
+        _run(["freqdist", "--lists", "data/freq.tsv", "freq_half.tsv",
+              "--n", "100", "--out", "freqdist.txt", "--ufl-out", "ufl.txt"])
+    finally:
+        os.chdir(cwd)
 
 
 def digests(paths: dict[str, str]) -> dict[str, str]:

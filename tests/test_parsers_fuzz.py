@@ -23,7 +23,7 @@ from sinograph.errors import InputError
 from sinograph.graphcore import EdgeData, InclusionGraph
 from sinograph.phonetics import FeatureTable
 
-HOSTILE = ("nan", "inf", "-1", "-", "", "zz", "1e400")
+HOSTILE = ("nan", "inf", "-1", "-", "", "zz", "1e400", "1e200")
 TOKEN = re.compile(r"[\w.+]+")
 NAMES_THE_FILE = re.compile(r"^[^:\s]+:(\d+:)? ")
 

@@ -8,31 +8,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sinograph.charstore import Language, Reading
+from sinograph.charstore import AllographClass, Language, Reading, strip_tone
 from sinograph.errors import DataError, InputError
 from sinograph.graphcore import from_edges
 from sinograph.phonetics import (
     FEATURE_WEIGHTS,
     TONE_PENALTY_FACTOR,
     FeatureTable,
-    SyllableFeatures,
     class_distance,
+    class_readings,
     least_phonetic_chain,
     phoneticity,
     phoneticity_histogram,
     reading_distance,
-    strip_tone,
     syllable_distance,
-    token_distance,
 )
+
+FEATURE_NAMES = ("consonant_place", "consonant_voicing", "consonant_manner",
+                 "consonant_palatalization", "vowel_frontness", "vowel_height",
+                 "vowel_rounding")
 
 
 def feat(**over):
-    base = dict(consonant_place=0, consonant_voicing=0, consonant_manner=0,
-                consonant_palatalization=0, vowel_frontness=0, vowel_height=0,
-                vowel_rounding=0)
-    base.update(over)
-    return SyllableFeatures(**base)
+    """A syllable's feature tuple: 0 on every axis but those named."""
+    return tuple(float(over.get(name, 0)) for name in FEATURE_NAMES)
 
 
 BUNDLED_TABLE = resources.files("sinograph").joinpath(
@@ -75,7 +74,7 @@ def brute_window_distance(lang, short, long_, table):
     k = len(short)
     means = []
     for off in range(len(long_) - k + 1):
-        means.append(sum(token_distance(lang, short[i], long_[off + i], table)
+        means.append(sum(table.token_distance(lang, short[i], long_[off + i])
                          for i in range(k)) / k)
     return min(means)
 
@@ -111,37 +110,54 @@ def test_reading_distance_language_mismatch():
 
 def test_mandarin_tone_only_difference_is_small():
     table = FeatureTable.load()
-    d_tone = token_distance(Language.MANDARIN, "ren2", "ren4", table)
-    assert d_tone == pytest.approx(0.1 * table.max_segmental_distance())
-    assert token_distance(Language.MANDARIN, "ren2", "ren2", table) == 0.0
-    d_other = token_distance(Language.MANDARIN, "ren2", "ma3", table)
+    d_tone = table.token_distance(Language.MANDARIN, "ren2", "ren4")
+    assert d_tone == pytest.approx(0.1 * table.max_segmental)
+    assert table.token_distance(Language.MANDARIN, "ren2", "ren2") == 0.0
+    d_other = table.token_distance(Language.MANDARIN, "ren2", "ma3")
     assert d_tone < d_other
 
 
 def test_tone_digits_ignored_outside_mandarin():
     table = FeatureTable.load()
     for lang in (Language.JAPANESE_ON, Language.JAPANESE_KUN):
-        assert token_distance(lang, "ren2", "ren4", table) == 0.0
+        assert table.token_distance(lang, "ren2", "ren4") == 0.0
 
 
 def test_only_an_ascii_digit_is_a_tone():
     assert strip_tone("ren2") == ("ren", 2)
     # "²" is a digit to str.isdigit, but int() cannot read it
     assert strip_tone("ren²") == ("ren²", 0)
-    assert token_distance(Language.MANDARIN, "ren²", "ren4",
-                          FeatureTable.load()) >= 0.0
+    assert FeatureTable.load().token_distance(Language.MANDARIN, "ren²",
+                                              "ren4") >= 0.0
+
+
+def test_class_readings_join_variants_and_drop_classless_codepoints():
+    on, cmn = Language.JAPANESE_ON, Language.MANDARIN
+    classes = [AllographClass(0, frozenset({0x4EBA, 0x4EBB}), 0x4EBA),
+               AllographClass(1, frozenset({0x5165}), 0x5165)]
+    nin, jin, ren = (Reading(on, ("nin",)), Reading(on, ("jin",)),
+                     Reading(cmn, ("ren2",)))
+    pairs = [(0x4EBA, nin), (0x4E00, ren), (0x4EBB, jin), (0x4EBB, ren)]
+    assert class_readings(pairs, classes) == {
+        cmn: {0: [ren]}, on: {0: [nin, jin]}, Language.JAPANESE_KUN: {}}
+
+
+def by_language(readings):
+    """The ``class_readings`` index of a class id -> readings mapping."""
+    return {lang: {cid: [r for r in rs if r.language is lang]
+                   for cid, rs in readings.items()} for lang in Language}
 
 
 def test_class_distance_shared_reading_is_zero():
     on = Language.JAPANESE_ON
-    readings = {0: [Reading(on, ("nin",))], 1: [Reading(on, ("nin",))]}
+    readings = by_language({0: [Reading(on, ("nin",))], 1: [Reading(on, ("nin",))]})
     assert class_distance(readings, 0, 1, on, FeatureTable.load()) == 0.0
 
 
 def test_class_distance_unknown_when_readingless():
     on = Language.JAPANESE_ON
-    readings = {0: [Reading(on, ("nin",))],
-                1: [Reading(Language.MANDARIN, ("ren2",))]}
+    readings = by_language({0: [Reading(on, ("nin",))],
+                            1: [Reading(Language.MANDARIN, ("ren2",))]})
     table = FeatureTable.load()
     assert class_distance(readings, 0, 1, on, table) is None  # no ja_on reading
     assert class_distance(readings, 0, 2, on, table) is None  # no reading at all
@@ -150,11 +166,12 @@ def test_class_distance_unknown_when_readingless():
 def test_class_distance_is_min_over_cross_product():
     on = Language.JAPANESE_ON
     sylls = {0: [("ka",), ("nin",)], 1: [("sei",), ("nin",)]}
-    readings = {cid: [Reading(on, s) for s in ss] for cid, ss in sylls.items()}
+    readings = by_language({cid: [Reading(on, s) for s in ss]
+                            for cid, ss in sylls.items()})
     table = FeatureTable.load()
     got = class_distance(readings, 0, 1, on, table)
     want = min(reading_distance(ra, rb, table)
-               for ra in readings[0] for rb in readings[1])
+               for ra in readings[on][0] for rb in readings[on][1])
     assert got == pytest.approx(want)
     assert got == 0.0  # both classes can say "nin"
 
@@ -174,7 +191,8 @@ def test_phoneticity_normalization_endpoints(monkeypatch):
 
 def test_phoneticity_unknown_propagates_and_all_unknown_errors():
     on = Language.JAPANESE_ON
-    readings = {1: [Reading(on, ("nin",))], 2: [Reading(on, ("nin",))], 3: []}
+    readings = by_language({1: [Reading(on, ("nin",))], 2: [Reading(on, ("nin",))],
+                            3: []})
     g = from_edges([(1, 2), (1, 3)])
     phoneticity(g, readings, on)
     assert g.edge(1, 2).phi["ja_on"] == 1.0
@@ -182,7 +200,7 @@ def test_phoneticity_unknown_propagates_and_all_unknown_errors():
 
     g2 = from_edges([(1, 2)])
     with pytest.raises(DataError):
-        phoneticity(g2, {1: [], 2: []}, on)
+        phoneticity(g2, by_language({1: [], 2: []}), on)
 
 
 def random_phi_dag(rng, n=12):
@@ -300,7 +318,7 @@ def oracle_features(table, token):
             body = body[len(cand):]
             break
     vowel = next((ch for ch in body if ch in table.vowels and ch != "-"), "-")
-    return SyllableFeatures(*table.consonants[onset], *table.vowels[vowel])
+    return table.consonants[onset] + table.vowels[vowel]
 
 
 @functools.cache  # one value per table; recomputed per token pair it is slow
@@ -351,7 +369,7 @@ TOKENS = st.builds(lambda body, tone: body + tone,
 
 
 @st.composite
-def class_readings(draw):
+def readings_of_classes(draw):
     """Readings of up to four classes in any of the three languages; kun
     readings have one to four syllables."""
     readings = {}
@@ -365,7 +383,7 @@ def class_readings(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(class_readings())
+@given(readings_of_classes())
 @example({0: [Reading(CMN, ("ren2",)), Reading(ON, ("ren4",))],
           1: [Reading(CMN, ("ren4",)), Reading(ON, ("ren2",))]})
 @example({0: [Reading(KUN, ("ka", "se2"))],
@@ -373,12 +391,13 @@ def class_readings(draw):
           2: [Reading(KUN, ("se4",)), Reading(CMN, ("se2",))]})
 def test_memoised_distances_equal_the_unmemoised_oracle(readings):
     table = SHARED_TABLE
+    index = by_language(readings)
     every = [r for rs in readings.values() for r in rs]
     tokens = sorted({t for r in every for t in r.syllables})
     for lang in Language:
         for a in tokens:
             for b in tokens:
-                assert token_distance(lang, a, b, table) == \
+                assert table.token_distance(lang, a, b) == \
                     oracle_token_distance(lang, a, b, table)
         same = [r for r in every if r.language is lang]
         for r1 in same:
@@ -387,6 +406,6 @@ def test_memoised_distances_equal_the_unmemoised_oracle(readings):
                     oracle_reading_distance(r1, r2, table)
         for ca in readings:
             for cb in readings:
-                assert class_distance(readings, ca, cb, lang, table) == \
+                assert class_distance(index, ca, cb, lang, table) == \
                     oracle_class_distance(readings, ca, cb, lang, table)
-    assert table.max_segmental_distance() == oracle_max_segmental_distance(table)
+    assert table.max_segmental == oracle_max_segmental_distance(table)
