@@ -4,8 +4,9 @@ An *allographic class* groups a character with its graphical variants
 (simplified/traditional forms, combining shapes).  Classes are the
 connected components of a user-supplied variant relation; characters not
 named in any variant pair become singleton classes.  ``build-graph``
-decides the partition once and writes it into the snapshot; every later
-stage reads it from there.  The module also defines the reading types
+decides the partition once and writes it into the snapshot; the snapshot
+reader fills a ``CharacterStore`` with it, and every later stage looks
+classes up in that store.  The module also defines the reading types
 (``Language``, ``Reading``) that the readings file parses into.
 """
 
@@ -131,13 +132,34 @@ def build_allograph_classes(
 
 
 class CharacterStore:
-    """The class partition of a character set."""
+    """The class partition of a character set, and its one index: each
+    class by id (``by_id``) and the class id of each member codepoint
+    (``class_of``).  ``add`` keeps the partition rules: a class
+    id appears once, and a codepoint belongs to one class only."""
 
     def __init__(
         self,
-        chars: Iterable[int],
+        chars: Iterable[int] = (),
         variant_pairs: Iterable[tuple[int, int]] = (),
         frequencies: Mapping[int, float] | None = None,
     ) -> None:
-        self.classes: list[AllographClass] = build_allograph_classes(
-            variant_pairs, chars, frequencies)
+        self.by_id: dict[int, AllographClass] = {}
+        self.class_of: dict[int, int] = {}
+        for cls in build_allograph_classes(variant_pairs, chars, frequencies):
+            self.add(cls)
+
+    def add(self, cls: AllographClass) -> None:
+        if cls.id in self.by_id:
+            raise InputError(f"class id {cls.id} declared twice")
+        for cp in cls.members:
+            if cp in self.class_of:
+                raise InputError(f"codepoint {cp:X} is in classes "
+                                 f"{self.class_of[cp]} and {cls.id}")
+        self.by_id[cls.id] = cls
+        for cp in cls.members:
+            self.class_of[cp] = cls.id
+
+    @property
+    def classes(self) -> list[AllographClass]:
+        """The classes in id order, whatever order they were added in."""
+        return [self.by_id[cid] for cid in sorted(self.by_id)]

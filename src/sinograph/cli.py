@@ -87,11 +87,11 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     chars = set(strokes) | {cp for pair in variant_pairs for cp in pair}
     store = CharacterStore(chars, variant_pairs, frequencies)
 
-    lifted = lift_to_classes(char_reduced.edges(), store.classes)
+    lifted = lift_to_classes(char_reduced.edges(), store)
     reduced = transitive_reduce(lifted)
     reduced.meta["tolerance"] = repr(args.tolerance)
 
-    formats.save_snapshot(args.out, reduced, store.classes)
+    formats.save_snapshot(args.out, reduced, store)
     print(f"characters\t{len(strokes)}")
     print(f"character_inclusions\t{len(char_edges)}")
     print(f"character_inclusions_reduced\t{char_reduced.edge_count()}")
@@ -107,7 +107,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
                          ("feature_table", "readings")):
         if getattr(args, flag) and not getattr(args, needed):
             raise InputError(f"--{flag.replace('_', '-')} needs --{needed}")
-    g, classes, annotations = formats.load_snapshot(args.snapshot)
+    g, store, annotations = formats.load_snapshot(args.snapshot)
 
     annotated_phi = []
     if args.readings:
@@ -117,7 +117,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         languages = list(dict.fromkeys(Language.parse(tok) for tok in
                                        args.languages.split(","))) \
             if args.languages else list(Language)
-        readings = class_readings(formats.load_readings(args.readings), classes)
+        readings = class_readings(formats.load_readings(args.readings), store)
         for lang in languages:
             try:
                 phoneticity(g, readings, lang, table)
@@ -130,13 +130,13 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     synstore = formats.load_synsets(args.synsets) if args.synsets else None
     if args.relations:  # checked above to come with --synsets
         formats.load_relations(args.relations, synstore)
-    annotate_semanticity(g, classes, synstore, radicals,
+    annotate_semanticity(g, store, synstore, radicals,
                          coefficients=tuple(args.coefficients))
 
     if synstore is not None:
         definitions = (formats.load_definitions(args.definitions)
                        if args.definitions else {})
-        annotations = annotate_classes(synstore, definitions, classes)
+        annotations = annotate_classes(synstore, definitions, store.classes)
 
     any_s = float(g.meta.get("s_raw_max", "0")) > 0
     if not annotated_phi and not any_s and not annotations:
@@ -151,31 +151,30 @@ def cmd_annotate(args: argparse.Namespace) -> int:
                 lines.append(f"{lang.value},{edges[i]:g},{edges[i + 1]:g},{c}")
         formats.write_lines(args.phi_histogram, lines)
 
-    formats.save_snapshot(args.out, g, classes, annotations)
+    formats.save_snapshot(args.out, g, store, annotations)
     print(f"phi_languages\t{' '.join(l.value for l in annotated_phi) or '-'}")
     print(f"s_raw_max\t{g.meta.get('s_raw_max', '0')}")
     print(f"annotated_classes\t{len(annotations)}")
     return EXIT_OK
 
 
-def _resolve_class(args, classes) -> list[int]:
+def _resolve_class(args, store: CharacterStore) -> list[int]:
     if args.all:
-        return [cls.id for cls in sorted(classes, key=lambda c: c.id)]
+        return [cls.id for cls in store.classes]
     ids = []
-    by_cp = {cp: cls.id for cls in classes for cp in cls.members}
     for token in args.cls or []:
         if token.startswith("U+") or token.startswith("u+"):
             token = token[2:]
         if formats.HEX_NUMBER.fullmatch(token):
             cp = int(token, 16)
-            if cp in by_cp:
-                ids.append(by_cp[cp])
+            if cp in store.class_of:
+                ids.append(store.class_of[cp])
                 continue
         try:
             cid = formats.decimal(token)
         except ValueError:
             raise InputError(f"cannot resolve class {token!r}") from None
-        if not any(cls.id == cid for cls in classes):
+        if cid not in store.by_id:
             raise DataError(f"no class with id {cid}")
         ids.append(cid)
     if not ids:
@@ -185,10 +184,10 @@ def _resolve_class(args, classes) -> list[int]:
 
 def cmd_chains(args: argparse.Namespace) -> int:
     language = Language.parse(args.language)
-    g, classes, _ = formats.load_snapshot(args.snapshot)
+    g, store, _ = formats.load_snapshot(args.snapshot)
     walk = CHAIN_KINDS[args.kind].walk
     lines = [f"{cid}\t" + " ".join(str(c) for c in walk(g, cid, language))
-             for cid in _resolve_class(args, classes)]
+             for cid in _resolve_class(args, store)]
     formats.write_lines(args.out, lines)
     return EXIT_OK
 
@@ -212,13 +211,12 @@ def cmd_freqdist(args: argparse.Namespace) -> int:
 
 def cmd_features(args: argparse.Namespace) -> int:
     language = Language.parse(args.language)
-    g, classes, _ = formats.load_snapshot(args.snapshot)
+    g, store, _ = formats.load_snapshot(args.snapshot)
     docs = formats.load_corpus(args.corpus)
     labels = [label for label, _ in docs]
     texts = [text for _, text in docs]
-    class_of = {cp: cls.id for cls in classes for cp in cls.members}
 
-    vocab, vectors = baseline_vectors(texts, class_of, min_count=args.min_count)
+    vocab, vectors = baseline_vectors(texts, store.class_of, min_count=args.min_count)
     vocab, vectors = augment(g, vocab, vectors, STRATEGIES[args.strategy],
                              language)
 
@@ -247,8 +245,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_query_unknown(args: argparse.Namespace) -> int:
-    g, classes, annotations = formats.load_snapshot(args.snapshot)
-    targets = _resolve_class(args, classes)
+    g, store, annotations = formats.load_snapshot(args.snapshot)
+    targets = _resolve_class(args, store)
     lines = []
     for cid in targets:
         vec = semantic_approximation(g, annotations, cid,

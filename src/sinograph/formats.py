@@ -34,7 +34,7 @@ import sys
 from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .charstore import AllographClass, Language, Reading
+from .charstore import AllographClass, CharacterStore, Language, Reading
 from .errors import DataError, InputError
 from .freqlists import FrequencyList, from_counts
 from .graphcore import EdgeData, InclusionGraph
@@ -298,13 +298,20 @@ def parse_feature_table(text: str, path: str = "phoneme_features.tsv"
                         ) -> tuple[PhonemeScales, PhonemeScales]:
     """Consonant and vowel scale values, from ``C<TAB>symbol`` rows with
     four numbers and ``V<TAB>symbol`` rows with three, each within
-    ``MAX_SCALE`` of 0; both inventories must hold the ``-`` null phoneme."""
+    ``MAX_SCALE`` of 0.  A symbol is defined once per inventory, a vowel
+    is one character (nuclei are matched a character at a time), and
+    both inventories must hold the ``-`` null phoneme."""
     scales: dict[str, PhonemeScales] = {"C": {}, "V": {}}
     width = {"C": 4, "V": 3}
     with _Reader(text, path) as reader:
         for kind, symbol, *values in reader.records(5, 6):
             if not symbol or width.get(kind) != len(values):
                 raise InputError(f"malformed row {[kind, symbol, *values]!r}")
+            if symbol in scales[kind]:
+                raise InputError(f"{kind} symbol {symbol!r} defined twice")
+            if kind == "V" and len(symbol) > 1:
+                raise InputError(f"vowel symbol {symbol!r} is longer than "
+                                 f"one character")
             try:
                 nums = tuple(float(v) for v in values)
             except ValueError:
@@ -383,10 +390,11 @@ def _fmt_float(v: float | None) -> str:
 def write_snapshot(
     fh: TextIO,
     g: InclusionGraph,
-    classes: Sequence[AllographClass],
+    store: CharacterStore,
     annotations: Mapping[int, set[str]] | None = None,
 ) -> None:
-    """Serialize a class graph, its class memberships and annotations.
+    """Serialize a class graph, its class memberships (in class id order)
+    and annotations.
 
     Node columns:  id, members (hex, space separated), representative,
     synsets (| separated, '-' if none).
@@ -399,7 +407,7 @@ def write_snapshot(
     for key in sorted(g.meta):
         fh.write(f"{key}\t{g.meta[key]}\n")
     fh.write("NODES\n")
-    for cls in sorted(classes, key=lambda c: c.id):
+    for cls in store.classes:
         members = " ".join(f"{cp:X}" for cp in sorted(cls.members))
         synsets = "|".join(sorted(annotations.get(cls.id, ()))) or MISSING
         fh.write(f"{cls.id}\t{members}\t{cls.representative:X}\t{synsets}\n")
@@ -415,11 +423,10 @@ def write_snapshot(
         fh.write("\t".join(cells) + "\n")
 
 
-def save_snapshot(path: str, g: InclusionGraph,
-                  classes: Sequence[AllographClass],
+def save_snapshot(path: str, g: InclusionGraph, store: CharacterStore,
                   annotations: Mapping[int, set[str]] | None = None) -> None:
     with open_output(path) as fh:
-        write_snapshot(fh, g, classes, annotations)
+        write_snapshot(fh, g, store, annotations)
 
 
 def _weight(token: str, name: str, upper: float = math.inf) -> float:
@@ -440,13 +447,14 @@ def _count(token: str, name: str) -> int:
 
 
 def parse_snapshot(text: str, path: str = "snapshot"
-                   ) -> tuple[InclusionGraph, list[AllographClass],
+                   ) -> tuple[InclusionGraph, CharacterStore,
                               dict[int, set[str]]]:
-    """Read a snapshot written by ``write_snapshot``.
+    """Read a snapshot written by ``write_snapshot``: its graph, the
+    ``CharacterStore`` its NODES fill, and the synset annotations.
 
-    Class ids must be unique, members and representatives must be
-    codepoints in 0..10FFFF, each codepoint must belong to one class only,
-    and every edge endpoint must be a class declared earlier in NODES.
+    Members and representatives must be codepoints in 0..10FFFF, the
+    classes must form a partition (``CharacterStore.add``), and every
+    edge endpoint must be a class declared earlier in NODES.
     An edge line has exactly its 13 fields.  Edge weights must be finite
     and nonnegative, and phi, r and s at most 1.  Any other content
     raises ``InputError`` naming the line; edges that close a cycle raise
@@ -454,9 +462,8 @@ def parse_snapshot(text: str, path: str = "snapshot"
     """
     section = None
     g = InclusionGraph()
-    classes: list[AllographClass] = []
+    store = CharacterStore()
     annotations: dict[int, set[str]] = {}
-    class_of: dict[int, int] = {}
     with _Reader(text, path) as reader:
         for line in reader.lines(SNAPSHOT_HEADER):
             if line in ("META", "NODES", "EDGES"):
@@ -470,15 +477,8 @@ def parse_snapshot(text: str, path: str = "snapshot"
                 elif section == "NODES":
                     cid_tok, members_tok, rep_tok, synsets_tok = fields
                     cid = decimal(cid_tok)
-                    if cid in g:
-                        raise InputError(f"class id {cid} declared twice")
                     members = frozenset(_codepoint(m) for m in members_tok.split())
-                    for cp in members:
-                        if cp in class_of:
-                            raise InputError(f"codepoint {cp:X} is in classes "
-                                             f"{class_of[cp]} and {cid}")
-                        class_of[cp] = cid
-                    classes.append(AllographClass(cid, members, _codepoint(rep_tok)))
+                    store.add(AllographClass(cid, members, _codepoint(rep_tok)))
                     g.add_node(cid)
                     if synsets_tok != MISSING:
                         annotations[cid] = set(synsets_tok.split("|"))
@@ -517,16 +517,16 @@ def parse_snapshot(text: str, path: str = "snapshot"
             g.topological_order()  # a chain walk would circle a cycle forever
         except DataError as exc:
             raise InputError(str(exc)) from None
-    return g, classes, annotations
+    return g, store, annotations
 
 
-def load_snapshot(path: str) -> tuple[InclusionGraph, list[AllographClass],
+def load_snapshot(path: str) -> tuple[InclusionGraph, CharacterStore,
                                       dict[int, set[str]]]:
     return parse_snapshot(read_text(path), path)
 
 
-def snapshot_to_string(g: InclusionGraph, classes: Sequence[AllographClass],
+def snapshot_to_string(g: InclusionGraph, store: CharacterStore,
                        annotations: Mapping[int, set[str]] | None = None) -> str:
     buf = io.StringIO()
-    write_snapshot(buf, g, classes, annotations)
+    write_snapshot(buf, g, store, annotations)
     return buf.getvalue()

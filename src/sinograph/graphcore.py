@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .charstore import AllographClass
+from .charstore import CharacterStore
 from .errors import DataError, InputError
 
 
@@ -172,7 +172,7 @@ def from_edges(edges: Iterable[tuple[int, int]],
 
 def lift_to_classes(
     char_edges: Iterable[tuple[int, int]],
-    classes: Sequence[AllographClass],
+    store: CharacterStore,
 ) -> InclusionGraph:
     """Lift character-level inclusion edges to allographic classes.
 
@@ -180,10 +180,9 @@ def lift_to_classes(
     edge.  Edges between members of one class are allographic identities
     and are dropped.  All class ids become nodes, including isolated ones.
     """
-    class_of = {cp: cls.id for cls in classes for cp in cls.members}
-    ids = {cls.id for cls in classes}
+    class_of = store.class_of
     g = InclusionGraph()
-    for cid in ids:
+    for cid in store.by_id:
         g.add_node(cid)
     for a, b in char_edges:
         if a not in class_of or b not in class_of:

@@ -29,7 +29,7 @@ import math
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
-from .charstore import AllographClass, Language, Reading, strip_tone
+from .charstore import CharacterStore, Language, Reading, strip_tone
 from .errors import DataError, InputError
 from .formats import parse_feature_table, read_text
 from .graphcore import InclusionGraph
@@ -119,12 +119,12 @@ def syllable_distance(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def class_readings(readings: Iterable[tuple[int, Reading]],
-                   classes: Iterable[AllographClass]
+                   store: CharacterStore
                    ) -> dict[Language, dict[int, list[Reading]]]:
     """Index (codepoint, reading) pairs by language, then class id: a
     class reads as all its members do, variants included.  Codepoints
-    outside every class are dropped."""
-    class_of = {cp: cls.id for cls in classes for cp in cls.members}
+    outside every class of ``store`` are dropped."""
+    class_of = store.class_of
     index: dict[Language, dict[int, list[Reading]]] = {lang: {} for lang in Language}
     for cp, reading in readings:
         if cp in class_of:

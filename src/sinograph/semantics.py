@@ -30,7 +30,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .charstore import AllographClass
+from .charstore import AllographClass, CharacterStore
 from .errors import DataError, InputError
 from .graphcore import InclusionGraph
 
@@ -256,26 +256,25 @@ def semanticity(
 
 def annotate_semanticity(
     g: InclusionGraph,
-    classes: Sequence[AllographClass],
+    charstore: CharacterStore,
     store: SynsetStore | None,
     radicals: Mapping[int, int],
     coefficients: tuple[float, float, float] = SEMANTICITY_COEFFICIENTS,
 ) -> InclusionGraph:
     """Compute f1/f2/r for every edge from raw resources, then the
     normalized semanticity."""
-    by_id = {cls.id: cls for cls in classes}
     edges = g.edges()
     f1: dict[tuple[int, int], int] = {}
     f2: dict[tuple[int, int], int] = {}
     r: dict[tuple[int, int], float] = {}
     if store is not None:
-        pairs = [(by_id[sub_id], by_id[sup_id]) for sub_id, sup_id in edges]
+        pairs = [(charstore.by_id[sub], charstore.by_id[sup]) for sub, sup in edges]
         for key, (n1, n2) in zip(edges, _relation_counts(pairs, store)):
             f1[key], f2[key] = n1, n2
     if radicals:
         for sub_id, sup_id in edges:
             r[(sub_id, sup_id)] = radical_agreement(
-                by_id[sub_id], by_id[sup_id], radicals)
+                charstore.by_id[sub_id], charstore.by_id[sup_id], radicals)
     return semanticity(g, f1, f2, r, coefficients)
 
 

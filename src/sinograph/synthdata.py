@@ -20,7 +20,7 @@ import os
 from collections import Counter
 from random import Random
 
-from .formats import write_lines
+from .formats import decimal, write_lines
 from .strokesig import Stroke, format_stroke_spec
 
 ATOM_BASE = 0x4E00
@@ -208,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="generate the bundled synthetic dataset")
     parser.add_argument("outdir")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=decimal, default=7)
     args = parser.parse_args(argv)
     paths = make_dataset(args.outdir, seed=args.seed)
     for name in sorted(paths):

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from sinograph.charstore import (
+    AllographClass,
+    CharacterStore,
     Language,
     Reading,
     build_allograph_classes,
@@ -94,3 +96,24 @@ def test_reading_invariants():
     with pytest.raises(InputError):
         Reading(Language.JAPANESE_ON, ())
 
+
+
+def test_store_indexes_the_partition_it_builds():
+    store = CharacterStore({1, 5, 9, 3}, {(5, 9)})
+    assert store.classes == build_allograph_classes({(5, 9)}, {1, 5, 9, 3})
+    assert store.class_of == {1: 0, 3: 1, 5: 2, 9: 2}
+    assert store.by_id[2].members == {5, 9}
+
+
+def test_store_add_keeps_the_partition_rules():
+    store = CharacterStore()
+    store.add(AllographClass(2, frozenset({0x4E01, 0x4E02}), 0x4E01))
+    store.add(AllographClass(0, frozenset({0x4E00}), 0x4E00))
+    assert [c.id for c in store.classes] == [0, 2]  # id order, not add order
+    with pytest.raises(InputError, match="^class id 2 declared twice$"):
+        store.add(AllographClass(2, frozenset({0x4E03}), 0x4E03))
+    with pytest.raises(InputError, match="^codepoint 4E02 is in classes 2 and 1$"):
+        store.add(AllographClass(1, frozenset({0x4E02, 0x4E04}), 0x4E04))
+    # a refused class leaves the store as it was
+    assert store.class_of == {0x4E00: 0, 0x4E01: 2, 0x4E02: 2}
+    assert sorted(store.by_id) == [0, 2]

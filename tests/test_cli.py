@@ -9,7 +9,7 @@ from importlib import resources
 import pytest
 
 import sinograph
-from sinograph import cli, formats
+from sinograph import cli, formats, synthdata
 from sinograph.charstore import Language
 from sinograph.classify import cross_validate
 from sinograph.cli import main
@@ -59,7 +59,7 @@ def test_build_graph_reduces_chain(chain_inputs, capsys):
                  capsys.readouterr().out.strip().splitlines())
     assert stats["classes"] == "3"
     assert stats["class_inclusions"] == "2"  # transitive edge removed
-    g, classes, _ = formats.load_snapshot(out)
+    g, _, _ = formats.load_snapshot(out)
     assert g.edge_count() == 2
 
 
@@ -133,9 +133,8 @@ def _annotate(chain_inputs, extra=()):
 
 def test_annotate_attaches_phi_and_s(chain_inputs, capsys):
     out = _annotate(chain_inputs)
-    g, classes, annotations = formats.load_snapshot(out)
-    by_cp = {cp: cls.id for cls in classes for cp in cls.members}
-    a, b = by_cp[0x4E00], by_cp[0x4E01]
+    g, store, annotations = formats.load_snapshot(out)
+    a, b = store.class_of[0x4E00], store.class_of[0x4E01]
     edge = g.edge(a, b)
     assert edge.phi["ja_on"] == pytest.approx(1.0)  # shared "nin"
     assert edge.f1 == 1  # synset relation s_sub -> s_sup
@@ -314,6 +313,33 @@ def test_chains_rejects_inconsistent_snapshot(chain_inputs, capsys,
     assert f"{bad}:{lineno}: {problem}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["+7", "７", "7_0", " 7"])
+def test_synthdata_seed_takes_ascii_digits_only(tmp_path, capsys, token):
+    out = tmp_path / "data"
+    with pytest.raises(SystemExit) as exc:
+        synthdata.main([str(out), "--seed", token])
+    assert exc.value.code == 2
+    assert "invalid decimal value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_snapshot_nodes_out_of_id_order_are_read_in_id_order(chain_inputs, capsys):
+    with open(_annotate(chain_inputs), encoding="utf-8") as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    start, end = lines.index("NODES") + 1, lines.index("EDGES")
+    assert end - start == 3
+    lines[start:end] = reversed(lines[start:end])
+    shuffled = write(chain_inputs["dir"] / "shuffled.snap", "\n".join(lines) + "\n")
+    g, store, annotations = formats.load_snapshot(shuffled)
+    assert formats.snapshot_to_string(g, store, annotations) == text
+    capsys.readouterr()
+    assert main(["chains", "--snapshot", shuffled, "--kind", "semantic",
+                 "--all"]) == 0
+    ids = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+    assert ids == ["0", "1", "2"]
+
+
 def _run_alone(argv, timeout=30):
     """``sinograph argv`` in its own process, killed after ``timeout`` s."""
     env = dict(os.environ,
@@ -490,8 +516,8 @@ def test_annotate_reads_the_readings_of_variant_members(tmp_path, capsys):
                  "--out", snap]) == 0
     assert main(["annotate", "--snapshot", snap, "--out", out,
                  "--readings", readings, "--languages", "ja_on"]) == 0
-    g, classes, _ = formats.load_snapshot(out)
-    assert {c.id: c.members for c in classes}[0] == {0x4E00, 0x4E05}
+    g, store, _ = formats.load_snapshot(out)
+    assert store.by_id[0].members == {0x4E00, 0x4E05}
     assert g.edges() == [(0, 2)]
     assert g.edge(0, 2).d_min["ja_on"] == 0.0
     assert g.edge(0, 2).phi["ja_on"] == 1.0
@@ -509,7 +535,8 @@ def test_seed7_d_min_is_min_over_member_readings(tmp_path, capsys):
                  "--ufl", f"{data}/freq.tsv", "--out", snap]) == 0
     assert main(["annotate", "--snapshot", snap, "--out", out,
                  "--readings", f"{data}/readings.tsv"]) == 0
-    g, classes, _ = formats.load_snapshot(out)
+    g, store, _ = formats.load_snapshot(out)
+    classes = store.classes
     by_cp: dict = {}
     for cp, reading in formats.load_readings(f"{data}/readings.tsv"):
         by_cp.setdefault(cp, []).append(reading)
@@ -528,11 +555,22 @@ def test_seed7_d_min_is_min_over_member_readings(tmp_path, capsys):
     assert not wrong
 
 
-@pytest.mark.parametrize("row", ["C", "V\ta\tnan\t0\t0", "C\t\t1\t0\t0\t0"])
-def test_annotate_rejects_bad_feature_table_row(chain_inputs, capsys, row):
+@pytest.mark.parametrize("row, at, problem", [
+    ("C", 2, ""),
+    ("V\ta\tnan\t0\t0", 2, ""),
+    ("C\t\t1\t0\t0\t0", 2, ""),
+    # appended after the bundled rows, which define the consonant b and
+    # the vowel a
+    ("C\tb\t9\t9\t9\t9", None, "C symbol 'b' defined twice"),
+    ("V\ta\t3\t3\t1", None, "V symbol 'a' defined twice"),
+    # nuclei are matched one character at a time: "kai" would read as "ka"
+    ("V\tai\t3\t3\t1", None, "vowel symbol 'ai' is longer than one character"),
+])
+def test_annotate_rejects_bad_feature_table_row(chain_inputs, capsys,
+                                                row, at, problem):
     lines = resources.files("sinograph").joinpath(
         "data/phoneme_features.tsv").read_text(encoding="utf-8").splitlines()
-    lines.insert(2, row)
+    lines.insert(len(lines) if at is None else at, row)
     path = write(chain_inputs["dir"] / "features.tsv", "\n".join(lines) + "\n")
     snap = str(chain_inputs["dir"] / "g.snap")
     assert main(["build-graph", "--strokes", chain_inputs["strokes"],
@@ -542,7 +580,7 @@ def test_annotate_rejects_bad_feature_table_row(chain_inputs, capsys, row):
                "--out", str(chain_inputs["dir"] / "a.snap"),
                "--readings", chain_inputs["readings"], "--feature-table", path])
     assert rc == 2
-    assert f"{path}:3:" in capsys.readouterr().err
+    assert f"{path}:{lines.index(row) + 1}: {problem}" in capsys.readouterr().err
 
 
 def test_annotate_feature_tables_do_not_leak_between_invocations(

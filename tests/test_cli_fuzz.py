@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sinograph import formats
-from sinograph.charstore import AllographClass
+from sinograph.charstore import CharacterStore
 from sinograph.cli import main
 from sinograph.graphcore import EdgeData, InclusionGraph
 
@@ -32,10 +32,9 @@ def _edge(s: float, phi: float) -> EdgeData:
                     {"cmn": phi, "ja_on": phi / 2}, 2, 1, 0.5, 2.0 * s, s)
 
 
-CLASSES = [AllographClass(0, frozenset({0x4E00}), 0x4E00),
-           AllographClass(1, frozenset({0x4E8C, 0x4E09}), 0x4E8C),
-           AllographClass(2, frozenset({0x4E0A}), 0x4E0A),
-           AllographClass(3, frozenset({0x4E0B}), 0x4E0B)]
+# classes 0..3: U+4E00, {U+4E09, U+4E8C} led by U+4E8C, U+4E0A, U+4E0B
+STORE = CharacterStore({0x4E00, 0x4E09, 0x4E8C, 0x4E0A, 0x4E0B},
+                         [(0x4E09, 0x4E8C)], {0x4E8C: 1.0})
 # edge -> (S, phi)
 EDGES = {(0, 1): (0.75, 0.5), (1, 2): (0.25, 1.0), (3, 2): (1.0, 0.125)}
 
@@ -48,10 +47,10 @@ def _snapshot_text(annotated: bool) -> str:
     for (sub, sup), (s, phi) in EDGES.items():
         g.add_edge(sub, sup, _edge(s, phi) if annotated else None)
     if not annotated:
-        return formats.snapshot_to_string(g, CLASSES)
+        return formats.snapshot_to_string(g, STORE)
     g.meta["phi_dmax_cmn"] = repr(4.0)
     g.meta["phi_dmax_ja_on"] = repr(6.0)
-    return formats.snapshot_to_string(g, CLASSES, {1: {"syn0", "syn1"},
+    return formats.snapshot_to_string(g, STORE, {1: {"syn0", "syn1"},
                                                    3: {"syn2"}})
 
 

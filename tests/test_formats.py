@@ -3,7 +3,7 @@ import io
 import pytest
 
 from sinograph import formats
-from sinograph.charstore import AllographClass, Language
+from sinograph.charstore import CharacterStore, Language
 from sinograph.errors import InputError
 from sinograph.graphcore import EdgeData, InclusionGraph
 
@@ -107,20 +107,17 @@ def _sample_graph():
     g.add_edge(2, 1)
     g.add_node(3)
     g.meta["phi_dmax_cmn"] = repr(5.0)
-    classes = [
-        AllographClass(0, frozenset({0x4E00}), 0x4E00),
-        AllographClass(1, frozenset({0x4E8C, 0x4E09}), 0x4E8C),
-        AllographClass(2, frozenset({0x4E0A}), 0x4E0A),
-        AllographClass(3, frozenset({0x4E0B}), 0x4E0B),
-    ]
+    # classes 0..3: U+4E00, {U+4E09, U+4E8C} led by U+4E8C, U+4E0A, U+4E0B
+    store = CharacterStore({0x4E00, 0x4E09, 0x4E8C, 0x4E0A, 0x4E0B},
+                           [(0x4E09, 0x4E8C)], {0x4E8C: 1.0})
     annotations = {1: {"syn1", "syn0"}}
-    return g, classes, annotations
+    return g, store, annotations
 
 
 def test_snapshot_roundtrip():
-    g, classes, annotations = _sample_graph()
-    text = formats.snapshot_to_string(g, classes, annotations)
-    g2, classes2, ann2 = formats.parse_snapshot(text)
+    g, store, annotations = _sample_graph()
+    text = formats.snapshot_to_string(g, store, annotations)
+    g2, store2, ann2 = formats.parse_snapshot(text)
 
     assert g2.nodes == g.nodes
     assert g2.edges() == g.edges()
@@ -129,35 +126,35 @@ def test_snapshot_roundtrip():
         a, b = g.edge(*e), g2.edge(*e)
         assert (a.d_min, a.phi, a.f1, a.f2, a.r, a.s_raw, a.s) == \
             (b.d_min, b.phi, b.f1, b.f2, b.r, b.s_raw, b.s)
-    assert [(c.id, c.members, c.representative) for c in classes2] == \
-        [(c.id, c.members, c.representative) for c in classes]
+    assert store2.classes == store.classes
+    assert store2.class_of == store.class_of
     assert ann2 == annotations
     # serialization is canonical: a second write is byte-identical
-    assert formats.snapshot_to_string(g2, classes2, ann2) == text
+    assert formats.snapshot_to_string(g2, store2, ann2) == text
 
 
 def test_snapshot_rejects_garbage():
     with pytest.raises(InputError):
         formats.parse_snapshot("not a snapshot\n")
-    g, classes, _ = _sample_graph()
-    text = formats.snapshot_to_string(g, classes)
+    g, store, _ = _sample_graph()
+    text = formats.snapshot_to_string(g, store)
     broken = text.replace("EDGES\n0\t1", "EDGES\n0\tnope", 1)
     with pytest.raises(InputError):
         formats.parse_snapshot(broken)
 
 
 def test_snapshot_file_io(tmp_path):
-    g, classes, annotations = _sample_graph()
+    g, store, annotations = _sample_graph()
     path = tmp_path / "graph.snap"
-    formats.save_snapshot(str(path), g, classes, annotations)
-    g2, classes2, ann2 = formats.load_snapshot(str(path))
+    formats.save_snapshot(str(path), g, store, annotations)
+    g2, _, ann2 = formats.load_snapshot(str(path))
     assert g2.edges() == g.edges()
     assert ann2 == annotations
 
 
 def test_snapshot_rejects_a_cycle():
-    g, classes, _ = _sample_graph()
-    text = formats.snapshot_to_string(g, classes)
+    g, store, _ = _sample_graph()
+    text = formats.snapshot_to_string(g, store)
     edge = next(line for line in text.splitlines() if line.startswith("0\t1\t"))
     cyclic = text.replace(edge, edge + "\n1\t0\t" + edge[4:], 1)
     with pytest.raises(InputError, match=r"^g\.snap: graph has a cycle: "
@@ -198,8 +195,8 @@ def test_decimal_fields_take_ascii_digits_only(token):
 @pytest.mark.parametrize("section, field", [("NODES", 0), ("EDGES", 0),
                                             ("EDGES", 1), ("EDGES", 8)])
 def test_snapshot_integers_take_ascii_digits_only(token, section, field):
-    g, classes, _ = _sample_graph()
-    lines = formats.snapshot_to_string(g, classes).splitlines()
+    g, store, _ = _sample_graph()
+    lines = formats.snapshot_to_string(g, store).splitlines()
     lineno = lines.index(section) + 2
     fields = lines[lineno - 1].split("\t")
     fields[field] = token

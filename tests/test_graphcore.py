@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 from scipy.stats import zipf
 
-from sinograph.charstore import build_allograph_classes
+from sinograph.charstore import CharacterStore
 from sinograph.errors import DataError, InputError
 from sinograph.graphcore import (
     EdgeData,
@@ -185,39 +185,37 @@ def test_self_loop_rejected():
 
 
 def test_lift_singletons_isomorphic():
-    classes = build_allograph_classes(set(), {10, 11, 12})
-    cid = {cp: next(c.id for c in classes if cp in c.members)
-           for cp in (10, 11, 12)}
-    g = lift_to_classes([(10, 11), (11, 12)], classes)
+    store = CharacterStore({10, 11, 12})
+    cid = store.class_of
+    g = lift_to_classes([(10, 11), (11, 12)], store)
     assert g.edges() == sorted([(cid[10], cid[11]), (cid[11], cid[12])])
 
 
 def test_lift_deduplicates_variant_edges():
-    classes = build_allograph_classes({(10, 11)}, {10, 11, 20})
-    g = lift_to_classes([(10, 20), (11, 20)], classes)
+    store = CharacterStore({10, 11, 20}, {(10, 11)})
+    g = lift_to_classes([(10, 20), (11, 20)], store)
     assert g.edge_count() == 1
 
 
 def test_lift_drops_intra_class_edges():
-    classes = build_allograph_classes({(10, 11)}, {10, 11})
-    g = lift_to_classes([(10, 11)], classes)
+    store = CharacterStore({10, 11}, {(10, 11)})
+    g = lift_to_classes([(10, 11)], store)
     assert g.edge_count() == 0
     assert g.node_count() == 1
 
 
 def test_lift_unknown_codepoint_rejected():
-    classes = build_allograph_classes(set(), {10})
     with pytest.raises(InputError):
-        lift_to_classes([(10, 99)], classes)
+        lift_to_classes([(10, 99)], CharacterStore({10}))
 
 
 def test_lift_counts_bounded():
     rng = random.Random(3)
     chars = set(range(40))
     pairs = {tuple(rng.sample(sorted(chars), 2)) for _ in range(10)}
-    classes = build_allograph_classes(pairs, chars)
+    store = CharacterStore(chars, pairs)
     edges = [tuple(rng.sample(sorted(chars), 2)) for _ in range(60)]
-    g = lift_to_classes(edges, classes)
+    g = lift_to_classes(edges, store)
     assert g.node_count() <= len(chars)
     assert g.edge_count() <= len(edges)
 

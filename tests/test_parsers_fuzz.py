@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinograph import formats
-from sinograph.charstore import AllographClass
+from sinograph.charstore import CharacterStore
 from sinograph.errors import InputError
 from sinograph.graphcore import EdgeData, InclusionGraph
 from sinograph.phonetics import FeatureTable
@@ -35,10 +35,10 @@ def _snapshot_text() -> str:
     g.add_edge(0, 1, data)
     g.add_edge(2, 1)
     g.meta["phi_dmax_cmn"] = repr(5.0)
-    classes = [AllographClass(0, frozenset({0x4E00}), 0x4E00),
-               AllographClass(1, frozenset({0x4E8C, 0x4E09}), 0x4E8C),
-               AllographClass(2, frozenset({0x4E0A}), 0x4E0A)]
-    return formats.snapshot_to_string(g, classes, {1: {"syn0", "syn1"}})
+    # classes 0..2: U+4E00, {U+4E09, U+4E8C} led by U+4E8C, U+4E0A
+    store = CharacterStore({0x4E00, 0x4E09, 0x4E8C, 0x4E0A},
+                           [(0x4E09, 0x4E8C)], {0x4E8C: 1.0})
+    return formats.snapshot_to_string(g, store, {1: {"syn0", "syn1"}})
 
 
 def _load_feature_table(text: str) -> FeatureTable:

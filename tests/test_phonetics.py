@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sinograph.charstore import AllographClass, Language, Reading, strip_tone
+from sinograph.charstore import CharacterStore, Language, Reading, strip_tone
 from sinograph.errors import DataError, InputError
 from sinograph.graphcore import from_edges
 from sinograph.phonetics import (
@@ -133,12 +133,12 @@ def test_only_an_ascii_digit_is_a_tone():
 
 def test_class_readings_join_variants_and_drop_classless_codepoints():
     on, cmn = Language.JAPANESE_ON, Language.MANDARIN
-    classes = [AllographClass(0, frozenset({0x4EBA, 0x4EBB}), 0x4EBA),
-               AllographClass(1, frozenset({0x5165}), 0x5165)]
+    # class 0 is U+4EBA with its variant U+4EBB, class 1 is U+5165
+    store = CharacterStore({0x4EBA, 0x4EBB, 0x5165}, [(0x4EBA, 0x4EBB)])
     nin, jin, ren = (Reading(on, ("nin",)), Reading(on, ("jin",)),
                      Reading(cmn, ("ren2",)))
     pairs = [(0x4EBA, nin), (0x4E00, ren), (0x4EBB, jin), (0x4EBB, ren)]
-    assert class_readings(pairs, classes) == {
+    assert class_readings(pairs, store) == {
         cmn: {0: [ren]}, on: {0: [nin, jin]}, Language.JAPANESE_KUN: {}}
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sinograph.charstore import AllographClass
+from sinograph.charstore import AllographClass, CharacterStore
 from sinograph.errors import DataError, InputError
 from sinograph.graphcore import from_edges
 from sinograph.semantics import (
@@ -253,8 +253,11 @@ def semantic_cases(draw):
 def test_annotate_semanticity_matches_relation_scan(case):
     synsets, relations, classes, edges, radicals, with_store = case
     store = toy_store(synsets, relations) if with_store else None
+    charstore = CharacterStore()
+    for c in classes:
+        charstore.add(c)
     got = from_edges(edges, nodes=range(len(classes)))
-    annotate_semanticity(got, classes, store, radicals)
+    annotate_semanticity(got, charstore, store, radicals)
 
     want = from_edges(edges, nodes=range(len(classes)))
     f1, f2, r = {}, {}, {}
