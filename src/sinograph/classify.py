@@ -23,11 +23,12 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from random import Random
-from typing import Hashable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 from .errors import DataError, InputError
+
+if TYPE_CHECKING:  # numpy loads only when a classifier trains
+    import numpy as np
 
 FeatureVector = Mapping[int, float]
 
@@ -40,6 +41,8 @@ DEFAULT_TOL = 1e-5
 
 def _densify(vectors: Sequence[FeatureVector],
              feature_ids: Sequence[int]) -> np.ndarray:
+    import numpy as np
+
     index = {fid: i for i, fid in enumerate(feature_ids)}
     X = np.zeros((len(vectors), len(feature_ids)))
     for row, vec in enumerate(vectors):
@@ -56,6 +59,8 @@ def _label_matrix(labels: Sequence[Hashable], train_of: np.ndarray
     Row s*K + j of the result holds the +-1 labels of category j on the
     examples of training set s and 0 on every other example.
     """
+    import numpy as np
+
     categories = sorted(set(labels))
     if len(categories) < 2:
         raise InputError("need at least two categories to train")
@@ -86,8 +91,10 @@ def _train_one_vs_rest(X: np.ndarray, Y: np.ndarray, C: float,
     examples from inside the radius sqrt(C n_r), so training is refused
     (DataError) when the square of that bound is not a finite float.
     """
-    if not C > 0:
-        raise InputError("C must be positive")
+    import numpy as np
+
+    if not 0 < C < math.inf:
+        raise InputError("C must be positive and finite")
     U = np.abs(Y)  # 1 on each row's training examples, else 0
     n = U.sum(axis=1)
     for n_r, norms in zip(n.tolist(), (U @ np.linalg.norm(X, axis=1)).tolist()):
@@ -205,6 +212,8 @@ def cross_validate(vectors: Sequence[FeatureVector],
                    max_epochs: int = DEFAULT_MAX_EPOCHS,
                    tol: float = DEFAULT_TOL) -> EvalReport:
     """Stratified k-fold cross-validation with micro-averaged accuracy."""
+    import numpy as np
+
     if len(vectors) != len(labels):
         raise InputError("vectors and labels differ in length")
     folds = stratified_folds(labels, k, seed)

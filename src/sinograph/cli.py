@@ -69,7 +69,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
-    strokes = formats.load_strokes(args.strokes)
+    strokes = formats.load_file(formats.parse_strokes, args.strokes)
     if args.codepoint_range:
         lo, hi = _parse_range(args.codepoint_range)
         strokes = {cp: s for cp, s in strokes.items() if lo <= cp <= hi}
@@ -81,8 +81,9 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     char_graph = from_edges(char_edges, nodes=strokes.keys())
     char_reduced = transitive_reduce(char_graph)
 
-    variant_pairs = formats.load_variants(args.variants) if args.variants else set()
-    frequencies = (formats.load_freq_counts(args.ufl).as_dict()
+    variant_pairs = (formats.load_file(formats.parse_variants, args.variants)
+                     if args.variants else set())
+    frequencies = (formats.load_file(formats.parse_freq_counts, args.ufl).as_dict()
                    if args.ufl else None)
     chars = set(strokes) | {cp for pair in variant_pairs for cp in pair}
     store = CharacterStore(chars, variant_pairs, frequencies)
@@ -107,7 +108,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
                          ("feature_table", "readings")):
         if getattr(args, flag) and not getattr(args, needed):
             raise InputError(f"--{flag.replace('_', '-')} needs --{needed}")
-    g, store, annotations = formats.load_snapshot(args.snapshot)
+    g, store, annotations = formats.load_file(formats.parse_snapshot, args.snapshot)
 
     annotated_phi = []
     if args.readings:
@@ -117,7 +118,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         languages = list(dict.fromkeys(Language.parse(tok) for tok in
                                        args.languages.split(","))) \
             if args.languages else list(Language)
-        readings = class_readings(formats.load_readings(args.readings), store)
+        readings = class_readings(
+            formats.load_file(formats.parse_readings, args.readings), store)
         for lang in languages:
             try:
                 phoneticity(g, readings, lang, table)
@@ -126,15 +128,17 @@ def cmd_annotate(args: argparse.Namespace) -> int:
                 print(f"note: no computable {lang.value} distances; skipped",
                       file=sys.stderr)
 
-    radicals = formats.load_radicals(args.radicals) if args.radicals else {}
-    synstore = formats.load_synsets(args.synsets) if args.synsets else None
+    radicals = (formats.load_file(formats.parse_radicals, args.radicals)
+                if args.radicals else {})
+    synstore = (formats.load_file(formats.parse_synsets, args.synsets)
+                if args.synsets else None)
     if args.relations:  # checked above to come with --synsets
-        formats.load_relations(args.relations, synstore)
+        formats.load_file(formats.parse_relations, args.relations, store=synstore)
     annotate_semanticity(g, store, synstore, radicals,
                          coefficients=tuple(args.coefficients))
 
     if synstore is not None:
-        definitions = (formats.load_definitions(args.definitions)
+        definitions = (formats.load_file(formats.parse_definitions, args.definitions)
                        if args.definitions else {})
         annotations = annotate_classes(synstore, definitions, store.classes)
 
@@ -184,7 +188,7 @@ def _resolve_class(args, store: CharacterStore) -> list[int]:
 
 def cmd_chains(args: argparse.Namespace) -> int:
     language = Language.parse(args.language)
-    g, store, _ = formats.load_snapshot(args.snapshot)
+    g, store, _ = formats.load_file(formats.parse_snapshot, args.snapshot)
     walk = CHAIN_KINDS[args.kind].walk
     lines = [f"{cid}\t" + " ".join(str(c) for c in walk(g, cid, language))
              for cid in _resolve_class(args, store)]
@@ -193,7 +197,7 @@ def cmd_chains(args: argparse.Namespace) -> int:
 
 
 def cmd_freqdist(args: argparse.Namespace) -> int:
-    lists = [formats.load_freq_counts(p) for p in args.lists]
+    lists = [formats.load_file(formats.parse_freq_counts, p) for p in args.lists]
     if len(lists) < 2:
         raise InputError("need at least two frequency lists")
     mat = distance_matrix(lists, args.n)
@@ -211,8 +215,8 @@ def cmd_freqdist(args: argparse.Namespace) -> int:
 
 def cmd_features(args: argparse.Namespace) -> int:
     language = Language.parse(args.language)
-    g, store, _ = formats.load_snapshot(args.snapshot)
-    docs = formats.load_corpus(args.corpus)
+    g, store, _ = formats.load_file(formats.parse_snapshot, args.snapshot)
+    docs = formats.load_file(formats.parse_corpus, args.corpus)
     labels = [label for label, _ in docs]
     texts = [text for _, text in docs]
 
@@ -234,7 +238,8 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # every category needs an example in each fold
-    labels, vectors = formats.load_vectors(args.vectors, min_per_label=args.k)
+    labels, vectors = formats.load_file(formats.parse_vectors, args.vectors,
+                                       min_per_label=args.k)
     report = cross_validate(vectors, labels, k=args.k, C=args.C, seed=args.seed)
     formats.write_lines(args.out, report.lines())
     if report.models_capped:
@@ -245,7 +250,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_query_unknown(args: argparse.Namespace) -> int:
-    g, store, annotations = formats.load_snapshot(args.snapshot)
+    g, store, annotations = formats.load_file(formats.parse_snapshot, args.snapshot)
     targets = _resolve_class(args, store)
     lines = []
     for cid in targets:
@@ -274,7 +279,7 @@ def build_parser() -> _Parser:
     p.add_argument("--variants")
     p.add_argument("--ufl", help="frequency counts used to pick class "
                    "representatives")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", type=formats.real, default=DEFAULT_TOLERANCE)
     p.add_argument("--codepoint-range", metavar="LO-HI",
                    help="restrict to a hex codepoint range, e.g. 4E00-9FFF")
     p.add_argument("--out", required=True)
@@ -291,7 +296,7 @@ def build_parser() -> _Parser:
     p.add_argument("--definitions")
     p.add_argument("--languages", help="comma-separated subset of cmn,ja_on,ja_kun")
     p.add_argument("--feature-table", help="custom phoneme feature TSV")
-    p.add_argument("--coefficients", type=float, nargs=3,
+    p.add_argument("--coefficients", type=formats.real, nargs=3,
                    default=list(SEMANTICITY_COEFFICIENTS),
                    metavar=("F1", "F2", "R"))
     p.add_argument("--phi-histogram", help="write a phi histogram CSV here")
@@ -329,7 +334,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="cross-validated classification")
     p.add_argument("--vectors", required=True)
     p.add_argument("--k", type=formats.decimal, default=DEFAULT_K)
-    p.add_argument("--C", type=float, default=DEFAULT_C)
+    p.add_argument("--C", type=formats.real, default=DEFAULT_C)
     p.add_argument("--seed", type=formats.decimal, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)

@@ -21,18 +21,18 @@ Every error a record raises names its ``file:line``.
 The snapshot is line oriented with a version header and three sections
 (META, NODES, EDGES); see ``write_snapshot`` for the columns.
 
-Every file the program writes is opened by ``open_output`` below.
+Every input file but the bundled feature table is read by ``load_file``
+below, and every file the program writes is opened by ``open_output``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import math
 import re
 import sys
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .charstore import AllographClass, CharacterStore, Language, Reading
 from .errors import DataError, InputError
@@ -44,6 +44,8 @@ from .strokesig import Stroke, parse_stroke_spec
 #: A hex number in every file and flag: hex digits only, either case.
 #: ``int(token, 16)`` alone would also take a sign, "_", blanks and "0x".
 HEX_NUMBER = re.compile("[0-9A-Fa-f]+")
+
+T = TypeVar("T")
 
 SNAPSHOT_HEADER = "#sinograph-graph v1"
 VECTORS_HEADER = "#sparse-vectors v1"
@@ -119,6 +121,21 @@ def decimal(token: str) -> int:
     raise ValueError(f"bad decimal integer {token!r}")
 
 
+def real(token: str) -> float:
+    """A real number in every file and flag: ASCII ``float`` syntax with
+    no "_", no surrounding blanks and no leading "+", else an
+    ``InputError``; "nan" and "inf" pass, and each caller checks the
+    range.  ``float(token)`` alone would also take "_", blanks, "+" and
+    non-ASCII digits."""
+    if (token.isascii() and "_" not in token and token[:1] != "+"
+            and token == token.strip()):
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    raise InputError(f"bad real number {token!r}")
+
+
 def read_text(path: str) -> str:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -128,6 +145,12 @@ def read_text(path: str) -> str:
         # numbered as the parsers number lines: by str.splitlines
         line = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
         raise InputError(f"{path}:{line}: not valid UTF-8") from None
+
+
+def load_file(parse: Callable[..., T], path: str, **options) -> T:
+    """``parse`` of the text of the file ``path``, its errors named by
+    ``path``; ``options`` are ``parse``'s other keyword arguments."""
+    return parse(read_text(path), path=path, **options)
 
 
 def open_output(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
@@ -154,12 +177,12 @@ def parse_strokes(text: str, path: str = "strokes.tsv") -> dict[int, list[Stroke
             cp = _codepoint(cp_tok)
             if cp in out:
                 raise InputError(f"duplicate codepoint {cp_tok}")
+            # float() would read a coordinate with "_" or non-ASCII digits
+            if not spec.isascii() or "_" in spec:
+                raise InputError(f"stroke description {spec!r} is not "
+                                 f"ASCII or holds '_'")
             out[cp] = parse_stroke_spec(spec)
     return out
-
-
-def load_strokes(path: str) -> dict[int, list[Stroke]]:
-    return parse_strokes(read_text(path), path)
 
 
 def parse_readings(text: str, path: str = "readings.tsv"
@@ -173,10 +196,6 @@ def parse_readings(text: str, path: str = "readings.tsv"
     return out
 
 
-def load_readings(path: str) -> list[tuple[int, Reading]]:
-    return parse_readings(read_text(path), path)
-
-
 def parse_variants(text: str, path: str = "variants.tsv"
                    ) -> set[tuple[int, int]]:
     pairs = set()
@@ -187,10 +206,6 @@ def parse_variants(text: str, path: str = "variants.tsv"
                 raise InputError("a codepoint cannot be its own variant")
             pairs.add((min(a, b), max(a, b)))
     return pairs
-
-
-def load_variants(path: str) -> set[tuple[int, int]]:
-    return parse_variants(read_text(path), path)
 
 
 def parse_radicals(text: str, path: str = "radicals.tsv") -> dict[int, int]:
@@ -210,10 +225,6 @@ def parse_radicals(text: str, path: str = "radicals.tsv") -> dict[int, int]:
     return out
 
 
-def load_radicals(path: str) -> dict[int, int]:
-    return parse_radicals(read_text(path), path)
-
-
 def parse_synsets(text: str, path: str = "synsets.tsv") -> SynsetStore:
     """A store of the synsets, each checked by the store."""
     store = SynsetStore()
@@ -221,10 +232,6 @@ def parse_synsets(text: str, path: str = "synsets.tsv") -> SynsetStore:
         for sid, lemmas in reader.records(2):
             store.add_synset(sid, lemmas.split("|"))
     return store
-
-
-def load_synsets(path: str) -> SynsetStore:
-    return parse_synsets(read_text(path), path)
 
 
 def parse_relations(text: str, store: SynsetStore,
@@ -236,10 +243,6 @@ def parse_relations(text: str, store: SynsetStore,
     return store
 
 
-def load_relations(path: str, store: SynsetStore) -> SynsetStore:
-    return parse_relations(read_text(path), store, path)
-
-
 def parse_definitions(text: str, path: str = "definitions.tsv"
                       ) -> dict[int, list[str]]:
     out: dict[int, list[str]] = {}
@@ -248,10 +251,6 @@ def parse_definitions(text: str, path: str = "definitions.tsv"
             glosses = [w for w in words.split("|") if w]
             out.setdefault(_codepoint(cp_tok), []).extend(glosses)
     return out
-
-
-def load_definitions(path: str) -> dict[int, list[str]]:
-    return parse_definitions(read_text(path), path)
 
 
 def parse_freq_counts(text: str, path: str = "freq.tsv") -> FrequencyList:
@@ -271,20 +270,12 @@ def parse_freq_counts(text: str, path: str = "freq.tsv") -> FrequencyList:
     return from_counts(counts)
 
 
-def load_freq_counts(path: str) -> FrequencyList:
-    return parse_freq_counts(read_text(path), path)
-
-
 def parse_corpus(text: str, path: str = "corpus.tsv") -> list[tuple[str, str]]:
     with _Reader(text, path) as reader:
         docs = [(label, doc) for label, doc in reader.records(2)]
         if not docs:
             raise InputError("empty corpus")
     return docs
-
-
-def load_corpus(path: str) -> list[tuple[str, str]]:
-    return parse_corpus(read_text(path), path)
 
 
 PhonemeScales = dict[str, tuple[float, ...]]
@@ -313,7 +304,7 @@ def parse_feature_table(text: str, path: str = "phoneme_features.tsv"
                 raise InputError(f"vowel symbol {symbol!r} is longer than "
                                  f"one character")
             try:
-                nums = tuple(float(v) for v in values)
+                nums = tuple(real(v) for v in values)
             except ValueError:
                 raise InputError("bad number") from None
             if not all(abs(v) <= MAX_SCALE for v in nums):  # nan fails too
@@ -352,7 +343,7 @@ def parse_vectors(text: str, path: str = "vectors", min_per_label: int = 0
             for cell in cells.split():
                 try:
                     cid_tok, w_tok = cell.split(":")
-                    cid, w = decimal(cid_tok), float(w_tok)
+                    cid, w = decimal(cid_tok), real(w_tok)
                 except ValueError:
                     raise InputError(f"bad cell {cell!r}") from None
                 if not math.isfinite(w):
@@ -374,11 +365,6 @@ def parse_vectors(text: str, path: str = "vectors", min_per_label: int = 0
             reader.lineno = next(iter(first_line.values()), None)
             raise InputError(f"need at least two categories, got {len(first_line)}")
     return labels, vectors
-
-
-def load_vectors(path: str, min_per_label: int = 0
-                 ) -> tuple[list[str], list[dict[int, float]]]:
-    return parse_vectors(read_text(path), path, min_per_label)
 
 
 # -- snapshot --------------------------------------------------------------
@@ -431,7 +417,7 @@ def save_snapshot(path: str, g: InclusionGraph, store: CharacterStore,
 
 def _weight(token: str, name: str, upper: float = math.inf) -> float:
     """An edge weight cell: a finite number in [0, upper]."""
-    value = float(token)
+    value = real(token)
     if 0.0 <= value <= upper and value != math.inf:
         return value
     bounds = f"in [0, {upper:g}]" if upper < math.inf else ">= 0"
@@ -518,15 +504,3 @@ def parse_snapshot(text: str, path: str = "snapshot"
         except DataError as exc:
             raise InputError(str(exc)) from None
     return g, store, annotations
-
-
-def load_snapshot(path: str) -> tuple[InclusionGraph, CharacterStore,
-                                      dict[int, set[str]]]:
-    return parse_snapshot(read_text(path), path)
-
-
-def snapshot_to_string(g: InclusionGraph, store: CharacterStore,
-                       annotations: Mapping[int, set[str]] | None = None) -> str:
-    buf = io.StringIO()
-    write_snapshot(buf, g, store, annotations)
-    return buf.getvalue()

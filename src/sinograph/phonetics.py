@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .charstore import CharacterStore, Language, Reading, strip_tone
 from .errors import DataError, InputError
-from .formats import parse_feature_table, read_text
+from .formats import load_file, parse_feature_table
 from .graphcore import InclusionGraph
 
 FEATURE_WEIGHTS = (4.0, 1.0, 4.0, 1.0, 5.0, 1.0, 1.0)
@@ -71,9 +71,8 @@ class FeatureTable:
         if path is None:
             path = "data/phoneme_features.tsv"
             text = resources.files("sinograph").joinpath(path).read_text("utf-8")
-        else:
-            text = read_text(path)
-        return cls(*parse_feature_table(text, path))
+            return cls(*parse_feature_table(text, path))
+        return cls(*load_file(parse_feature_table, path))
 
     def syllable_features(self, token: str) -> tuple[float, ...]:
         """Map a romanized syllable token to its 7 feature values: the

@@ -16,6 +16,8 @@ from sinograph.cli import main
 from sinograph.phonetics import FeatureTable, reading_distance
 from sinograph.synthdata import make_dataset
 
+from test_formats import written_snapshot
+
 # three characters where A's strokes are a prefix of B's and B's of C's,
 # drawn with generic slopes so no accidental parallels occur
 STROKE_A = "H:(0,0)-(3,1)"
@@ -59,7 +61,7 @@ def test_build_graph_reduces_chain(chain_inputs, capsys):
                  capsys.readouterr().out.strip().splitlines())
     assert stats["classes"] == "3"
     assert stats["class_inclusions"] == "2"  # transitive edge removed
-    g, _, _ = formats.load_snapshot(out)
+    g, _, _ = formats.load_file(formats.parse_snapshot, out)
     assert g.edge_count() == 2
 
 
@@ -133,7 +135,7 @@ def _annotate(chain_inputs, extra=()):
 
 def test_annotate_attaches_phi_and_s(chain_inputs, capsys):
     out = _annotate(chain_inputs)
-    g, store, annotations = formats.load_snapshot(out)
+    g, store, annotations = formats.load_file(formats.parse_snapshot, out)
     a, b = store.class_of[0x4E00], store.class_of[0x4E01]
     edge = g.edge(a, b)
     assert edge.phi["ja_on"] == pytest.approx(1.0)  # shared "nin"
@@ -167,7 +169,7 @@ def test_annotate_without_readings_still_computes_s(chain_inputs, capsys):
                "--synsets", chain_inputs["synsets"],
                "--relations", chain_inputs["relations"]])
     assert rc == 0
-    g, _, _ = formats.load_snapshot(out)
+    g, _, _ = formats.load_file(formats.parse_snapshot, out)
     for e in g.edges():
         assert g.edge(*e).phi == {}
         assert g.edge(*e).s is not None
@@ -331,8 +333,8 @@ def test_snapshot_nodes_out_of_id_order_are_read_in_id_order(chain_inputs, capsy
     assert end - start == 3
     lines[start:end] = reversed(lines[start:end])
     shuffled = write(chain_inputs["dir"] / "shuffled.snap", "\n".join(lines) + "\n")
-    g, store, annotations = formats.load_snapshot(shuffled)
-    assert formats.snapshot_to_string(g, store, annotations) == text
+    g, store, annotations = formats.load_file(formats.parse_snapshot, shuffled)
+    assert written_snapshot(g, store, annotations) == text
     capsys.readouterr()
     assert main(["chains", "--snapshot", shuffled, "--kind", "semantic",
                  "--all"]) == 0
@@ -475,6 +477,8 @@ def pipeline_files(chain_inputs, tmp_path):
     "evaluate --vectors {vectors} --k 1",
     "evaluate --vectors {vectors} --C 0",
     "evaluate --vectors {vectors} --C nan",
+    "evaluate --vectors {vectors} --C inf",
+    "evaluate --vectors {vectors} --C 1e400",
     "query-unknown --snapshot {snap} --all --max-depth 0",
 ])
 def test_out_of_range_flag_is_an_input_error(pipeline_files, capsys, argv):
@@ -516,7 +520,7 @@ def test_annotate_reads_the_readings_of_variant_members(tmp_path, capsys):
                  "--out", snap]) == 0
     assert main(["annotate", "--snapshot", snap, "--out", out,
                  "--readings", readings, "--languages", "ja_on"]) == 0
-    g, store, _ = formats.load_snapshot(out)
+    g, store, _ = formats.load_file(formats.parse_snapshot, out)
     assert store.by_id[0].members == {0x4E00, 0x4E05}
     assert g.edges() == [(0, 2)]
     assert g.edge(0, 2).d_min["ja_on"] == 0.0
@@ -535,10 +539,11 @@ def test_seed7_d_min_is_min_over_member_readings(tmp_path, capsys):
                  "--ufl", f"{data}/freq.tsv", "--out", snap]) == 0
     assert main(["annotate", "--snapshot", snap, "--out", out,
                  "--readings", f"{data}/readings.tsv"]) == 0
-    g, store, _ = formats.load_snapshot(out)
+    g, store, _ = formats.load_file(formats.parse_snapshot, out)
     classes = store.classes
     by_cp: dict = {}
-    for cp, reading in formats.load_readings(f"{data}/readings.tsv"):
+    for cp, reading in formats.load_file(formats.parse_readings,
+                                         f"{data}/readings.tsv"):
         by_cp.setdefault(cp, []).append(reading)
     assert any(len(c.members) > 1 for c in classes)
     table = FeatureTable.load()
@@ -775,13 +780,15 @@ def test_non_utf8_input_names_the_line(pipeline_files, capsys, name, argv):
     assert f"{path}:{at + 1}: not valid UTF-8" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.mark.parametrize("package", ["scipy", "numpy"])
+def test_cli_import_loads_no_scipy(package):
+    # numpy loads only when evaluate trains a classifier
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(sinograph.__file__)))
     loaded = subprocess.run(
         [sys.executable, "-c",
          "import sys, sinograph.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"],
         env=env, check=True, capture_output=True, text=True).stdout
     assert loaded.strip() == "[]"
 
@@ -861,6 +868,22 @@ def test_a_non_decimal_integer_flag_is_a_usage_error(pipeline_files, capsys, arg
     rc = main([token.format(**pipeline_files) for token in argv.split()])
     assert rc == 1
     assert "invalid decimal value" in capsys.readouterr().err
+    assert not os.path.exists(pipeline_files["out"])
+
+
+@pytest.mark.parametrize("argv", [
+    "build-graph --strokes {strokes} --out {out} --tolerance",
+    "annotate --snapshot {snap} --out {out} --synsets {synsets} --coefficients 1 1",
+    "evaluate --vectors {vectors} --out {out} --C",
+])
+@pytest.mark.parametrize("token", ["1_0", "１", " 1", "+1"])
+def test_a_malformed_real_flag_is_a_usage_error(pipeline_files, capsys, argv,
+                                                 token):
+    # float() reads each of these tokens
+    capsys.readouterr()
+    rc = main([t.format(**pipeline_files) for t in argv.split()] + [token])
+    assert rc == 1
+    assert "invalid real value" in capsys.readouterr().err
     assert not os.path.exists(pipeline_files["out"])
 
 

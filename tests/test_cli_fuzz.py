@@ -24,6 +24,7 @@ from sinograph.charstore import CharacterStore
 from sinograph.cli import main
 from sinograph.graphcore import EdgeData, InclusionGraph
 
+from test_formats import written_snapshot
 from test_parsers_fuzz import _mutate
 
 
@@ -47,11 +48,10 @@ def _snapshot_text(annotated: bool) -> str:
     for (sub, sup), (s, phi) in EDGES.items():
         g.add_edge(sub, sup, _edge(s, phi) if annotated else None)
     if not annotated:
-        return formats.snapshot_to_string(g, STORE)
+        return written_snapshot(g, STORE)
     g.meta["phi_dmax_cmn"] = repr(4.0)
     g.meta["phi_dmax_ja_on"] = repr(6.0)
-    return formats.snapshot_to_string(g, STORE, {1: {"syn0", "syn1"},
-                                                   3: {"syn2"}})
+    return written_snapshot(g, STORE, {1: {"syn0", "syn1"}, 3: {"syn2"}})
 
 
 def _vectors_text() -> str:

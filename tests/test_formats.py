@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 
@@ -93,6 +94,13 @@ def test_vectors_roundtrip():
         formats.parse_vectors("no header\n")
 
 
+def written_snapshot(g, store, annotations=None) -> str:
+    """The text ``formats.write_snapshot`` writes."""
+    buf = io.StringIO()
+    formats.write_snapshot(buf, g, store, annotations)
+    return buf.getvalue()
+
+
 def _sample_graph():
     g = InclusionGraph()
     data = EdgeData()
@@ -116,7 +124,7 @@ def _sample_graph():
 
 def test_snapshot_roundtrip():
     g, store, annotations = _sample_graph()
-    text = formats.snapshot_to_string(g, store, annotations)
+    text = written_snapshot(g, store, annotations)
     g2, store2, ann2 = formats.parse_snapshot(text)
 
     assert g2.nodes == g.nodes
@@ -130,14 +138,14 @@ def test_snapshot_roundtrip():
     assert store2.class_of == store.class_of
     assert ann2 == annotations
     # serialization is canonical: a second write is byte-identical
-    assert formats.snapshot_to_string(g2, store2, ann2) == text
+    assert written_snapshot(g2, store2, ann2) == text
 
 
 def test_snapshot_rejects_garbage():
     with pytest.raises(InputError):
         formats.parse_snapshot("not a snapshot\n")
     g, store, _ = _sample_graph()
-    text = formats.snapshot_to_string(g, store)
+    text = written_snapshot(g, store)
     broken = text.replace("EDGES\n0\t1", "EDGES\n0\tnope", 1)
     with pytest.raises(InputError):
         formats.parse_snapshot(broken)
@@ -147,14 +155,14 @@ def test_snapshot_file_io(tmp_path):
     g, store, annotations = _sample_graph()
     path = tmp_path / "graph.snap"
     formats.save_snapshot(str(path), g, store, annotations)
-    g2, _, ann2 = formats.load_snapshot(str(path))
+    g2, _, ann2 = formats.load_file(formats.parse_snapshot, str(path))
     assert g2.edges() == g.edges()
     assert ann2 == annotations
 
 
 def test_snapshot_rejects_a_cycle():
     g, store, _ = _sample_graph()
-    text = formats.snapshot_to_string(g, store)
+    text = written_snapshot(g, store)
     edge = next(line for line in text.splitlines() if line.startswith("0\t1\t"))
     cyclic = text.replace(edge, edge + "\n1\t0\t" + edge[4:], 1)
     with pytest.raises(InputError, match=r"^g\.snap: graph has a cycle: "
@@ -196,7 +204,7 @@ def test_decimal_fields_take_ascii_digits_only(token):
                                             ("EDGES", 1), ("EDGES", 8)])
 def test_snapshot_integers_take_ascii_digits_only(token, section, field):
     g, store, _ = _sample_graph()
-    lines = formats.snapshot_to_string(g, store).splitlines()
+    lines = written_snapshot(g, store).splitlines()
     lineno = lines.index(section) + 2
     fields = lines[lineno - 1].split("\t")
     fields[field] = token
@@ -204,6 +212,45 @@ def test_snapshot_integers_take_ascii_digits_only(token, section, field):
     with pytest.raises(InputError) as exc:
         formats.parse_snapshot("\n".join(lines) + "\n", "g.snap")
     assert str(exc.value) == f"g.snap:{lineno}: malformed {section} line"
+
+
+# float() alone reads each of these: "_" separators, blanks, "+" and
+# non-ASCII digits ("５" is fullwidth, "١" Arabic-Indic)
+NOT_REAL = ("0_5", "５", "١", "+0.5", " 0.5", "0.5 ", "", "1e_3")
+
+
+@pytest.mark.parametrize("token", NOT_REAL)
+def test_real_fields_take_ascii_float_syntax_only(token):
+    if " " not in token:  # a blank ends a vector cell
+        cell = f"1:{token}"
+        with pytest.raises(InputError) as vector:
+            formats.parse_vectors(f"{formats.VECTORS_HEADER}\na\t{cell}\n")
+        assert str(vector.value) == f"vectors:2: bad cell {cell!r}"
+    with pytest.raises(InputError) as table:
+        formats.parse_feature_table("C\t-\t0\t0\t0\t0\nV\t-\t0\t0\t0\n"
+                                    f"C\tb\t{token}\t1\t1\t0\n")
+    assert str(table.value) == "phoneme_features.tsv:3: bad number"
+    g, store, _ = _sample_graph()
+    lines = written_snapshot(g, store).splitlines()
+    lineno = lines.index("EDGES") + 2
+    fields = lines[lineno - 1].split("\t")
+    fields[2] = token  # d_min of cmn
+    lines[lineno - 1] = "\t".join(fields)
+    with pytest.raises(InputError) as snapshot:
+        formats.parse_snapshot("\n".join(lines) + "\n", "g.snap")
+    assert str(snapshot.value) == f"g.snap:{lineno}: bad real number {token!r}"
+    if not token.isascii() or "_" in token:  # strokes allow "+" and blanks
+        spec = f"H:(1,5)-(9,{token})"
+        with pytest.raises(InputError) as strokes:
+            formats.parse_strokes(f"4E00\tS:(5,9)-(5,1)\n4E01\t{spec}\n")
+        assert str(strokes.value) == (f"strokes.tsv:2: stroke description "
+                                      f"{spec!r} is not ASCII or holds '_'")
+
+
+def test_real_takes_what_repr_writes():
+    for value in (0.5, 1e+20, 1e-07, -2.0, math.inf, -math.inf):
+        assert formats.real(repr(value)) == value
+    assert math.isnan(formats.real("nan"))
 
 
 def test_a_negative_decimal_keeps_its_range_message():

@@ -90,7 +90,8 @@ def _run_subcommands(data: str, out: dict[str, str]) -> None:
 def _run_freqdist(base: str) -> None:
     """``freqdist`` of ``data/freq.tsv`` and the counts of the first half
     of the corpus, two lists that differ in ranking and coverage."""
-    docs = formats.load_corpus(os.path.join(base, "data", "corpus.tsv"))
+    docs = formats.load_file(formats.parse_corpus,
+                             os.path.join(base, "data", "corpus.tsv"))
     counts = Counter(ord(ch) for _, text in docs[:len(docs) // 2] for ch in text)
     formats.write_lines(os.path.join(base, "freq_half.tsv"),
                         [f"{cp:X}\t{n}" for cp, n in sorted(counts.items())])

@@ -23,6 +23,8 @@ from sinograph.errors import InputError
 from sinograph.graphcore import EdgeData, InclusionGraph
 from sinograph.phonetics import FeatureTable
 
+from test_formats import written_snapshot
+
 HOSTILE = ("nan", "inf", "-1", "-", "", "zz", "1e400", "1e200")
 TOKEN = re.compile(r"[\w.+]+")
 NAMES_THE_FILE = re.compile(r"^[^:\s]+:(\d+:)? ")
@@ -38,7 +40,7 @@ def _snapshot_text() -> str:
     # classes 0..2: U+4E00, {U+4E09, U+4E8C} led by U+4E8C, U+4E0A
     store = CharacterStore({0x4E00, 0x4E09, 0x4E8C, 0x4E0A},
                            [(0x4E09, 0x4E8C)], {0x4E8C: 1.0})
-    return formats.snapshot_to_string(g, store, {1: {"syn0", "syn1"}})
+    return written_snapshot(g, store, {1: {"syn0", "syn1"}})
 
 
 def _load_feature_table(text: str) -> FeatureTable:
