@@ -28,8 +28,7 @@ from .features import (
     DEFAULT_LANGUAGE,
     DEFAULT_MIN_COUNT,
     STRATEGIES,
-    augment,
-    baseline_vectors,
+    document_vectors,
 )
 from .freqlists import aggregate_ufl, distance_matrix
 from .graphcore import from_edges, lift_to_classes, transitive_reduce
@@ -56,46 +55,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    tokens = text.split("-")
-    if len(tokens) != 2 or not all(formats.HEX_NUMBER.fullmatch(t) for t in tokens):
-        raise InputError(f"bad codepoint range {text!r}; expected HEX-HEX")
-    lo, hi = (int(t, 16) for t in tokens)
-    if lo > hi:
-        raise InputError(f"empty codepoint range {text!r}")
-    return lo, hi
-
-
 # -- subcommands -------------------------------------------------------------
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
     strokes = formats.load_file(formats.parse_strokes, args.strokes)
     if args.codepoint_range:
-        lo, hi = _parse_range(args.codepoint_range)
+        lo, hi = formats.codepoint_range(args.codepoint_range)
         strokes = {cp: s for cp, s in strokes.items() if lo <= cp <= hi}
     if not strokes:
         raise DataError("no characters to build a graph from")
+    # each stage is dropped once the next holds what it needs
+    chars = list(strokes)
     sigs = {cp: char_signature(s) for cp, s in strokes.items()}
+    del strokes
     char_edges = detect_inclusions(sigs, tolerance=args.tolerance)
-
-    char_graph = from_edges(char_edges, nodes=strokes.keys())
+    del sigs
+    inclusions = len(char_edges)
+    char_graph = from_edges(char_edges, nodes=chars)
+    del char_edges
     char_reduced = transitive_reduce(char_graph)
+    del char_graph
+    reduced_inclusions = char_reduced.edge_count()
 
     variant_pairs = (formats.load_file(formats.parse_variants, args.variants)
                      if args.variants else set())
     frequencies = (formats.load_file(formats.parse_freq_counts, args.ufl).as_dict()
                    if args.ufl else None)
-    chars = set(strokes) | {cp for pair in variant_pairs for cp in pair}
-    store = CharacterStore(chars, variant_pairs, frequencies)
+    store = CharacterStore(set(chars) | {cp for pair in variant_pairs for cp in pair},
+                           variant_pairs, frequencies)
 
     lifted = lift_to_classes(char_reduced.edges(), store)
+    del char_reduced
     reduced = transitive_reduce(lifted)
+    del lifted
     reduced.meta["tolerance"] = repr(args.tolerance)
 
     formats.save_snapshot(args.out, reduced, store)
-    print(f"characters\t{len(strokes)}")
-    print(f"character_inclusions\t{len(char_edges)}")
-    print(f"character_inclusions_reduced\t{char_reduced.edge_count()}")
+    print(f"characters\t{len(chars)}")
+    print(f"character_inclusions\t{inclusions}")
+    print(f"character_inclusions_reduced\t{reduced_inclusions}")
     print(f"classes\t{reduced.node_count()}")
     print(f"class_inclusions\t{reduced.edge_count()}")
     return EXIT_OK
@@ -217,20 +215,18 @@ def cmd_features(args: argparse.Namespace) -> int:
     language = Language.parse(args.language)
     g, store, _ = formats.load_file(formats.parse_snapshot, args.snapshot)
     docs = formats.load_file(formats.parse_corpus, args.corpus)
-    labels = [label for label, _ in docs]
-    texts = [text for _, text in docs]
-
-    vocab, vectors = baseline_vectors(texts, store.class_of, min_count=args.min_count)
-    vocab, vectors = augment(g, vocab, vectors, STRATEGIES[args.strategy],
-                             language)
+    # every error is raised here, before --out is opened
+    vocab, vectors = document_vectors(
+        g, [text for _, text in docs], store.class_of,
+        STRATEGIES[args.strategy], language, min_count=args.min_count)
 
     with formats.open_output(args.out) as fh:
-        formats.write_vectors(fh, labels, vectors)
+        formats.write_vectors(fh, (label for label, _ in docs), vectors)
     if args.vocab_out:
         lines = [f"{cid}\t{vocab.provenance[cid]}"
                  for cid in sorted(vocab.provenance)]
         formats.write_lines(args.vocab_out, lines)
-    print(f"documents\t{len(vectors)}")
+    print(f"documents\t{len(docs)}")
     print(f"vocabulary\t{len(vocab)}")
     print(f"vocabulary_added\t{len(vocab.added_ids())}")
     return EXIT_OK

@@ -8,10 +8,17 @@ weighted chain of subcharacters and adds discounted weight to the chain
 members: depth i receives (1/i) * edge_weight * w(class).  Chain members
 outside the vocabulary are added to it, tagged with their provenance.
 
-``augment`` is the one augmentation path.  Only the chain and its edge
-weight vary, and ``CHAIN_KINDS`` holds both per kind: the most semantic
-chain weighted by the semanticity S, and the least phonetic chain
-weighted by the phoneticity phi.  ``STRATEGIES`` names the kinds each
+``document_vectors`` is the pipeline's path: it counts the vocabulary
+over the whole corpus and compiles the chain steps, then builds and
+augments one document's vector at a time, so a caller can write each
+before the next is made and only one is held.  ``baseline_vectors``
+and ``augment`` collect the same per-document steps into lists.
+
+``augment`` and ``document_vectors`` share one per-document
+augmentation step.  Only the chain and its edge weight vary, and
+``CHAIN_KINDS`` holds both per kind: the most semantic chain weighted
+by the semanticity S, and the least phonetic chain weighted by the
+phoneticity phi.  ``STRATEGIES`` names the kinds each
 strategy adds, in summation order.  Each class's chain of a kind is
 walked and weighed once, into steps (member, (1/i) * edge_weight); a
 document then gains coef * w at each step, the same product in the same
@@ -24,7 +31,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .charstore import Language
 from .errors import DataError, InputError
@@ -72,6 +79,54 @@ def _l2_normalize(vec: FeatureVector) -> FeatureVector:
     return {k: w / norm for k, w in vec.items()}
 
 
+def _vocabulary(texts: Sequence[str], class_of: Mapping[int, int],
+                min_count: int) -> Vocabulary:
+    """The classes whose members occur at least ``min_count`` times in
+    ``texts``, in order of first occurrence.  ``Counter`` counts each
+    text in C and keeps its characters in that order."""
+    if min_count < 1:
+        raise InputError("min_count must be >= 1")
+    if not texts:
+        raise InputError("empty corpus")
+    char_counts: Counter[str] = Counter()
+    for text in texts:
+        char_counts.update(text)
+    class_counts: Counter[int] = Counter()
+    for ch, c in char_counts.items():
+        cid = class_of.get(ord(ch))
+        if cid is not None:
+            class_counts[cid] += c
+    vocab = Vocabulary({cid: PROVENANCE_BASELINE
+                        for cid, c in class_counts.items() if c >= min_count})
+    if not vocab:
+        raise DataError(f"no class reaches min_count={min_count}; "
+                        f"vocabulary is empty")
+    return vocab
+
+
+def _baseline_vector(index: int, text: str, class_of: Mapping[int, int],
+                     vocab: Vocabulary, normalize: bool) -> FeatureVector:
+    """The class weights of document ``index``.  A class keeps the
+    largest count of its members, divided by the total only then: the
+    division is monotonic, so that is the largest relative frequency."""
+    in_vocab = vocab.provenance
+    total = 0
+    top: dict[int, int] = {}
+    for ch, c in Counter(text).items():
+        cid = class_of.get(ord(ch))
+        if cid is None:
+            continue
+        total += c
+        if cid in in_vocab and c > top.get(cid, 0):
+            top[cid] = c
+    if total == 0:
+        log.warning("document %d contains no stored characters; "
+                    "emitting a zero vector", index)
+        return {}
+    weights = {cid: c / total for cid, c in top.items()}
+    return _l2_normalize(weights) if normalize else weights
+
+
 def baseline_vectors(
     texts: Sequence[str],
     class_of: Mapping[int, int],
@@ -87,46 +142,9 @@ def baseline_vectors(
     whose members occur at least ``min_count`` times corpus-wide; vectors
     are then restricted to it and L2-normalized.
     """
-    if min_count < 1:
-        raise InputError("min_count must be >= 1")
-    if not texts:
-        raise InputError("empty corpus")
-    corpus_class_counts: Counter[int] = Counter()
-    doc_char_counts: list[Counter[int]] = []
-    for text in texts:
-        counts: Counter[int] = Counter()
-        for ch in text:
-            cp = ord(ch)
-            if cp in class_of:
-                counts[cp] += 1
-        doc_char_counts.append(counts)
-        for cp, c in counts.items():
-            corpus_class_counts[class_of[cp]] += c
-
-    vocab = Vocabulary({cid: PROVENANCE_BASELINE
-                        for cid, c in corpus_class_counts.items()
-                        if c >= min_count})
-    if not vocab:
-        raise DataError(f"no class reaches min_count={min_count}; "
-                        f"vocabulary is empty")
-
-    vectors: list[FeatureVector] = []
-    for i, counts in enumerate(doc_char_counts):
-        total = sum(counts.values())
-        if total == 0:
-            log.warning("document %d contains no stored characters; "
-                        "emitting a zero vector", i)
-            vectors.append({})
-            continue
-        weights: FeatureVector = {}
-        for cp, c in counts.items():
-            cid = class_of[cp]
-            if cid in vocab:
-                w = c / total
-                if w > weights.get(cid, 0.0):
-                    weights[cid] = w
-        vectors.append(_l2_normalize(weights) if normalize else weights)
-    return vocab, vectors
+    vocab = _vocabulary(texts, class_of, min_count)
+    return vocab, [_baseline_vector(i, text, class_of, vocab, normalize)
+                   for i, text in enumerate(texts)]
 
 
 class ChainKind(NamedTuple):
@@ -204,6 +222,33 @@ def _chain_additions(vector: FeatureVector,
     return additions
 
 
+def _compile_parts(g: InclusionGraph, vocab: Vocabulary, parts: Sequence[str],
+                   language: Language) -> list[dict[int, list[tuple[int, float]]]]:
+    """The compiled chain steps of each vocabulary class, per part."""
+    return [_compile_chains(g, class_chains(g, vocab.ids, kind, language),
+                            CHAIN_KINDS[kind].weight, language)
+            for kind in parts]
+
+
+def _augmented_vector(vec: FeatureVector,
+                      walks: Sequence[Mapping[int, list[tuple[int, float]]]],
+                      new_vocab: Vocabulary, normalize: bool) -> FeatureVector:
+    """One document's vector with the gains of each part in ``walks``;
+    the chain members it adds join ``new_vocab``."""
+    adds: FeatureVector = {}
+    for steps in walks:
+        gains = _chain_additions(vec, steps)
+        for cid, gain in gains.items():
+            adds[cid] = adds.get(cid, 0.0) + gain
+    merged = dict(vec)
+    for cid, gain in adds.items():
+        merged[cid] = merged.get(cid, 0.0) + gain
+        if cid not in new_vocab:
+            new_vocab.provenance[cid] = PROVENANCE_CHAIN
+    # untouched documents stay bit-identical
+    return _l2_normalize(merged) if (normalize and adds) else merged
+
+
 def augment(
     g: InclusionGraph,
     vocab: Vocabulary,
@@ -222,25 +267,35 @@ def augment(
     document's total in the order of ``parts``.  Chain members missing
     from the vocabulary are added with chain provenance.
     """
-    walks = [_compile_chains(g, class_chains(g, vocab.ids, kind, language),
-                             CHAIN_KINDS[kind].weight, language)
-             for kind in parts]
+    walks = _compile_parts(g, vocab, parts, language)
     new_vocab = vocab.copy()
-    out: list[FeatureVector] = []
-    for vec in vectors:
-        adds: FeatureVector = {}
-        for steps in walks:
-            gains = _chain_additions(vec, steps)
-            for cid, gain in gains.items():
-                adds[cid] = adds.get(cid, 0.0) + gain
-        merged = dict(vec)
-        for cid, gain in adds.items():
-            merged[cid] = merged.get(cid, 0.0) + gain
-            if cid not in new_vocab:
-                new_vocab.provenance[cid] = PROVENANCE_CHAIN
-        # untouched documents stay bit-identical
-        out.append(_l2_normalize(merged) if (normalize and adds) else merged)
-    return new_vocab, out
+    return new_vocab, [_augmented_vector(vec, walks, new_vocab, normalize)
+                       for vec in vectors]
+
+
+def document_vectors(
+    g: InclusionGraph,
+    texts: Sequence[str],
+    class_of: Mapping[int, int],
+    parts: Sequence[str],
+    language: Language = DEFAULT_LANGUAGE,
+    min_count: int = DEFAULT_MIN_COUNT,
+) -> tuple[Vocabulary, Iterator[FeatureVector]]:
+    """``augment`` of ``baseline_vectors``, one document at a time.
+
+    Every input and data error is raised here, before the first vector:
+    the vocabulary pass and the chain steps run now, and each document's
+    vector is built and augmented only when the iterator reaches it.
+    The returned vocabulary gains the chain members as the documents are
+    drawn, and is complete once all of them are.
+    """
+    vocab = _vocabulary(texts, class_of, min_count)
+    walks = _compile_parts(g, vocab, parts, language)
+    new_vocab = vocab.copy()
+    vectors = (_augmented_vector(
+        _baseline_vector(i, text, class_of, vocab, normalize=True),
+        walks, new_vocab, normalize=True) for i, text in enumerate(texts))
+    return new_vocab, vectors
 
 
 def augment_strategy1(

@@ -32,7 +32,7 @@ import math
 import re
 import sys
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
 
 from .charstore import AllographClass, CharacterStore, Language, Reading
 from .errors import DataError, InputError
@@ -109,6 +109,18 @@ def _codepoint(token: str) -> int:
     if not 0 <= cp <= 0x10FFFF:
         raise InputError(f"codepoint {token!r} out of range")
     return cp
+
+
+def codepoint_range(text: str) -> tuple[int, int]:
+    """A ``LO-HI`` range of hex codepoints, LO <= HI, each end held to
+    the codepoint rule of every file."""
+    tokens = text.split("-")
+    if len(tokens) != 2 or not all(HEX_NUMBER.fullmatch(t) for t in tokens):
+        raise InputError(f"bad codepoint range {text!r}; expected HEX-HEX")
+    lo, hi = (_codepoint(t) for t in tokens)
+    if lo > hi:
+        raise InputError(f"empty codepoint range {text!r}")
+    return lo, hi
 
 
 def decimal(token: str) -> int:
@@ -317,8 +329,10 @@ def parse_feature_table(text: str, path: str = "phoneme_features.tsv"
 
 # -- sparse vectors --------------------------------------------------------
 
-def write_vectors(fh: TextIO, labels: Sequence[str],
-                  vectors: Sequence[Mapping[int, float]]) -> None:
+def write_vectors(fh: TextIO, labels: Iterable[str],
+                  vectors: Iterable[Mapping[int, float]]) -> None:
+    """The vectors file: the header, then each label with its vector,
+    each line written as its vector is drawn."""
     fh.write(VECTORS_HEADER + "\n")
     for label, vec in zip(labels, vectors):
         cells = " ".join(f"{cid}:{w:.12g}" for cid, w in sorted(vec.items()))

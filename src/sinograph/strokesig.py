@@ -220,8 +220,8 @@ def detect_inclusions(
     types to equal such a window exactly, no inclusion is missed; each
     distinct candidate pair is then verified by ``signature_contains``.
     """
-    if not tolerance >= 0:
-        raise InputError("tolerance must be nonnegative")
+    if not 0 <= tolerance < math.inf:
+        raise InputError("tolerance must be finite and nonnegative")
     by_types: dict[tuple[str, ...], list[int]] = defaultdict(list)
     for cp, sig in sigs.items():
         by_types[sig.stroke_types].append(cp)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -256,6 +257,73 @@ def test_features_and_evaluate_separable(chain_inputs, tmp_path, capsys):
     assert "mean_accuracy\t1.000000" in report
 
 
+def test_features_on_an_unannotated_snapshot_writes_no_file(chain_inputs,
+                                                           tmp_path, capsys):
+    # the semantic walk needs S on every edge; the graph carries none
+    graph = str(tmp_path / "g.snap")
+    assert main(["build-graph", "--strokes", chain_inputs["strokes"],
+                 "--out", graph]) == 0
+    corpus = write(tmp_path / "corpus.tsv", "one\t一丁丂\n" * 10)
+    out = str(tmp_path / "vec.txt")
+    capsys.readouterr()
+    rc = main(["features", "--snapshot", graph, "--corpus", corpus,
+               "--strategy", "semantic", "--out", out])
+    assert rc == 3
+    assert "semanticity" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def seed7_files(tmp_path_factory):
+    """The seed-7 inputs, their graph and its annotated snapshot."""
+    base = tmp_path_factory.mktemp("seed7")
+    files = make_dataset(str(base / "data"), seed=7)
+    files["graph"], files["snap"] = str(base / "g.snap"), str(base / "a.snap")
+    files["build_graph"] = [
+        "build-graph", "--strokes", files["strokes"],
+        "--variants", files["variants"], "--ufl", files["freq"],
+        "--out", files["graph"]]
+    assert main(files["build_graph"]) == 0
+    assert main(["annotate", "--snapshot", files["graph"], "--out", files["snap"],
+                 "--readings", files["readings"], "--radicals", files["radicals"],
+                 "--synsets", files["synsets"], "--relations", files["relations"],
+                 "--definitions", files["definitions"]]) == 0
+    return files
+
+
+def _traced_peak(argv):
+    """Peak bytes tracemalloc traces while ``main(argv)`` runs, after one
+    untraced run has filled what a first call in a process fills."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_graph_holds_one_stage_at_a_time(seed7_files, capsys):
+    # held together to the end, the stages take about 2.4 MB
+    assert _traced_peak(seed7_files["build_graph"]) < 1.5e6
+
+
+def test_features_peak_grows_with_the_corpus_text_only(seed7_files, tmp_path,
+                                                       capsys):
+    """Four copies of the corpus add a few bytes per added corpus byte,
+    for the text and its lines; every document's counts and vectors
+    held at once would add about 36."""
+    with open(seed7_files["corpus"], encoding="utf-8") as fh:
+        text = fh.read()
+    corpus4 = write(tmp_path / "corpus4.tsv", text * 4)
+    peaks = [_traced_peak(["features", "--snapshot", seed7_files["snap"],
+                           "--corpus", corpus, "--strategy", "combined",
+                           "--out", str(tmp_path / "vec.txt")])
+             for corpus in (seed7_files["corpus"], corpus4)]
+    added = 3 * len(text.encode("utf-8"))
+    assert peaks[1] - peaks[0] < 6 * added
+
+
 def test_evaluate_notes_models_at_epoch_cap(tmp_path, capsys, monkeypatch):
     labels = ["one", "two"] * 10
     base = {"one": 0, "two": 2}
@@ -459,10 +527,13 @@ def pipeline_files(chain_inputs, tmp_path):
 @pytest.mark.parametrize("argv", [
     "build-graph --strokes {strokes} --out {out} --tolerance -1",
     "build-graph --strokes {strokes} --out {out} --tolerance nan",
+    "build-graph --strokes {strokes} --out {out} --tolerance inf",
+    "build-graph --strokes {strokes} --out {out} --tolerance 1e400",
     "build-graph --strokes {strokes} --out {out} --codepoint-range 9FFF-4E00",
     "build-graph --strokes {strokes} --out {out} --codepoint-range 4E_00-9FFF",
     "build-graph --strokes {strokes} --out {out} --codepoint-range 4E00-+9FFF",
     "build-graph --strokes {strokes} --out {out} --codepoint-range 0x4E00-9FFF",
+    "build-graph --strokes {strokes} --out {out} --codepoint-range 4E00-110000",
     "annotate --snapshot {snap} --out {out} --readings {readings} "
     "--phi-histogram {hist} --bins 0",
     "annotate --snapshot {snap} --out {out} --synsets {synsets} "

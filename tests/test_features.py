@@ -17,6 +17,7 @@ from sinograph.features import (
     augment_strategy1,
     augment_strategy2,
     baseline_vectors,
+    document_vectors,
     semantic_chains,
 )
 from sinograph.graphcore import from_edges
@@ -61,6 +62,82 @@ def test_baseline_l2_normalized():
     _, vecs = baseline_vectors(["aab"], {ord("a"): 0, ord("b"): 1},
                                min_count=1)
     assert math.hypot(*vecs[0].values()) == pytest.approx(1.0)
+
+
+def old_baseline_vectors(texts, class_of, min_count):
+    """``baseline_vectors`` as it counted one character at a time, kept
+    as the oracle of its weights and of their order."""
+    corpus_class_counts = {}
+    doc_char_counts = []
+    for text in texts:
+        counts = {}
+        for ch in text:
+            if ord(ch) in class_of:
+                counts[ord(ch)] = counts.get(ord(ch), 0) + 1
+        doc_char_counts.append(counts)
+        for cp, c in counts.items():
+            cid = class_of[cp]
+            corpus_class_counts[cid] = corpus_class_counts.get(cid, 0) + c
+    vocab = [cid for cid, c in corpus_class_counts.items() if c >= min_count]
+    vectors = []
+    for counts in doc_char_counts:
+        total = sum(counts.values())
+        weights = {}
+        for cp, c in counts.items():
+            cid = class_of[cp]
+            if total and cid in vocab and c / total > weights.get(cid, 0.0):
+                weights[cid] = c / total
+        vectors.append(_l2_normalize(weights) if total else {})
+    return vocab, vectors
+
+
+def _random_corpus(seed):
+    """Texts over stored characters (two per class) and unstored ones."""
+    rng = random.Random(seed)
+    class_of = {0x4E00 + i: i // 2 for i in range(12)}
+    alphabet = [chr(cp) for cp in class_of] + list(" ,.!")
+    texts = ["".join(rng.choices(alphabet, k=rng.randrange(0, 30)))
+             for _ in range(25)]
+    return texts, class_of
+
+
+def test_baseline_equals_counting_one_character_at_a_time():
+    for seed in range(10):
+        texts, class_of = _random_corpus(seed)
+        vocab, vecs = baseline_vectors(texts, class_of, min_count=3)
+        want_vocab, want_vecs = old_baseline_vectors(texts, class_of, 3)
+        assert list(vocab.provenance) == want_vocab
+        # the same weights, bit for bit, in the same order
+        assert [list(v.items()) for v in vecs] == \
+            [list(v.items()) for v in want_vecs]
+
+
+def test_document_vectors_equal_the_list_collectors():
+    g = from_edges([(i, i + 1) for i in range(5)])
+    for i in range(5):
+        g.edge(i, i + 1).s = 0.1 * (i + 1)
+        g.edge(i, i + 1).phi[ON.value] = 0.3
+    for seed in range(5):
+        texts, class_of = _random_corpus(seed)
+        for strategy, parts in STRATEGIES.items():
+            vocab, vecs = baseline_vectors(texts, class_of, min_count=2)
+            want_vocab, want = augment(g, vocab, vecs, parts, ON)
+            got_vocab, got = document_vectors(g, texts, class_of, parts, ON,
+                                              min_count=2)
+            assert list(got) == want, strategy
+            assert got_vocab.provenance == want_vocab.provenance
+
+
+def test_document_vectors_raise_before_the_first_vector():
+    g = from_edges([(0, 1)])  # no S on the edge
+    texts, class_of = ["ab"] * 3, {ord("a"): 0, ord("b"): 1}
+    with pytest.raises(DataError, match="semanticity"):
+        document_vectors(g, texts, class_of, STRATEGIES["semantic"],
+                         min_count=1)
+    with pytest.raises(DataError, match="vocabulary is empty"):
+        document_vectors(g, texts, class_of, (), min_count=4)
+    with pytest.raises(InputError):
+        document_vectors(g, [], class_of, ())
 
 
 def _chain_graph():

@@ -177,8 +177,9 @@ def test_tolerance_widens_matches():
                                                 sigs[2].pair_sigs[:2])
                 for a, b in zip(inner_sig.as_tuple(), outer_sig.as_tuple()))
     assert (1, 2) in detect_inclusions(sigs, tolerance=worst + 0.01)
-    with pytest.raises(InputError):
-        detect_inclusions(sigs, tolerance=-0.1)
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            detect_inclusions(sigs, tolerance=bad)
 
 
 def test_containment_implies_shorter():
