@@ -23,15 +23,9 @@ from . import formats
 from .charstore import CharacterStore, Language
 from .classify import DEFAULT_C, DEFAULT_K, cross_validate
 from .errors import DataError, InputError
-from .features import (
-    CHAIN_KINDS,
-    DEFAULT_LANGUAGE,
-    DEFAULT_MIN_COUNT,
-    STRATEGIES,
-    document_vectors,
-)
+from .features import DEFAULT_LANGUAGE, DEFAULT_MIN_COUNT, STRATEGIES, document_vectors
 from .freqlists import aggregate_ufl, distance_matrix
-from .graphcore import from_edges, lift_to_classes, transitive_reduce
+from .graphcore import CHAIN_KINDS, from_edges, lift_to_classes, transitive_reduce
 from .inferschar import DEFAULT_MAX_DEPTH, semantic_approximation
 from .phonetics import (
     DEFAULT_BINS,
@@ -160,25 +154,35 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _class_id(token: str, store: CharacterStore) -> int:
+    """The class a ``--class`` token names: ``U+XXXX`` the class of that
+    member codepoint; a bare token the class whose decimal id or hex
+    member it is, and an error where it is both."""
+    prefixed = token[:2] in ("U+", "u+")
+    digits = token[2:] if prefixed else token
+    cp = int(digits, 16) if formats.HEX_NUMBER.fullmatch(digits) else None
+    try:
+        cid = None if prefixed else formats.decimal(token)
+    except ValueError:
+        cid = None
+    if cp is None and cid is None:
+        raise InputError(f"cannot resolve class {token!r}")
+    member, named = store.class_of.get(cp), cid in store.by_id
+    if member is not None and named:
+        raise InputError(f"--class {token} names class {cid} by id and class "
+                         f"{member} by its member U+{cp:04X}; name a class "
+                         f"by a member, as U+XXXX")
+    if member is None and not named:
+        raise DataError("; ".join(
+            ([] if cid is None else [f"no class with id {cid}"])
+            + ([] if cp is None else [f"U+{cp:04X} is in no class"])))
+    return cid if named else member
+
+
 def _resolve_class(args, store: CharacterStore) -> list[int]:
     if args.all:
         return [cls.id for cls in store.classes]
-    ids = []
-    for token in args.cls or []:
-        if token.startswith("U+") or token.startswith("u+"):
-            token = token[2:]
-        if formats.HEX_NUMBER.fullmatch(token):
-            cp = int(token, 16)
-            if cp in store.class_of:
-                ids.append(store.class_of[cp])
-                continue
-        try:
-            cid = formats.decimal(token)
-        except ValueError:
-            raise InputError(f"cannot resolve class {token!r}") from None
-        if cid not in store.by_id:
-            raise DataError(f"no class with id {cid}")
-        ids.append(cid)
+    ids = [_class_id(token, store) for token in args.cls or []]
     if not ids:
         raise InputError("no class given; use --class or --all")
     return ids
@@ -187,8 +191,8 @@ def _resolve_class(args, store: CharacterStore) -> list[int]:
 def cmd_chains(args: argparse.Namespace) -> int:
     language = Language.parse(args.language)
     g, store, _ = formats.load_file(formats.parse_snapshot, args.snapshot)
-    walk = CHAIN_KINDS[args.kind].walk
-    lines = [f"{cid}\t" + " ".join(str(c) for c in walk(g, cid, language))
+    kind = CHAIN_KINDS[args.kind]
+    lines = [f"{cid}\t" + " ".join(str(c) for c in kind.chain(g, cid, language))
              for cid in _resolve_class(args, store)]
     formats.write_lines(args.out, lines)
     return EXIT_OK
@@ -304,7 +308,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=list(CHAIN_KINDS), required=True)
     p.add_argument("--language", default=DEFAULT_LANGUAGE.value)
     p.add_argument("--class", dest="cls", action="append",
-                   help="class id, or a member codepoint in hex")
+                   help="class id, or a member codepoint as U+XXXX")
     p.add_argument("--all", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_chains)
@@ -339,7 +343,7 @@ def build_parser() -> _Parser:
                        "an unannotated class")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--class", dest="cls", action="append",
-                   help="class id, or a member codepoint in hex")
+                   help="class id, or a member codepoint as U+XXXX")
     p.add_argument("--all", action="store_true")
     p.add_argument("--max-depth", type=formats.decimal, default=DEFAULT_MAX_DEPTH)
     p.add_argument("--direction", choices=["sub", "super"], default="sub")

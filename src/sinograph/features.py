@@ -15,12 +15,10 @@ before the next is made and only one is held.  ``baseline_vectors``
 and ``augment`` collect the same per-document steps into lists.
 
 ``augment`` and ``document_vectors`` share one per-document
-augmentation step.  Only the chain and its edge weight vary, and
-``CHAIN_KINDS`` holds both per kind: the most semantic chain weighted
-by the semanticity S, and the least phonetic chain weighted by the
-phoneticity phi.  ``STRATEGIES`` names the kinds each
-strategy adds, in summation order.  Each class's chain of a kind is
-walked and weighed once, into steps (member, (1/i) * edge_weight); a
+augmentation step, and only the chain kind varies: ``STRATEGIES`` names
+the ``graphcore.CHAIN_KINDS`` each strategy adds, in summation order.
+Each class's chain of a kind is walked once into steps
+(member, (1/i) * edge_weight), the walk giving each step's weight; a
 document then gains coef * w at each step, the same product in the same
 order as (1/i) * edge_weight * w.
 """
@@ -31,13 +29,11 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .charstore import Language
 from .errors import DataError, InputError
-from .graphcore import InclusionGraph
-from .phonetics import least_phonetic_chain
-from .semantics import most_semantic_chain
+from .graphcore import CHAIN_KINDS, InclusionGraph
 
 log = logging.getLogger(__name__)
 
@@ -147,26 +143,6 @@ def baseline_vectors(
                    for i, text in enumerate(texts)]
 
 
-class ChainKind(NamedTuple):
-    """How to walk one kind of chain, and the weight augmentation adds
-    along each of its edges (None skips the edge)."""
-
-    walk: Callable[[InclusionGraph, int, Language], list[int]]
-    weight: Callable[[InclusionGraph, int, int, Language], float | None]
-
-
-# The walks look the chain functions up by their module-level names when
-# called, so a rebinding of those names (bench/spans.py times them so)
-# reaches them.
-CHAIN_KINDS = {
-    "semantic": ChainKind(
-        lambda g, start, language: most_semantic_chain(g, start),
-        lambda g, sub, sup, language: g.edge(sub, sup).s),
-    "phonetic": ChainKind(
-        lambda g, start, language: least_phonetic_chain(g, start, language),
-        lambda g, sub, sup, language: g.edge(sub, sup).phi.get(language.value)),
-}
-
 #: The chain kinds each augmentation strategy adds, in summation order.
 STRATEGIES: dict[str, tuple[str, ...]] = {
     "baseline": (),
@@ -176,38 +152,29 @@ STRATEGIES: dict[str, tuple[str, ...]] = {
 }
 
 
-def class_chains(g: InclusionGraph, class_ids: set[int], kind: str,
-                 language: Language = DEFAULT_LANGUAGE) -> dict[int, list[int]]:
-    """Chain of ``kind`` per class; classes outside the graph get a
-    singleton chain."""
-    walk = CHAIN_KINDS[kind].walk
-    return {cid: walk(g, cid, language) if cid in g else [cid]
+def semantic_chains(g: InclusionGraph, class_ids: set[int]) -> dict[int, list[int]]:
+    """The most semantic chain of each class; classes outside the graph
+    get a singleton chain."""
+    semantic = CHAIN_KINDS["semantic"]
+    return {cid: semantic.chain(g, cid) if cid in g else [cid]
             for cid in class_ids}
 
 
-def semantic_chains(g: InclusionGraph, class_ids: set[int]) -> dict[int, list[int]]:
-    """``class_chains`` of the most semantic kind."""
-    return class_chains(g, class_ids, "semantic")
-
-
-def _compile_chains(
-    g: InclusionGraph,
-    chains: Mapping[int, list[int]],
-    weight: Callable[[InclusionGraph, int, int, Language], float | None],
-    language: Language,
-) -> dict[int, list[tuple[int, float]]]:
-    """Each chain's steps as (member at depth i, (1/i) * edge weight);
-    steps whose edge has no weight are left out."""
-    steps: dict[int, list[tuple[int, float]]] = {}
-    for cid, chain in chains.items():
-        compiled = []
-        for i in range(1, len(chain)):
-            ew = weight(g, chain[i], chain[i - 1], language)
-            if ew is not None:
-                compiled.append((chain[i], (1.0 / i) * ew))
-        if compiled:
-            steps[cid] = compiled
-    return steps
+def _chain_steps(g: InclusionGraph, vocab: Vocabulary, parts: Sequence[str],
+                 language: Language) -> list[dict[int, list[tuple[int, float]]]]:
+    """Per kind in ``parts``, each vocabulary class's chain walked once
+    into steps (member at depth i, (1/i) * weight of the edge taken); a
+    class outside the graph or without predecessors has none."""
+    compiled = []
+    for kind in parts:
+        walk = CHAIN_KINDS[kind].walk
+        steps: dict[int, list[tuple[int, float]]] = {}
+        for cid in vocab.ids:
+            if cid in g and (walked := walk(g, cid, language)):
+                steps[cid] = [(member, (1.0 / i) * w)
+                              for i, (member, w) in enumerate(walked, 1)]
+        compiled.append(steps)
+    return compiled
 
 
 def _chain_additions(vector: FeatureVector,
@@ -220,14 +187,6 @@ def _chain_additions(vector: FeatureVector,
             if gain != 0.0:
                 additions[member] = additions.get(member, 0.0) + gain
     return additions
-
-
-def _compile_parts(g: InclusionGraph, vocab: Vocabulary, parts: Sequence[str],
-                   language: Language) -> list[dict[int, list[tuple[int, float]]]]:
-    """The compiled chain steps of each vocabulary class, per part."""
-    return [_compile_chains(g, class_chains(g, vocab.ids, kind, language),
-                            CHAIN_KINDS[kind].weight, language)
-            for kind in parts]
 
 
 def _augmented_vector(vec: FeatureVector,
@@ -267,7 +226,7 @@ def augment(
     document's total in the order of ``parts``.  Chain members missing
     from the vocabulary are added with chain provenance.
     """
-    walks = _compile_parts(g, vocab, parts, language)
+    walks = _chain_steps(g, vocab, parts, language)
     new_vocab = vocab.copy()
     return new_vocab, [_augmented_vector(vec, walks, new_vocab, normalize)
                        for vec in vectors]
@@ -290,7 +249,7 @@ def document_vectors(
     drawn, and is complete once all of them are.
     """
     vocab = _vocabulary(texts, class_of, min_count)
-    walks = _compile_parts(g, vocab, parts, language)
+    walks = _chain_steps(g, vocab, parts, language)
     new_vocab = vocab.copy()
     vectors = (_augmented_vector(
         _baseline_vector(i, text, class_of, vocab, normalize=True),

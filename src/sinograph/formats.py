@@ -413,7 +413,7 @@ def write_snapshot(
         fh.write(f"{cls.id}\t{members}\t{cls.representative:X}\t{synsets}\n")
     fh.write("EDGES\n")
     for sub, sup in g.edges():
-        d = g.edge(sub, sup)
+        d = g.peek(sub, sup)
         cells = [str(sub), str(sup)]
         for lang in _SNAPSHOT_LANGS:
             cells.append(_fmt_float(d.d_min.get(lang)))
@@ -456,9 +456,9 @@ def parse_snapshot(text: str, path: str = "snapshot"
     classes must form a partition (``CharacterStore.add``), and every
     edge endpoint must be a class declared earlier in NODES.
     An edge line has exactly its 13 fields.  Edge weights must be finite
-    and nonnegative, and phi, r and s at most 1.  Any other content
-    raises ``InputError`` naming the line; edges that close a cycle raise
-    it naming one.
+    and nonnegative, and phi, r and s at most 1.  A META key and an edge
+    are given once.  Any other content raises ``InputError`` naming the
+    line; edges that close a cycle raise it naming one.
     """
     section = None
     g = InclusionGraph()
@@ -473,6 +473,8 @@ def parse_snapshot(text: str, path: str = "snapshot"
             try:
                 if section == "META":
                     key, value = fields
+                    if key in g.meta:
+                        raise InputError(f"META key {key!r} repeated")
                     g.meta[key] = value
                 elif section == "NODES":
                     cid_tok, members_tok, rep_tok, synsets_tok = fields
@@ -506,7 +508,8 @@ def parse_snapshot(text: str, path: str = "snapshot"
                         data.s_raw = _weight(fields[i + 3], "s_raw")
                     if fields[i + 4] != MISSING:
                         data.s = _weight(fields[i + 4], "s", 1.0)
-                    g.add_edge(sub, sup, data)
+                    if not g.add_edge(sub, sup, data):
+                        raise InputError(f"edge {sub} -> {sup} repeated")
                 else:
                     raise InputError("content before any section header")
             except InputError:  # a ValueError too, but with its own message

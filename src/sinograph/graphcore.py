@@ -1,5 +1,5 @@
-"""The inclusion DAG: lifting, transitive reduction, power-law exponent
-estimation.
+"""The inclusion DAG: lifting, transitive reduction, chains, power-law
+exponent estimation.
 
 Edges point from subcharacter to containing character.  Detecting
 inclusions from signatures over-generates shortcut edges (every chain
@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .charstore import CharacterStore
+from .charstore import CharacterStore, Language
 from .errors import DataError, InputError
 
 
@@ -59,19 +59,21 @@ class InclusionGraph:
             self._succ[node] = set()
             self._pred[node] = set()
 
-    def add_edge(self, sub: int, sup: int, data: EdgeData | None = None) -> None:
-        """Add the edge sub -> sup unless it exists.  Without ``data`` the
-        edge stores no ``EdgeData`` until ``edge`` first reads it, so a
-        graph whose attributes are never read holds none."""
+    def add_edge(self, sub: int, sup: int, data: EdgeData | None = None) -> bool:
+        """Add the edge sub -> sup unless it exists; True if added.  Without
+        ``data`` the edge stores no ``EdgeData`` until ``edge`` first reads
+        it, so a graph whose attributes are never read holds none."""
         if sub == sup:
             raise InputError(f"self-loop on node {sub} is not an inclusion")
         self.add_node(sub)
         self.add_node(sup)
         key = (sub, sup)
-        if key not in self._edges:
-            self._edges[key] = data
-            self._succ[sub].add(sup)
-            self._pred[sup].add(sub)
+        if key in self._edges:
+            return False
+        self._edges[key] = data
+        self._succ[sub].add(sup)
+        self._pred[sup].add(sub)
+        return True
 
     # -- queries -----------------------------------------------------------
 
@@ -92,37 +94,24 @@ class InclusionGraph:
         return sorted(self._edges)
 
     def edge(self, sub: int, sup: int) -> EdgeData:
-        key = (sub, sup)
+        """The attributes of the edge sub -> sup, kept for the caller to set."""
+        data = self._edges[(sub, sup)] = self.peek(sub, sup)
+        return data
+
+    def peek(self, sub: int, sup: int) -> EdgeData:
+        """The attributes of the edge sub -> sup, to read only: for an
+        edge that stores none, a fresh ``EdgeData`` that is not kept."""
         try:
-            data = self._edges[key]
+            data = self._edges[(sub, sup)]
         except KeyError:
             raise DataError(f"no edge {sub} -> {sup}") from None
-        if data is None:
-            data = self._edges[key] = EdgeData()
-        return data
+        return EdgeData() if data is None else data
 
     def successors(self, node: int) -> set[int]:
         return set(self._succ[node])
 
     def predecessors(self, node: int) -> set[int]:
         return set(self._pred[node])
-
-    def descend(self, start: int,
-                key: Callable[[int, int], float | None]) -> list[int]:
-        """Chain from ``start`` that repeatedly steps to the predecessor p
-        of the current node with the smallest ``key(p, current)``,
-        skipping predecessors whose key is None; ties break toward the
-        lowest id, and the chain stops where no predecessor is left."""
-        if start not in self:
-            raise DataError(f"node {start} not in graph")
-        chain = [start]
-        while True:
-            current = chain[-1]
-            candidates = [(k, p) for p in self.predecessors(current)
-                          if (k := key(p, current)) is not None]
-            if not candidates:
-                return chain
-            chain.append(min(candidates)[1])
 
     def topological_order(self) -> list[int]:
         """Kahn topological order; raises DataError naming a cycle witness."""
@@ -158,6 +147,62 @@ class InclusionGraph:
                 return (path[seen[node]:] + [node])[::-1]
             seen[node] = len(path)
             path.append(node)
+
+
+class ChainKind(NamedTuple):
+    """One kind of chain, the only owner of what a chain follows: the
+    edge weight it reads (S or phi) and which way.  From its start a
+    chain steps to the predecessor p of the current node whose edge
+    p -> current has the largest weight, or the smallest, ties toward
+    the lowest id, and stops where no predecessor is left.  An edge
+    without the weight is skipped, or is a DataError if ``required``.
+    """
+
+    name: str
+    read: Callable[[EdgeData, Language | None], float | None]
+    largest: bool
+    required: bool
+
+    def weight(self, g: InclusionGraph, sub: int, sup: int,
+               language: Language | None = None) -> float | None:
+        """The weight of the edge sub -> sup, None where it has none."""
+        w = self.read(g.peek(sub, sup), language)
+        if w is None and self.required:
+            raise DataError(f"edge {sub} -> {sup} has no {self.name}; "
+                            f"compute it with the annotate subcommand")
+        return w
+
+    def walk(self, g: InclusionGraph, start: int,
+             language: Language | None = None) -> list[tuple[int, float]]:
+        """The steps of the chain from ``start``: each member after it,
+        with the weight of the edge from that member to the one before."""
+        if start not in g:
+            raise DataError(f"node {start} not in graph")
+        steps = []
+        current = start
+        while True:
+            # "largest" is the smallest (-w, id), so ties go to the lowest id
+            candidates = [(-w if self.largest else w, p, w)
+                          for p in g._pred[current]
+                          if (w := self.weight(g, p, current, language)) is not None]
+            if not candidates:
+                return steps
+            _, current, w = min(candidates)
+            steps.append((current, w))
+
+    def chain(self, g: InclusionGraph, start: int,
+              language: Language | None = None) -> list[int]:
+        """The chain from ``start``, ``start`` first."""
+        return [start] + [member for member, _ in self.walk(g, start, language)]
+
+
+CHAIN_KINDS = {
+    "semantic": ChainKind("semanticity", lambda data, language: data.s,
+                          largest=True, required=True),
+    "phonetic": ChainKind("phoneticity",
+                          lambda data, language: data.phi.get(language.value),
+                          largest=False, required=False),
+}
 
 
 def from_edges(edges: Iterable[tuple[int, int]],

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import DataError, InputError
-from .graphcore import InclusionGraph
+from .graphcore import CHAIN_KINDS, InclusionGraph
 
 SynsetVector = dict[str, float]
 
@@ -56,13 +56,7 @@ def semantic_approximation(
         return _normalize({sid: 1.0 for sid in own})
 
     neighbors = g.predecessors if direction == "sub" else g.successors
-
-    def edge_s(frm: int, to: int) -> float:
-        data = g.edge(to, frm) if direction == "sub" else g.edge(frm, to)
-        if data.s is None:
-            raise DataError(f"edge between {frm} and {to} has no semanticity; "
-                            f"annotate the graph first")
-        return data.s
+    s_of = CHAIN_KINDS["semantic"].weight
 
     weights: SynsetVector = {}
 
@@ -71,7 +65,8 @@ def semantic_approximation(
         for nxt in sorted(neighbors(current)):
             if nxt in on_path:
                 continue
-            p = product * edge_s(current, nxt)
+            sub, sup = (nxt, current) if direction == "sub" else (current, nxt)
+            p = product * s_of(g, sub, sup)
             synsets = annotations.get(nxt)
             if synsets:
                 contribution = p / depth

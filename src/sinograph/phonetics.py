@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 from .charstore import CharacterStore, Language, Reading, strip_tone
 from .errors import DataError, InputError
 from .formats import load_file, parse_feature_table
-from .graphcore import InclusionGraph
+from .graphcore import CHAIN_KINDS, InclusionGraph
 
 FEATURE_WEIGHTS = (4.0, 1.0, 4.0, 1.0, 5.0, 1.0, 1.0)
 DEFAULT_BINS = 20
@@ -198,8 +198,7 @@ def least_phonetic_chain(g: InclusionGraph, start: int,
     """Repeatedly descend to the incoming subcharacter with minimal
     phoneticity, skipping edges with unknown phi; ties break toward the
     lowest class id."""
-    lang = language.value
-    return g.descend(start, lambda sub, sup: g.edge(sub, sup).phi.get(lang))
+    return CHAIN_KINDS["phonetic"].chain(g, start, language)
 
 
 def phoneticity_histogram(g: InclusionGraph, language: Language,
@@ -211,11 +210,11 @@ def phoneticity_histogram(g: InclusionGraph, language: Language,
     """
     if bins < 1:
         raise InputError("bins must be >= 1")
-    lang = language.value
-    values = [g.edge(a, b).phi[lang] for a, b in g.edges()
-              if lang in g.edge(a, b).phi]
+    phonetic = CHAIN_KINDS["phonetic"]
+    values = [phi for a, b in g.edges()
+              if (phi := phonetic.weight(g, a, b, language)) is not None]
     if not values:
-        raise DataError(f"no edge carries a {lang} phoneticity")
+        raise DataError(f"no edge carries a {language.value} phoneticity")
     counts = [0] * bins
     for v in values:
         idx = min(int(v * bins), bins - 1)

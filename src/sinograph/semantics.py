@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .charstore import AllographClass, CharacterStore
 from .errors import DataError, InputError
-from .graphcore import InclusionGraph
+from .graphcore import CHAIN_KINDS, InclusionGraph
 
 #: Default mixing coefficients for (f1, f2, r).
 SEMANTICITY_COEFFICIENTS = (0.5, 0.25, 0.25)
@@ -282,10 +282,4 @@ def most_semantic_chain(g: InclusionGraph, start: int) -> list[int]:
     """Repeatedly descend to the incoming subcharacter with maximal
     semanticity (S = 0 is a value and stays eligible); ties break toward
     the lowest class id; stops at a node without incoming edges."""
-    def negated_s(sub: int, sup: int) -> float:
-        s = g.edge(sub, sup).s
-        if s is None:
-            raise DataError(f"edge {sub} -> {sup} has no semanticity; "
-                            f"run semanticity() first")
-        return -s
-    return g.descend(start, negated_s)
+    return CHAIN_KINDS["semantic"].chain(g, start)

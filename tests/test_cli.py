@@ -967,3 +967,63 @@ def test_a_non_decimal_class_id_is_an_input_error(pipeline_files, capsys,
                                  "--class", token])
     assert rc == 2
     assert f"cannot resolve class {token!r}" in capsys.readouterr().err
+
+
+def _with_member_1(pipeline_files):
+    """The annotated snapshot with class 2's member U+4E02 swapped for
+    U+0001, so that the bare token "1" names class 1 by id and class 2
+    by a member."""
+    with open(pipeline_files["snap"], encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\n2\t4E02\t4E02\t" in text
+    return write(pipeline_files["dir"] / "member1.snap",
+                 text.replace("\n2\t4E02\t4E02\t", "\n2\t1\t1\t"))
+
+
+@pytest.mark.parametrize("command", ["chains --kind semantic", "query-unknown"])
+@pytest.mark.parametrize("token, rc, message", [
+    ("U+2", 3, "U+0002 is in no class"),
+    ("u+4E03", 3, "U+4E03 is in no class"),
+    ("U+", 2, "cannot resolve class 'U+'"),
+    ("U+-1", 2, "cannot resolve class 'U+-1'"),
+    ("1", 2, "--class 1 names class 1 by id and class 2 by its member "
+             "U+0001; name a class by a member, as U+XXXX"),
+    ("9", 3, "no class with id 9; U+0009 is in no class"),
+    ("-1", 3, "no class with id -1"),
+    ("4E03", 3, "U+4E03 is in no class"),
+])
+def test_class_tokens_are_resolved_without_guessing(pipeline_files, capsys,
+                                                    command, token, rc, message):
+    snap = _with_member_1(pipeline_files)
+    capsys.readouterr()
+    assert main(command.split() + ["--snapshot", snap, "--class", token]) == rc
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token, cid", [("U+1", 2), ("u+0001", 2), ("U+4E00", 0),
+                                        ("4E01", 1), ("2", 2), ("0", 0)])
+def test_a_class_token_with_one_reading_names_its_class(pipeline_files, capsys,
+                                                        token, cid):
+    snap = _with_member_1(pipeline_files)
+    capsys.readouterr()
+    assert main(["query-unknown", "--snapshot", snap, "--class", token]) == 0
+    assert capsys.readouterr().out.startswith(f"{cid}\t")
+
+
+@pytest.mark.parametrize("argv", [
+    "chains --snapshot {graph} --kind semantic --all",
+    "features --snapshot {graph} --corpus {corpus} --strategy semantic "
+    "--out {out}",
+    "query-unknown --snapshot {graph} --all",
+])
+def test_every_reader_of_a_missing_semanticity_says_the_same(pipeline_files,
+                                                             capsys, argv):
+    graph = str(pipeline_files["dir"] / "g.snap")
+    assert main(["build-graph", "--strokes", pipeline_files["strokes"],
+                 "--out", graph]) == 0
+    capsys.readouterr()
+    rc = main(argv.format(**dict(pipeline_files, graph=graph)).split())
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "sinograph: edge 0 -> 1 has no semanticity; compute it with the "
+        "annotate subcommand\n")

@@ -6,7 +6,7 @@ import pytest
 from sinograph import formats
 from sinograph.charstore import CharacterStore, Language
 from sinograph.errors import InputError
-from sinograph.graphcore import EdgeData, InclusionGraph
+from sinograph.graphcore import EdgeData, InclusionGraph, from_edges
 
 
 def test_parse_strokes():
@@ -168,6 +168,30 @@ def test_snapshot_rejects_a_cycle():
     with pytest.raises(InputError, match=r"^g\.snap: graph has a cycle: "
                                          r"(0 -> 1 -> 0|1 -> 0 -> 1)$"):
         formats.parse_snapshot(cyclic, "g.snap")
+
+
+@pytest.mark.parametrize("old, new, problem", [
+    ("phi_dmax_cmn\t5.0", "phi_dmax_cmn\t999", "META key 'phi_dmax_cmn' repeated"),
+    ("0\t1\t1.25\t", "0\t1\t0.5\t", "edge 0 -> 1 repeated"),
+    ("2\t1\t-\t", "2\t1\t0.5\t", "edge 2 -> 1 repeated"),
+])
+def test_snapshot_rejects_a_repeated_meta_key_or_edge(old, new, problem):
+    """A second line for one META key or edge, with another value, is
+    refused rather than letting either line win."""
+    g, store, _ = _sample_graph()
+    lines = written_snapshot(g, store).splitlines()
+    at = next(i for i, line in enumerate(lines, 1) if line.startswith(old))
+    lines.insert(at, new + lines[at - 1][len(old):])
+    with pytest.raises(InputError) as exc:
+        formats.parse_snapshot("\n".join(lines) + "\n", "g.snap")
+    assert str(exc.value) == f"g.snap:{at + 1}: {problem}"
+
+
+def test_writing_a_snapshot_stores_no_edge_data():
+    g = from_edges([(0, 1)])
+    written_snapshot(g, CharacterStore({0x4E00, 0x4E01}))
+    # peek hands out a fresh EdgeData for an edge that stores none
+    assert g.peek(0, 1) is not g.peek(0, 1)
 
 
 def test_write_lines_to_a_file_or_standard_output(tmp_path, capsys):

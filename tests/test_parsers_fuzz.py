@@ -1,7 +1,8 @@
 """Fuzzing of every input parser on mutated valid files.
 
 Each parser gets a small valid file whose lines are mutated: a field is
-dropped or duplicated, or a token is replaced by a hostile one.  The only
+dropped or duplicated, a token is replaced by a hostile one, or the
+whole line is repeated.  The only
 allowed outcomes are a parsed value whose every float is finite, or an
 ``InputError`` whose message names the file, and the line where it has
 one.
@@ -97,7 +98,9 @@ def _floats(value):
 
 
 def _mutate(draw, line: str) -> str:
-    op = draw(st.sampled_from(("drop", "duplicate", "replace")))
+    op = draw(st.sampled_from(("drop", "duplicate", "replace", "repeat")))
+    if op == "repeat":
+        return line + "\n" + line
     if op == "replace":
         spans = [m.span() for m in TOKEN.finditer(line)]
         if spans:
@@ -130,3 +133,15 @@ def test_mutated_input_parses_or_is_an_input_error(name, data):
         return
     bad = [v for v in _floats(result) if not math.isfinite(v)]
     assert not bad, f"{name} returned non-finite numbers {bad} from {text!r}"
+
+
+@pytest.mark.parametrize("lineno", [
+    i for i, line in enumerate(VALID["parse_snapshot"].splitlines(), 1)
+    if "\t" in line])
+def test_a_repeated_snapshot_record_is_an_input_error(lineno):
+    """A META key, a class and an edge are each given once: a copy of
+    any record line is refused at the copy."""
+    lines = VALID["parse_snapshot"].splitlines()
+    lines.insert(lineno, lines[lineno - 1])
+    with pytest.raises(InputError, match=f"^snapshot:{lineno + 1}: "):
+        formats.parse_snapshot("\n".join(lines) + "\n")
