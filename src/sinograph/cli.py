@@ -156,11 +156,14 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 def _class_id(token: str, store: CharacterStore) -> int:
     """The class a ``--class`` token names: ``U+XXXX`` the class of that
-    member codepoint; a bare token the class whose decimal id or hex
-    member it is, and an error where it is both."""
+    member codepoint, held to the files' codepoint range; a bare token the
+    class whose decimal id or hex member it is, and an error where it is
+    both."""
     prefixed = token[:2] in ("U+", "u+")
     digits = token[2:] if prefixed else token
-    cp = int(digits, 16) if formats.HEX_NUMBER.fullmatch(digits) else None
+    cp = None
+    if formats.HEX_NUMBER.fullmatch(digits):
+        cp = formats._codepoint(digits) if prefixed else int(digits, 16)
     try:
         cid = None if prefixed else formats.decimal(token)
     except ValueError:

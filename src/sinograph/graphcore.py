@@ -45,18 +45,16 @@ class InclusionGraph:
     """
 
     def __init__(self) -> None:
-        self._nodes: set[int] = set()
-        self._succ: dict[int, set[int]] = {}
+        # each node's successors, holding each edge's data (None until set)
+        self._succ: dict[int, dict[int, EdgeData | None]] = {}
         self._pred: dict[int, set[int]] = {}
-        self._edges: dict[tuple[int, int], EdgeData | None] = {}
         self.meta: dict[str, str] = {}
 
     # -- construction ------------------------------------------------------
 
     def add_node(self, node: int) -> None:
-        if node not in self._nodes:
-            self._nodes.add(node)
-            self._succ[node] = set()
+        if node not in self._succ:
+            self._succ[node] = {}
             self._pred[node] = set()
 
     def add_edge(self, sub: int, sup: int, data: EdgeData | None = None) -> bool:
@@ -67,11 +65,10 @@ class InclusionGraph:
             raise InputError(f"self-loop on node {sub} is not an inclusion")
         self.add_node(sub)
         self.add_node(sup)
-        key = (sub, sup)
-        if key in self._edges:
+        out = self._succ[sub]
+        if sup in out:
             return False
-        self._edges[key] = data
-        self._succ[sub].add(sup)
+        out[sup] = data
         self._pred[sup].add(sub)
         return True
 
@@ -79,30 +76,30 @@ class InclusionGraph:
 
     @property
     def nodes(self) -> set[int]:
-        return set(self._nodes)
+        return set(self._succ)
 
     def __contains__(self, node: int) -> bool:
-        return node in self._nodes
+        return node in self._succ
 
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._succ)
 
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._succ.values()))
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._edges)
+        return [(a, b) for a in sorted(self._succ) for b in sorted(self._succ[a])]
 
     def edge(self, sub: int, sup: int) -> EdgeData:
         """The attributes of the edge sub -> sup, kept for the caller to set."""
-        data = self._edges[(sub, sup)] = self.peek(sub, sup)
+        data = self._succ[sub][sup] = self.peek(sub, sup)
         return data
 
     def peek(self, sub: int, sup: int) -> EdgeData:
         """The attributes of the edge sub -> sup, to read only: for an
         edge that stores none, a fresh ``EdgeData`` that is not kept."""
         try:
-            data = self._edges[(sub, sup)]
+            data = self._succ[sub][sup]
         except KeyError:
             raise DataError(f"no edge {sub} -> {sup}") from None
         return EdgeData() if data is None else data
@@ -115,7 +112,7 @@ class InclusionGraph:
 
     def topological_order(self) -> list[int]:
         """Kahn topological order; raises DataError naming a cycle witness."""
-        indeg = {n: len(self._pred[n]) for n in self._nodes}
+        indeg = {n: len(self._pred[n]) for n in self._succ}
         ready = sorted(n for n, d in indeg.items() if d == 0)
         order: list[int] = []
         while ready:
@@ -125,7 +122,7 @@ class InclusionGraph:
                 indeg[m] -= 1
                 if indeg[m] == 0:
                     ready.append(m)
-        if len(order) != len(self._nodes):
+        if len(order) != len(self._succ):
             witness = self._find_cycle({n for n, d in indeg.items() if d > 0})
             raise DataError("graph has a cycle: " +
                             " -> ".join(str(n) for n in witness))
@@ -268,11 +265,11 @@ def transitive_reduce(g: InclusionGraph) -> InclusionGraph:
         desc[node] = via | direct
 
     reduced = InclusionGraph()
-    for n in g.nodes:
-        reduced.add_node(n)
-    for a, c in g.edges():
-        if not below[a] >> pos[c] & 1:
-            reduced.add_edge(a, c, g._edges[(a, c)])
+    for a, out in g._succ.items():
+        reduced.add_node(a)
+        for c, data in out.items():
+            if not below[a] >> pos[c] & 1:
+                reduced.add_edge(a, c, data)
     reduced.meta = dict(g.meta)
     return reduced
 

@@ -59,22 +59,28 @@ def semantic_approximation(
     s_of = CHAIN_KINDS["semantic"].weight
 
     weights: SynsetVector = {}
-
-    def walk(current: int, depth: int, product: float,
-             on_path: frozenset[int]) -> None:
-        for nxt in sorted(neighbors(current)):
-            if nxt in on_path:
-                continue
-            sub, sup = (nxt, current) if direction == "sub" else (current, nxt)
-            p = product * s_of(g, sub, sup)
-            synsets = annotations.get(nxt)
-            if synsets:
-                contribution = p / depth
-                for sid in synsets:
-                    weights[sid] = weights.get(sid, 0.0) + contribution
-                continue  # first annotated node ends the path
-            if depth < max_depth:
-                walk(nxt, depth + 1, p, on_path | {nxt})
-
-    walk(node, 1, 1.0, frozenset({node}))
+    on_path = {node}
+    # depth-first over paths, one frame per node of the current path: the
+    # node, the product of S up to it and its neighbours not yet tried
+    stack = [(node, 1.0, iter(sorted(neighbors(node))))]
+    while stack:
+        current, product, untried = stack[-1]
+        nxt = next(untried, None)
+        if nxt is None:
+            on_path.remove(current)
+            stack.pop()
+            continue
+        if nxt in on_path:
+            continue
+        depth = len(stack)
+        sub, sup = (nxt, current) if direction == "sub" else (current, nxt)
+        p = product * s_of(g, sub, sup)
+        synsets = annotations.get(nxt)
+        if synsets:  # the first annotated node ends the path
+            contribution = p / depth
+            for sid in synsets:
+                weights[sid] = weights.get(sid, 0.0) + contribution
+        elif depth < max_depth:
+            on_path.add(nxt)
+            stack.append((nxt, p, iter(sorted(neighbors(nxt)))))
     return _normalize(weights)

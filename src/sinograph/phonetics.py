@@ -171,24 +171,30 @@ def phoneticity(g: InclusionGraph, readings: ClassReadings, language: Language,
 
     phi = 1 - d_min / D with D the maximum finite class distance over all
     edges, so phi is 1 exactly at distance 0 and the farthest edge gets 0.
-    Edges with an unknown distance stay unannotated.  D is recorded in the
-    graph metadata.  Raises DataError when no edge has a finite distance.
-    Without a ``table`` the bundled one is loaded for this call.
+    An edge with an unknown distance carries no ``language`` values: any
+    an earlier pass wrote are removed.  D is recorded in the graph
+    metadata.  Raises DataError, changing nothing, when no edge has a
+    finite distance.  Without a ``table`` the bundled one is loaded for
+    this call.
     """
     table = table or FeatureTable.load()
-    distances: dict[tuple[int, int], float] = {}
-    for sub, sup in g.edges():
-        d = class_distance(readings, sub, sup, language, table)
-        if d is not None:
-            distances[(sub, sup)] = d
-    if not distances:
-        raise DataError(f"no edge has a computable {language.value} distance")
-    d_max = max(distances.values())
-    for (sub, sup), d in distances.items():
-        data = g.edge(sub, sup)
-        data.d_min[language.value] = d
-        data.phi[language.value] = 1.0 if d_max == 0 else 1.0 - d / d_max
-    g.meta[f"phi_dmax_{language.value}"] = repr(d_max)
+    lang = language.value
+    distances = [(sub, sup, class_distance(readings, sub, sup, language, table))
+                 for sub, sup in g.edges()]
+    finite = [d for _, _, d in distances if d is not None]
+    if not finite:
+        raise DataError(f"no edge has a computable {lang} distance")
+    d_max = max(finite)
+    for sub, sup, d in distances:
+        if d is None:
+            data = g.peek(sub, sup)
+            data.d_min.pop(lang, None)
+            data.phi.pop(lang, None)
+        else:
+            data = g.edge(sub, sup)
+            data.d_min[lang] = d
+            data.phi[lang] = 1.0 if d_max == 0 else 1.0 - d / d_max
+    g.meta[f"phi_dmax_{lang}"] = repr(d_max)
     g.meta["phi_normalization"] = "1 - d_min / max_finite_d_min"
     return g
 

@@ -11,9 +11,10 @@ import pytest
 
 import sinograph
 from sinograph import cli, formats, synthdata
-from sinograph.charstore import Language
+from sinograph.charstore import CharacterStore, Language
 from sinograph.classify import cross_validate
 from sinograph.cli import main
+from sinograph.graphcore import EdgeData, InclusionGraph
 from sinograph.phonetics import FeatureTable, reading_distance
 from sinograph.synthdata import make_dataset
 
@@ -145,6 +146,36 @@ def test_annotate_attaches_phi_and_s(chain_inputs, capsys):
     assert edge.s == 1.0
     assert annotations  # definitions matched lemmas
     assert "phi_dmax_ja_on" in g.meta
+
+
+def test_reannotating_drops_phoneticity_an_edge_lost(chain_inputs, capsys):
+    """A second pass without 4E02's cmn reading leaves the edge into it
+    without cmn values; every cmn phi left matches the new maximum, and
+    ja_on, not asked for, keeps the first pass's values."""
+    write(chain_inputs["readings"],
+          "4E00\tcmn\tren2\n4E01\tcmn\tren4\n4E02\tcmn\tkan1\n"
+          "4E00\tja_on\tnin\n4E01\tja_on\tnin\n4E02\tja_on\tkan\n")
+    first = _annotate(chain_inputs)
+    again = str(chain_inputs["dir"] / "b.snap")
+    assert main(["annotate", "--snapshot", first, "--out", again,
+                 "--languages", "cmn", "--readings", write(
+                     chain_inputs["dir"] / "r2.tsv",
+                     "4E00\tcmn\tren2\n4E01\tcmn\tren4\n")]) == 0
+    g1, _, _ = formats.load_file(formats.parse_snapshot, first)
+    g2, store, _ = formats.load_file(formats.parse_snapshot, again)
+    lost = store.class_of[0x4E01], store.class_of[0x4E02]
+    assert "cmn" in g1.edge(*lost).phi
+    assert "cmn" not in g2.edge(*lost).phi
+    assert "cmn" not in g2.edge(*lost).d_min
+    d_max = float(g2.meta["phi_dmax_cmn"])
+    with_phi = [g2.edge(*e) for e in g2.edges() if "cmn" in g2.edge(*e).phi]
+    assert with_phi
+    for data in with_phi:
+        assert data.phi["cmn"] == 1 - data.d_min["cmn"] / d_max
+    for e in g1.edges():
+        assert g2.edge(*e).phi.get("ja_on") == g1.edge(*e).phi.get("ja_on")
+        assert g2.edge(*e).d_min.get("ja_on") == g1.edge(*e).d_min.get("ja_on")
+    assert g2.meta["phi_dmax_ja_on"] == g1.meta["phi_dmax_ja_on"]
 
 
 def test_annotate_idempotent(chain_inputs, capsys):
@@ -308,6 +339,22 @@ def test_build_graph_holds_one_stage_at_a_time(seed7_files, capsys):
     assert _traced_peak(seed7_files["build_graph"]) < 1.5e6
 
 
+def test_a_loaded_snapshot_holds_each_edge_once(seed7_files):
+    """The annotated seed-7 snapshot, loaded with its classes and
+    annotations, holds about 1.2 kB per edge; a second per-edge index
+    (an edge-keyed dict beside the successor maps) takes it to 1.4 kB."""
+    load = functools.partial(formats.load_file, formats.parse_snapshot,
+                             seed7_files["snap"])
+    load()
+    tracemalloc.start()
+    try:
+        g, store, annotations = load()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1300 * g.edge_count()
+
+
 def test_features_peak_grows_with_the_corpus_text_only(seed7_files, tmp_path,
                                                        capsys):
     """Four copies of the corpus add a few bytes per added corpus byte,
@@ -354,6 +401,21 @@ def test_query_unknown(chain_inputs, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.strip()  # emits synset weights or a '-' line
+
+
+def test_query_unknown_walks_a_path_deeper_than_the_stack(tmp_path, capsys):
+    """A path of 1,499 steps, past Python's recursion limit, is walked:
+    the only annotated class is the far end of a chain with S = 1."""
+    n = 1500
+    g = InclusionGraph()
+    for cid in range(n - 1):
+        g.add_edge(cid + 1, cid, EdgeData(s=1.0))
+    snap = str(tmp_path / "chain.snap")
+    formats.save_snapshot(snap, g, CharacterStore(range(0x4E00, 0x4E00 + n)),
+                          {n - 1: {"syn1"}})
+    assert main(["query-unknown", "--snapshot", snap, "--class", "0",
+                 "--max-depth", "2000"]) == 0
+    assert capsys.readouterr().out == "0\tsyn1\t1.000000\n"
 
 
 def test_evaluate_missing_vectors_exit_2(tmp_path):
@@ -986,6 +1048,7 @@ def _with_member_1(pipeline_files):
     ("u+4E03", 3, "U+4E03 is in no class"),
     ("U+", 2, "cannot resolve class 'U+'"),
     ("U+-1", 2, "cannot resolve class 'U+-1'"),
+    ("U+110000", 2, "codepoint '110000' out of range"),
     ("1", 2, "--class 1 names class 1 by id and class 2 by its member "
              "U+0001; name a class by a member, as U+XXXX"),
     ("9", 3, "no class with id 9; U+0009 is in no class"),
