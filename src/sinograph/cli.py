@@ -157,17 +157,21 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def _class_id(token: str, store: CharacterStore) -> int:
     """The class a ``--class`` token names: ``U+XXXX`` the class of that
     member codepoint, held to the files' codepoint range; a bare token the
-    class whose decimal id or hex member it is, and an error where it is
-    both."""
+    class whose decimal id or hex member it is, read as an id alone past
+    that range, and an error where it is both."""
     prefixed = token[:2] in ("U+", "u+")
     digits = token[2:] if prefixed else token
-    cp = None
+    cp = cid = None
     if formats.HEX_NUMBER.fullmatch(digits):
-        cp = formats._codepoint(digits) if prefixed else int(digits, 16)
+        try:
+            cp = formats.codepoint(digits)
+        except InputError:  # past 10FFFF, a bare token is an id alone
+            if prefixed:
+                raise
     try:
         cid = None if prefixed else formats.decimal(token)
-    except ValueError:
-        cid = None
+    except InputError:
+        pass
     if cp is None and cid is None:
         raise InputError(f"cannot resolve class {token!r}")
     member, named = store.class_of.get(cp), cid in store.by_id

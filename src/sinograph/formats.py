@@ -1,7 +1,14 @@
 """File formats: the TSV inputs and the graph snapshot.
 
 All files are UTF-8, tab-separated, one record per line, ``#`` starting
-a comment line.  Codepoints are bare hex (no ``U+`` prefix).
+a comment line.  This module alone reads the tokens of every file and
+flag.  A line ends at ``\\n`` alone, one ``\\r`` before it dropped.  A
+codepoint is hex digits in 0..10FFFF (``codepoint``), an integer ASCII
+digits after an optional ``-`` (``decimal``), and a real, a stroke
+coordinate too, ASCII ``float`` syntax without ``_``, blanks or a
+leading ``+`` (``real``).  A malformed number is refused as ``bad <name>
+'<token>'``, and one out of bounds as ``<name> '<token>' is not a finite
+number in [lo, hi]`` (or ``an integer``; ``>= lo`` with no upper bound).
 
 * strokes.tsv      ``<hex cp>\\t<TYPE>:(x1,y1)-(x2,y2)[-(x,y)...];...``
 * readings.tsv     ``<hex cp>\\t<cmn|ja_on|ja_kun>\\t<syll>[ <syll>...]``
@@ -39,7 +46,7 @@ from .errors import DataError, InputError
 from .freqlists import FrequencyList, from_counts
 from .graphcore import EdgeData, InclusionGraph
 from .semantics import SynsetStore
-from .strokesig import Stroke, parse_stroke_spec
+from .strokesig import STROKE_TYPES, Stroke
 
 #: A hex number in every file and flag: hex digits only, either case.
 #: ``int(token, 16)`` alone would also take a sign, "_", blanks and "0x".
@@ -74,16 +81,17 @@ class _Reader:
             raise InputError(f"{where}: {exc}") from None
 
     def lines(self, header: str | None = None) -> Iterator[str]:
-        """Each nonblank line; given a ``header``, line 1 must be it and
-        is not yielded."""
-        numbered = enumerate(self.text.splitlines(), 1)
+        """Each nonblank line, ended by ``\\n`` alone and without one
+        ``\\r`` before it; given a ``header``, line 1 must be it and is
+        not yielded."""
+        numbered = enumerate(self.text.split("\n"), 1)
         if header is not None:
             self.lineno = 1
-            if next(numbered, (1, ""))[1].strip() != header:
+            if next(numbered)[1].strip() != header:
                 raise InputError(f"missing {header!r} header")
         for self.lineno, line in numbered:
             if line.strip():
-                yield line
+                yield line.removesuffix("\r")
         self.lineno = None
 
     def records(self, *n_fields: int) -> Iterator[list[str]]:
@@ -100,7 +108,9 @@ class _Reader:
             yield fields
 
 
-def _codepoint(token: str) -> int:
+def codepoint(token: str) -> int:
+    """A codepoint in every file and flag: hex digits in 0..10FFFF, else
+    an ``InputError``."""
     # a leading minus passes here, so that a negative number is named
     # out of range rather than malformed
     if not HEX_NUMBER.fullmatch(token.removeprefix("-")):
@@ -117,35 +127,57 @@ def codepoint_range(text: str) -> tuple[int, int]:
     tokens = text.split("-")
     if len(tokens) != 2 or not all(HEX_NUMBER.fullmatch(t) for t in tokens):
         raise InputError(f"bad codepoint range {text!r}; expected HEX-HEX")
-    lo, hi = (_codepoint(t) for t in tokens)
+    lo, hi = (codepoint(t) for t in tokens)
     if lo > hi:
         raise InputError(f"empty codepoint range {text!r}")
     return lo, hi
 
 
-def decimal(token: str) -> int:
+def decimal(token: str, name: str = "decimal integer",
+            lo: float | None = None, hi: float = math.inf) -> int:
     """A decimal integer in every file and flag: ASCII digits after an
-    optional "-", else a ``ValueError``.  ``int(token)`` alone would also
-    take "_", blanks, "+" and non-ASCII digits."""
+    optional "-", and in [lo, hi] when ``lo`` is given, else an
+    ``InputError`` naming the field ``name``.  ``int(token)`` alone would
+    also take "_", blanks, "+" and non-ASCII digits."""
     if token.isascii() and (token.isdigit()
                             or token[:1] == "-" and token[1:].isdigit()):
-        return int(token)
-    raise ValueError(f"bad decimal integer {token!r}")
+        try:
+            value = int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+        else:
+            if lo is None or lo <= value <= hi:
+                return value
+            raise _out_of_bounds(token, name, "an integer", lo, hi)
+    raise InputError(f"bad {name} {token!r}")
 
 
-def real(token: str) -> float:
+def real(token: str, name: str = "real number",
+         lo: float | None = None, hi: float = math.inf) -> float:
     """A real number in every file and flag: ASCII ``float`` syntax with
     no "_", no surrounding blanks and no leading "+", else an
-    ``InputError``; "nan" and "inf" pass, and each caller checks the
-    range.  ``float(token)`` alone would also take "_", blanks, "+" and
-    non-ASCII digits."""
+    ``InputError`` naming the field ``name``.  Given ``lo``, it must be
+    finite and in [lo, hi]; without it, "nan" and "inf" pass, and the
+    caller checks the range.  ``float(token)`` alone would also take
+    "_", blanks, "+" and non-ASCII digits."""
     if (token.isascii() and "_" not in token and token[:1] != "+"
             and token == token.strip()):
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             pass
-    raise InputError(f"bad real number {token!r}")
+        else:
+            if lo is None or lo <= value <= hi and math.isfinite(value):
+                return value
+            raise _out_of_bounds(token, name, "a finite number", lo, hi)
+    raise InputError(f"bad {name} {token!r}")
+
+
+def _out_of_bounds(token: str, name: str, kind: str, lo: float,
+                   hi: float) -> InputError:
+    bounds = (f" in [{lo:g}, {hi:g}]" if hi < math.inf
+              else f" >= {lo:g}" if lo > -math.inf else "")
+    return InputError(f"{name} {token!r} is not {kind}{bounds}")
 
 
 def read_text(path: str) -> str:
@@ -154,8 +186,7 @@ def read_text(path: str) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # numbered as the parsers number lines: by str.splitlines
-        line = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
+        line = raw.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}:{line}: not valid UTF-8") from None
 
 
@@ -183,18 +214,48 @@ def write_lines(path: str | None, lines: Iterable[str]) -> None:
 # -- inputs ----------------------------------------------------------------
 
 def parse_strokes(text: str, path: str = "strokes.tsv") -> dict[int, list[Stroke]]:
+    """Each codepoint's strokes, ``TYPE:(x1,y1)-(x2,y2)[-(x,y)...]`` items
+    joined by ``;``, blanks allowed around an item, its type and a point."""
     out: dict[int, list[Stroke]] = {}
     with _Reader(text, path) as reader:
         for cp_tok, spec in reader.records(2):
-            cp = _codepoint(cp_tok)
+            cp = codepoint(cp_tok)
             if cp in out:
                 raise InputError(f"duplicate codepoint {cp_tok}")
-            # float() would read a coordinate with "_" or non-ASCII digits
-            if not spec.isascii() or "_" in spec:
-                raise InputError(f"stroke description {spec!r} is not "
-                                 f"ASCII or holds '_'")
-            out[cp] = parse_stroke_spec(spec)
+            out[cp] = _strokes(spec)
     return out
+
+
+def _strokes(spec: str) -> list[Stroke]:
+    strokes = []
+    for item in spec.split(";"):
+        item = item.strip()
+        if not item:
+            continue
+        type_tok, colon, coords = item.partition(":")
+        if not colon:
+            raise InputError(f"malformed stroke {item!r} (missing ':')")
+        code = type_tok.strip().upper()
+        if not type_tok.isascii() or code not in STROKE_TYPES:
+            raise InputError(f"unknown stroke type {type_tok!r}")
+        points = []
+        for pt in coords.split("-("):
+            pt = pt.strip().lstrip("(").rstrip(")")
+            if not pt:
+                raise InputError(f"malformed coordinates in stroke {item!r}")
+            xy = pt.split(",")
+            if len(xy) != 2:
+                raise InputError(f"malformed point {pt!r} in stroke {item!r}")
+            points.append((real(xy[0], "coordinate", -math.inf),
+                           real(xy[1], "coordinate", -math.inf)))
+        strokes.append(Stroke(code, tuple(points)))
+    if not strokes:
+        raise InputError("empty stroke description")
+    if len(strokes) > 1:  # pair_signature needs a direction for each stroke
+        for i, s in enumerate(strokes):
+            if s.start == s.end:
+                raise InputError(f"stroke {i} is degenerate (coincident endpoints)")
+    return strokes
 
 
 def parse_readings(text: str, path: str = "readings.tsv"
@@ -202,7 +263,7 @@ def parse_readings(text: str, path: str = "readings.tsv"
     out = []
     with _Reader(text, path) as reader:
         for cp_tok, lang_tok, sylls in reader.records(3):
-            cp = _codepoint(cp_tok)
+            cp = codepoint(cp_tok)
             tokens = tuple(t for t in sylls.split(" ") if t)
             out.append((cp, Reading(Language.parse(lang_tok), tokens)))
     return out
@@ -213,7 +274,7 @@ def parse_variants(text: str, path: str = "variants.tsv"
     pairs = set()
     with _Reader(text, path) as reader:
         for a_tok, b_tok in reader.records(2):
-            a, b = _codepoint(a_tok), _codepoint(b_tok)
+            a, b = codepoint(a_tok), codepoint(b_tok)
             if a == b:
                 raise InputError("a codepoint cannot be its own variant")
             pairs.add((min(a, b), max(a, b)))
@@ -224,16 +285,10 @@ def parse_radicals(text: str, path: str = "radicals.tsv") -> dict[int, int]:
     out: dict[int, int] = {}
     with _Reader(text, path) as reader:
         for cp_tok, rad_tok in reader.records(2):
-            cp = _codepoint(cp_tok)
+            cp = codepoint(cp_tok)
             if cp in out:
                 raise InputError(f"duplicate codepoint {cp_tok}")
-            try:
-                rad = decimal(rad_tok)
-            except ValueError:
-                raise InputError(f"bad radical {rad_tok!r}") from None
-            if not 1 <= rad <= 214:
-                raise InputError(f"radical {rad} outside 1..214")
-            out[cp] = rad
+            out[cp] = decimal(rad_tok, "radical", 1, 214)
     return out
 
 
@@ -261,7 +316,7 @@ def parse_definitions(text: str, path: str = "definitions.tsv"
     with _Reader(text, path) as reader:
         for cp_tok, words in reader.records(2):
             glosses = [w for w in words.split("|") if w]
-            out.setdefault(_codepoint(cp_tok), []).extend(glosses)
+            out.setdefault(codepoint(cp_tok), []).extend(glosses)
     return out
 
 
@@ -269,14 +324,8 @@ def parse_freq_counts(text: str, path: str = "freq.tsv") -> FrequencyList:
     counts: dict[int, int] = {}
     with _Reader(text, path) as reader:
         for cp_tok, cnt_tok in reader.records(2):
-            cp = _codepoint(cp_tok)
-            try:
-                cnt = decimal(cnt_tok)
-            except ValueError:
-                raise InputError(f"bad count {cnt_tok!r}") from None
-            if cnt <= 0:
-                raise InputError("count must be positive")
-            counts[cp] = counts.get(cp, 0) + cnt
+            cp = codepoint(cp_tok)
+            counts[cp] = counts.get(cp, 0) + decimal(cnt_tok, "count", 1)
         if not counts:
             raise InputError("no frequency records")
     return from_counts(counts)
@@ -315,13 +364,8 @@ def parse_feature_table(text: str, path: str = "phoneme_features.tsv"
             if kind == "V" and len(symbol) > 1:
                 raise InputError(f"vowel symbol {symbol!r} is longer than "
                                  f"one character")
-            try:
-                nums = tuple(real(v) for v in values)
-            except ValueError:
-                raise InputError("bad number") from None
-            if not all(abs(v) <= MAX_SCALE for v in nums):  # nan fails too
-                raise InputError(f"scale value outside [-{MAX_SCALE:g}, {MAX_SCALE:g}]")
-            scales[kind][symbol] = nums
+            scales[kind][symbol] = tuple(
+                real(v, "scale value", -MAX_SCALE, MAX_SCALE) for v in values)
         if "-" not in scales["C"] or "-" not in scales["V"]:
             raise InputError("feature table must define the '-' null phonemes")
     return scales["C"], scales["V"]
@@ -429,23 +473,6 @@ def save_snapshot(path: str, g: InclusionGraph, store: CharacterStore,
         write_snapshot(fh, g, store, annotations)
 
 
-def _weight(token: str, name: str, upper: float = math.inf) -> float:
-    """An edge weight cell: a finite number in [0, upper]."""
-    value = real(token)
-    if 0.0 <= value <= upper and value != math.inf:
-        return value
-    bounds = f"in [0, {upper:g}]" if upper < math.inf else ">= 0"
-    raise InputError(f"{name} {token!r} is not a finite number {bounds}")
-
-
-def _count(token: str, name: str) -> int:
-    """An edge count cell: an integer >= 0."""
-    value = decimal(token)
-    if value >= 0:
-        return value
-    raise InputError(f"{name} {token!r} is negative")
-
-
 def parse_snapshot(text: str, path: str = "snapshot"
                    ) -> tuple[InclusionGraph, CharacterStore,
                               dict[int, set[str]]]:
@@ -478,9 +505,9 @@ def parse_snapshot(text: str, path: str = "snapshot"
                     g.meta[key] = value
                 elif section == "NODES":
                     cid_tok, members_tok, rep_tok, synsets_tok = fields
-                    cid = decimal(cid_tok)
-                    members = frozenset(_codepoint(m) for m in members_tok.split())
-                    store.add(AllographClass(cid, members, _codepoint(rep_tok)))
+                    cid = decimal(cid_tok, "class id")
+                    members = frozenset(codepoint(m) for m in members_tok.split())
+                    store.add(AllographClass(cid, members, codepoint(rep_tok)))
                     g.add_node(cid)
                     if synsets_tok != MISSING:
                         annotations[cid] = set(synsets_tok.split("|"))
@@ -488,7 +515,8 @@ def parse_snapshot(text: str, path: str = "snapshot"
                     if len(fields) != _EDGE_FIELDS:
                         raise InputError(f"expected {_EDGE_FIELDS} tab-separated "
                                          f"fields, got {len(fields)}")
-                    sub, sup = decimal(fields[0]), decimal(fields[1])
+                    sub = decimal(fields[0], "class id")
+                    sup = decimal(fields[1], "class id")
                     if sub not in g or sup not in g:
                         missing = sup if sub in g else sub
                         raise InputError(f"edge endpoint {missing} is not a "
@@ -497,17 +525,17 @@ def parse_snapshot(text: str, path: str = "snapshot"
                     i = 2
                     for lang in _SNAPSHOT_LANGS:
                         if fields[i] != MISSING:
-                            data.d_min[lang] = _weight(fields[i], "d_min")
+                            data.d_min[lang] = real(fields[i], "d_min", 0)
                         if fields[i + 1] != MISSING:
-                            data.phi[lang] = _weight(fields[i + 1], "phi", 1.0)
+                            data.phi[lang] = real(fields[i + 1], "phi", 0, 1)
                         i += 2
-                    data.f1 = _count(fields[i], "f1")
-                    data.f2 = _count(fields[i + 1], "f2")
-                    data.r = _weight(fields[i + 2], "r", 1.0)
+                    data.f1 = decimal(fields[i], "f1", 0)
+                    data.f2 = decimal(fields[i + 1], "f2", 0)
+                    data.r = real(fields[i + 2], "r", 0, 1)
                     if fields[i + 3] != MISSING:
-                        data.s_raw = _weight(fields[i + 3], "s_raw")
+                        data.s_raw = real(fields[i + 3], "s_raw", 0)
                     if fields[i + 4] != MISSING:
-                        data.s = _weight(fields[i + 4], "s", 1.0)
+                        data.s = real(fields[i + 4], "s", 0, 1)
                     if not g.add_edge(sub, sup, data):
                         raise InputError(f"edge {sub} -> {sup} repeated")
                 else:

@@ -46,13 +46,6 @@ _PARALLEL_EPS = 1e-9
 DEFAULT_TOLERANCE = 0.05
 
 
-def normalize_stroke_type(token: str) -> str:
-    code = token.strip().upper()
-    if code not in STROKE_TYPES:
-        raise InputError(f"unknown stroke type {token!r}")
-    return code
-
-
 @dataclass(frozen=True)
 class Stroke:
     """One stroke: its calligraphic class and skeleton polyline."""
@@ -240,42 +233,6 @@ def detect_inclusions(
             if signature_contains(sigs[sub_cp], super_sig, tolerance):
                 found.add((sub_cp, super_cp))
     return found
-
-
-def parse_stroke_spec(spec: str) -> list[Stroke]:
-    """Parse the stroke-description payload of a strokes.tsv line.
-
-    Format: ``TYPE:(x1,y1)-(x2,y2)[-(x,y)...]`` items joined by ``;``.
-    """
-    strokes = []
-    for item in spec.strip().split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        if ":" not in item:
-            raise InputError(f"malformed stroke {item!r} (missing ':')")
-        type_token, _, coords = item.partition(":")
-        points = []
-        for pt in coords.split("-("):
-            pt = pt.strip().lstrip("(").rstrip(")")
-            if not pt:
-                raise InputError(f"malformed coordinates in stroke {item!r}")
-            try:
-                xs, ys = pt.split(",")
-                x, y = float(xs), float(ys)
-            except ValueError:
-                raise InputError(f"malformed point {pt!r} in stroke {item!r}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise InputError(f"non-finite point {pt!r} in stroke {item!r}")
-            points.append((x, y))
-        strokes.append(Stroke(normalize_stroke_type(type_token), tuple(points)))
-    if not strokes:
-        raise InputError("empty stroke description")
-    if len(strokes) > 1:  # pair_signature needs a direction for each stroke
-        for i, s in enumerate(strokes):
-            if s.start == s.end:
-                raise InputError(f"stroke {i} is degenerate (coincident endpoints)")
-    return strokes
 
 
 def format_stroke_spec(strokes: Iterable[Stroke]) -> str:

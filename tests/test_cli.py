@@ -371,6 +371,39 @@ def test_features_peak_grows_with_the_corpus_text_only(seed7_files, tmp_path,
     assert peaks[1] - peaks[0] < 6 * added
 
 
+def test_crlf_inputs_write_the_same_artefacts(seed7_files, tmp_path, capsys):
+    """build-graph, annotate and combined features write the same bytes,
+    and print the same summaries, on CRLF copies of the seed-7 inputs."""
+    crlf = {}
+    for name in ("strokes", "variants", "freq", "readings", "radicals",
+                 "synsets", "relations", "definitions", "corpus"):
+        with open(seed7_files[name], "rb") as fh:
+            raw = fh.read()
+        assert b"\r" not in raw
+        crlf[name] = str(tmp_path / f"{name}.tsv")
+        with open(crlf[name], "wb") as fh:
+            fh.write(raw.replace(b"\n", b"\r\n"))
+    written = {}
+    for files in (seed7_files, crlf):
+        out = tmp_path / ("crlf" if files is crlf else "lf")
+        out.mkdir()
+        argvs = [
+            ["build-graph", "--strokes", files["strokes"], "--variants",
+             files["variants"], "--ufl", files["freq"], "--out", str(out / "g.snap")],
+            ["annotate", "--snapshot", str(out / "g.snap"), "--out", str(out / "a.snap"),
+             "--readings", files["readings"], "--radicals", files["radicals"],
+             "--synsets", files["synsets"], "--relations", files["relations"],
+             "--definitions", files["definitions"]],
+            ["features", "--snapshot", str(out / "a.snap"), "--corpus", files["corpus"],
+             "--strategy", "combined", "--out", str(out / "vectors.txt")]]
+        capsys.readouterr()
+        for argv in argvs:
+            assert main(argv) == 0
+        written[files is crlf] = [capsys.readouterr().out] + [
+            (out / name).read_bytes() for name in ("g.snap", "a.snap", "vectors.txt")]
+    assert written[True] == written[False]
+
+
 def test_evaluate_notes_models_at_epoch_cap(tmp_path, capsys, monkeypatch):
     labels = ["one", "two"] * 10
     base = {"one": 0, "two": 2}
@@ -801,7 +834,7 @@ def test_build_graph_rejects_degenerate_stroke_of_a_pair(tmp_path, capsys):
     (11, "inf", "s_raw 'inf' is not a finite number >= 0"),
     (10, "1.5", "r '1.5' is not a finite number in [0, 1]"),
     (12, "-1", "s '-1' is not a finite number in [0, 1]"),
-    (8, "-2", "f1 '-2' is negative"),
+    (8, "-2", "f1 '-2' is not an integer >= 0"),
 ])
 def test_chains_rejects_out_of_range_edge_weight(chain_inputs, capsys,
                                                  column, value, problem):
@@ -943,8 +976,8 @@ def test_annotate_refuses_a_feature_table_without_finite_distances(
                "--readings", pipeline_files["readings"],
                "--feature-table", path, *languages])
     assert rc == 2
-    assert (f"input error: {path}:{lineno}: scale value outside [-1e+100, 1e+100]"
-            in capsys.readouterr().err)
+    assert (f"input error: {path}:{lineno}: scale value '1e200' is not a finite "
+            f"number in [-1e+100, 1e+100]" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("record, token", [("4E00\tcmn\t5", "5"),
@@ -1054,13 +1087,16 @@ def _with_member_1(pipeline_files):
     ("9", 3, "no class with id 9; U+0009 is in no class"),
     ("-1", 3, "no class with id -1"),
     ("4E03", 3, "U+4E03 is in no class"),
+    ("110000", 3, "no class with id 110000"),
 ])
 def test_class_tokens_are_resolved_without_guessing(pipeline_files, capsys,
                                                     command, token, rc, message):
     snap = _with_member_1(pipeline_files)
     capsys.readouterr()
     assert main(command.split() + ["--snapshot", snap, "--class", token]) == rc
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "U+110000" not in err  # past 10FFFF no file holds a codepoint
 
 
 @pytest.mark.parametrize("token, cid", [("U+1", 2), ("u+0001", 2), ("U+4E00", 0),

@@ -20,6 +20,93 @@ def test_parse_strokes():
         formats.parse_strokes("4E00\tH:(1,5)-(9,5)\n4E00\tH:(0,0)-(1,1)")
 
 
+def _stroke_description(spec):
+    """The strokes ``parse_strokes`` reads from ``spec`` on line 1."""
+    return formats.parse_strokes(f"4E00\t{spec}\n")[0x4E00]
+
+
+def test_parse_strokes_roundtrip():
+    strokes = _stroke_description("D:(4,9)-(4.5,8);H:(1.97,7.6)-(6.52,7.6)")
+    assert [s.calligraphic_type for s in strokes] == ["D", "H"]
+    assert strokes[0].skeleton == ((4.0, 9.0), (4.5, 8.0))
+    with pytest.raises(InputError) as unknown:
+        _stroke_description("ZZZ:(0,0)-(1,1)")
+    assert str(unknown.value) == "strokes.tsv:1: unknown stroke type 'ZZZ'"
+    with pytest.raises(InputError) as one_point:
+        _stroke_description("H:(0,0)")
+    assert str(one_point.value) == ("strokes.tsv:1: stroke skeleton needs at "
+                                    "least 2 points")
+
+
+@pytest.mark.parametrize("point, token", [("(nan,5)", "nan"), ("(1,inf)", "inf"),
+                                          ("(-inf,2)", "-inf"), ("(NaN,NaN)", "NaN")])
+def test_parse_strokes_rejects_non_finite(point, token):
+    with pytest.raises(InputError) as exc:
+        _stroke_description(f"H:{point}-(9,5);S:(5,9)-(5,1)")
+    assert str(exc.value) == (f"strokes.tsv:1: coordinate {token!r} is not "
+                              f"a finite number")
+
+
+def test_parse_strokes_rejects_degenerate_stroke_of_a_pair():
+    # a lone stroke has no pair signature, so its endpoints may coincide
+    assert _stroke_description("D:(3,3)-(3,3)")[0].start == (3.0, 3.0)
+    with pytest.raises(InputError) as exc:
+        _stroke_description("H:(1,5)-(9,5);D:(3,3)-(4,4)-(3,3)")
+    assert str(exc.value) == ("strokes.tsv:1: stroke 1 is degenerate "
+                              "(coincident endpoints)")
+
+
+def test_stroke_types_are_ascii():
+    assert _stroke_description(" h : (1,5) -(9,5) ;s:(5,9)-(5,1)")[0].skeleton == \
+        ((1.0, 5.0), (9.0, 5.0))
+    # "ſ".upper() is "S"
+    for type_tok in ("ſ", "H\u3000"):
+        with pytest.raises(InputError) as exc:
+            _stroke_description(f"{type_tok}:(5,9)-(5,1)")
+        assert str(exc.value) == f"strokes.tsv:1: unknown stroke type {type_tok!r}"
+
+
+# Each of these ends a line for str.splitlines, but not in a file.
+NOT_LINE_ENDS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS)
+def test_a_line_ends_at_newline_only(char):
+    docs = formats.parse_corpus(f"sports\t一{char}二\nnews\t三四\n")
+    assert docs == [("sports", f"一{char}二"), ("news", "三四")]
+    with pytest.raises(InputError) as corpus:
+        formats.parse_corpus(f"sports\t一{char}二\nnews\n")
+    assert str(corpus.value) == ("corpus.tsv:2: expected 2 tab-separated "
+                                 "fields, got 1")
+    store = formats.parse_synsets(f"s1\t風{char}疹|はしか\ns2\t礦物\n")
+    assert store.lemmas("s1") == {f"風{char}疹", "はしか"}
+    with pytest.raises(InputError) as synsets:
+        formats.parse_synsets(f"s1\t風{char}疹\ns1\t礦物\n")
+    assert str(synsets.value) == "synsets.tsv:2: duplicate synset id 's1'"
+
+
+def test_crlf_line_ends_read_as_lf():
+    assert formats.parse_corpus("a\t一\r\nb\t二\r\n") == [("a", "一"), ("b", "二")]
+    text = "#sparse-vectors v1\r\na\t1:0.5\r\n"
+    assert formats.parse_vectors(text) == (["a"], [{1: 0.5}])
+    # a bare "\r" ends no line, and only one is dropped before "\n"
+    with pytest.raises(InputError) as bare:
+        formats.parse_radicals("4E00\t1\r4E01\t2\r\n")
+    assert str(bare.value) == ("radicals.tsv:1: expected 2 tab-separated "
+                               "fields, got 3")
+    with pytest.raises(InputError) as two:
+        formats.parse_radicals("4E00\t1\r\n4E01\t2\r\r\n")
+    assert str(two.value) == "radicals.tsv:2: bad radical '2\\r'"
+
+
+def test_a_non_utf8_byte_is_numbered_by_newlines(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_bytes("a\t一\u2028二\r\nb\t".encode("utf-8") + b"\xff\n")
+    with pytest.raises(InputError) as exc:
+        formats.load_file(formats.parse_corpus, str(path))
+    assert str(exc.value) == f"{path}:2: not valid UTF-8"
+
+
 def test_parse_readings():
     text = "4EBA\tcmn\tren2\n4EBA\tja_kun\thi to\n"
     readings = formats.parse_readings(text)
@@ -224,9 +311,10 @@ def test_decimal_fields_take_ascii_digits_only(token):
 
 
 @pytest.mark.parametrize("token", NOT_DECIMAL)
-@pytest.mark.parametrize("section, field", [("NODES", 0), ("EDGES", 0),
-                                            ("EDGES", 1), ("EDGES", 8)])
-def test_snapshot_integers_take_ascii_digits_only(token, section, field):
+@pytest.mark.parametrize("section, field, name", [
+    ("NODES", 0, "class id"), ("EDGES", 0, "class id"), ("EDGES", 1, "class id"),
+    ("EDGES", 8, "f1"), ("EDGES", 9, "f2")])
+def test_snapshot_integers_take_ascii_digits_only(token, section, field, name):
     g, store, _ = _sample_graph()
     lines = written_snapshot(g, store).splitlines()
     lineno = lines.index(section) + 2
@@ -235,12 +323,16 @@ def test_snapshot_integers_take_ascii_digits_only(token, section, field):
     lines[lineno - 1] = "\t".join(fields)
     with pytest.raises(InputError) as exc:
         formats.parse_snapshot("\n".join(lines) + "\n", "g.snap")
-    assert str(exc.value) == f"g.snap:{lineno}: malformed {section} line"
+    assert str(exc.value) == f"g.snap:{lineno}: bad {name} {token!r}"
 
 
 # float() alone reads each of these: "_" separators, blanks, "+" and
 # non-ASCII digits ("５" is fullwidth, "١" Arabic-Indic)
 NOT_REAL = ("0_5", "５", "١", "+0.5", " 0.5", "0.5 ", "", "1e_3")
+
+# the weight columns of an EDGES line; f1 and f2 are columns 8 and 9
+WEIGHT_COLUMNS = {2: "d_min", 3: "phi", 4: "d_min", 5: "phi", 6: "d_min",
+                  7: "phi", 10: "r", 11: "s_raw", 12: "s"}
 
 
 @pytest.mark.parametrize("token", NOT_REAL)
@@ -253,22 +345,22 @@ def test_real_fields_take_ascii_float_syntax_only(token):
     with pytest.raises(InputError) as table:
         formats.parse_feature_table("C\t-\t0\t0\t0\t0\nV\t-\t0\t0\t0\n"
                                     f"C\tb\t{token}\t1\t1\t0\n")
-    assert str(table.value) == "phoneme_features.tsv:3: bad number"
+    assert str(table.value) == f"phoneme_features.tsv:3: bad scale value {token!r}"
     g, store, _ = _sample_graph()
     lines = written_snapshot(g, store).splitlines()
     lineno = lines.index("EDGES") + 2
-    fields = lines[lineno - 1].split("\t")
-    fields[2] = token  # d_min of cmn
-    lines[lineno - 1] = "\t".join(fields)
-    with pytest.raises(InputError) as snapshot:
-        formats.parse_snapshot("\n".join(lines) + "\n", "g.snap")
-    assert str(snapshot.value) == f"g.snap:{lineno}: bad real number {token!r}"
-    if not token.isascii() or "_" in token:  # strokes allow "+" and blanks
-        spec = f"H:(1,5)-(9,{token})"
-        with pytest.raises(InputError) as strokes:
-            formats.parse_strokes(f"4E00\tS:(5,9)-(5,1)\n4E01\t{spec}\n")
-        assert str(strokes.value) == (f"strokes.tsv:2: stroke description "
-                                      f"{spec!r} is not ASCII or holds '_'")
+    edge = lines[lineno - 1].split("\t")
+    for column, name in WEIGHT_COLUMNS.items():
+        fields = list(edge)
+        fields[column] = token
+        lines[lineno - 1] = "\t".join(fields)
+        with pytest.raises(InputError) as snapshot:
+            formats.parse_snapshot("\n".join(lines) + "\n", "g.snap")
+        assert str(snapshot.value) == f"g.snap:{lineno}: bad {name} {token!r}"
+    spec = f"H:(1,5)-(9,{token})"
+    with pytest.raises(InputError) as strokes:
+        formats.parse_strokes(f"4E00\tS:(5,9)-(5,1)\n4E01\t{spec}\n")
+    assert str(strokes.value) == f"strokes.tsv:2: bad coordinate {token!r}"
 
 
 def test_real_takes_what_repr_writes():
@@ -278,10 +370,12 @@ def test_real_takes_what_repr_writes():
 
 
 def test_a_negative_decimal_keeps_its_range_message():
-    with pytest.raises(InputError, match="radicals.tsv:1: radical -3 outside 1..214"):
+    with pytest.raises(InputError) as radical:
         formats.parse_radicals("4E00\t-3\n")
-    with pytest.raises(InputError, match="freq.tsv:1: count must be positive"):
+    assert str(radical.value) == "radicals.tsv:1: radical '-3' is not an integer in [1, 214]"
+    with pytest.raises(InputError) as count:
         formats.parse_freq_counts("4E00\t-3\n")
+    assert str(count.value) == "freq.tsv:1: count '-3' is not an integer >= 1"
     assert formats.parse_vectors(f"{formats.VECTORS_HEADER}\na\t-1:0.5\n") == \
         (["a"], [{-1: 0.5}])
 

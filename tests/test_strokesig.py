@@ -14,7 +14,6 @@ from sinograph.strokesig import (
     char_signature,
     detect_inclusions,
     pair_signature,
-    parse_stroke_spec,
     signature_contains,
 )
 
@@ -205,22 +204,6 @@ def test_e_matches_only_e():
                                                       crossing.pair_sigs[:1]), 1e9)
 
 
-def test_parse_stroke_spec_roundtrip():
-    strokes = parse_stroke_spec("D:(4,9)-(4.5,8);H:(1.97,7.6)-(6.52,7.6)")
-    assert [s.calligraphic_type for s in strokes] == ["D", "H"]
-    assert strokes[0].skeleton == ((4.0, 9.0), (4.5, 8.0))
-    with pytest.raises(InputError):
-        parse_stroke_spec("ZZZ:(0,0)-(1,1)")
-    with pytest.raises(InputError):
-        parse_stroke_spec("H:(0,0)")
-
-
-@pytest.mark.parametrize("point", ["(nan,5)", "(1,inf)", "(-inf,2)", "(NaN,NaN)"])
-def test_parse_stroke_spec_rejects_non_finite(point):
-    with pytest.raises(InputError, match="non-finite"):
-        parse_stroke_spec(f"H:{point}-(9,5);S:(5,9)-(5,1)")
-
-
 def test_nan_component_does_not_match():
     finite = StrokePairSignature(1.0, 1.0, 1.0, 1.0)
     holed = StrokePairSignature(math.nan, 1.0, 1.0, 1.0)
@@ -325,10 +308,3 @@ def test_match_at_a_later_repeated_window():
     sigs = {1: inner, 2: outer}
     assert detect_inclusions(sigs, 0.1) == {(1, 2)}
     assert detect_inclusions(sigs, 0.1) == all_pairs_inclusions(sigs, 0.1)
-
-
-def test_parse_stroke_spec_rejects_degenerate_stroke_of_a_pair():
-    # a lone stroke has no pair signature, so its endpoints may coincide
-    assert parse_stroke_spec("D:(3,3)-(3,3)")[0].start == (3.0, 3.0)
-    with pytest.raises(InputError, match="stroke 1 is degenerate"):
-        parse_stroke_spec("H:(1,5)-(9,5);D:(3,3)-(4,4)-(3,3)")
