@@ -50,8 +50,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 # -- subcommands -------------------------------------------------------------
+# Each returns the rows of its summary, if it has one; ``main`` prints them.
 
-def cmd_build_graph(args: argparse.Namespace) -> int:
+def cmd_build_graph(args: argparse.Namespace) -> dict[str, object]:
     strokes = formats.load_file(formats.parse_strokes, args.strokes)
     if args.codepoint_range:
         lo, hi = formats.codepoint_range(args.codepoint_range)
@@ -85,15 +86,13 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     reduced.meta["tolerance"] = repr(args.tolerance)
 
     formats.save_snapshot(args.out, reduced, store)
-    print(f"characters\t{len(chars)}")
-    print(f"character_inclusions\t{inclusions}")
-    print(f"character_inclusions_reduced\t{reduced_inclusions}")
-    print(f"classes\t{reduced.node_count()}")
-    print(f"class_inclusions\t{reduced.edge_count()}")
-    return EXIT_OK
+    return {"characters": len(chars), "character_inclusions": inclusions,
+            "character_inclusions_reduced": reduced_inclusions,
+            "classes": reduced.node_count(),
+            "class_inclusions": reduced.edge_count()}
 
 
-def cmd_annotate(args: argparse.Namespace) -> int:
+def cmd_annotate(args: argparse.Namespace) -> dict[str, object]:
     # flags that act only on the data of another flag's file
     for flag, needed in (("relations", "synsets"), ("definitions", "synsets"),
                          ("phi_histogram", "readings"), ("languages", "readings"),
@@ -148,64 +147,42 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         formats.write_lines(args.phi_histogram, lines)
 
     formats.save_snapshot(args.out, g, store, annotations)
-    print(f"phi_languages\t{' '.join(l.value for l in annotated_phi) or '-'}")
-    print(f"s_raw_max\t{g.meta.get('s_raw_max', '0')}")
-    print(f"annotated_classes\t{len(annotations)}")
-    return EXIT_OK
+    return {"phi_languages": " ".join(l.value for l in annotated_phi) or "-",
+            "s_raw_max": g.meta.get("s_raw_max", "0"),
+            "annotated_classes": len(annotations)}
 
 
 def _class_id(token: str, store: CharacterStore) -> int:
-    """The class a ``--class`` token names: ``U+XXXX`` the class of that
-    member codepoint, held to the files' codepoint range; a bare token the
-    class whose decimal id or hex member it is, read as an id alone past
-    that range, and an error where it is both."""
-    prefixed = token[:2] in ("U+", "u+")
-    digits = token[2:] if prefixed else token
-    cp = cid = None
-    if formats.HEX_NUMBER.fullmatch(digits):
-        try:
-            cp = formats.codepoint(digits)
-        except InputError:  # past 10FFFF, a bare token is an id alone
-            if prefixed:
-                raise
-    try:
-        cid = None if prefixed else formats.decimal(token)
-    except InputError:
-        pass
-    if cp is None and cid is None:
-        raise InputError(f"cannot resolve class {token!r}")
-    member, named = store.class_of.get(cp), cid in store.by_id
-    if member is not None and named:
-        raise InputError(f"--class {token} names class {cid} by id and class "
-                         f"{member} by its member U+{cp:04X}; name a class "
-                         f"by a member, as U+XXXX")
-    if member is None and not named:
-        raise DataError("; ".join(
-            ([] if cid is None else [f"no class with id {cid}"])
-            + ([] if cp is None else [f"U+{cp:04X} is in no class"])))
-    return cid if named else member
+    """The class a ``--class`` token names: ``U+XXXX`` (or ``u+``) the
+    class of that member codepoint, any other token the class of that id."""
+    if token[:2] in ("U+", "u+"):
+        cp = formats.codepoint(token[2:])
+        if cp not in store.class_of:
+            raise DataError(f"U+{cp:04X} is in no class")
+        return store.class_of[cp]
+    cid = formats.decimal(token, "class id", 0)
+    if cid not in store.by_id:
+        raise DataError(f"no class with id {cid}")
+    return cid
 
 
 def _resolve_class(args, store: CharacterStore) -> list[int]:
     if args.all:
         return [cls.id for cls in store.classes]
-    ids = [_class_id(token, store) for token in args.cls or []]
-    if not ids:
-        raise InputError("no class given; use --class or --all")
-    return ids
+    # each class once, in order of first mention
+    return list(dict.fromkeys(_class_id(token, store) for token in args.cls))
 
 
-def cmd_chains(args: argparse.Namespace) -> int:
+def cmd_chains(args: argparse.Namespace) -> None:
     language = Language.parse(args.language)
     g, store, _ = formats.load_file(formats.parse_snapshot, args.snapshot)
     kind = CHAIN_KINDS[args.kind]
     lines = [f"{cid}\t" + " ".join(str(c) for c in kind.chain(g, cid, language))
              for cid in _resolve_class(args, store)]
     formats.write_lines(args.out, lines)
-    return EXIT_OK
 
 
-def cmd_freqdist(args: argparse.Namespace) -> int:
+def cmd_freqdist(args: argparse.Namespace) -> None:
     lists = [formats.load_file(formats.parse_freq_counts, p) for p in args.lists]
     if len(lists) < 2:
         raise InputError("need at least two frequency lists")
@@ -219,10 +196,9 @@ def cmd_freqdist(args: argparse.Namespace) -> int:
         ufl = aggregate_ufl(lists, renormalize=args.renormalize)
         formats.write_lines(args.ufl_out, [f"{cp:X}\t{f:.12g}"
                                            for cp, f in ufl.entries])
-    return EXIT_OK
 
 
-def cmd_features(args: argparse.Namespace) -> int:
+def cmd_features(args: argparse.Namespace) -> dict[str, object]:
     language = Language.parse(args.language)
     g, store, _ = formats.load_file(formats.parse_snapshot, args.snapshot)
     docs = formats.load_file(formats.parse_corpus, args.corpus)
@@ -237,13 +213,11 @@ def cmd_features(args: argparse.Namespace) -> int:
         lines = [f"{cid}\t{vocab.provenance[cid]}"
                  for cid in sorted(vocab.provenance)]
         formats.write_lines(args.vocab_out, lines)
-    print(f"documents\t{len(docs)}")
-    print(f"vocabulary\t{len(vocab)}")
-    print(f"vocabulary_added\t{len(vocab.added_ids())}")
-    return EXIT_OK
+    return {"documents": len(docs), "vocabulary": len(vocab),
+            "vocabulary_added": len(vocab.added_ids())}
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> None:
     # every category needs an example in each fold
     labels, vectors = formats.load_file(formats.parse_vectors, args.vectors,
                                        min_per_label=args.k)
@@ -253,10 +227,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"note: {report.models_capped} of {report.models} one-vs-rest "
               f"models stopped at the {report.max_epochs}-epoch cap",
               file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_query_unknown(args: argparse.Namespace) -> int:
+def cmd_query_unknown(args: argparse.Namespace) -> None:
     g, store, annotations = formats.load_file(formats.parse_snapshot, args.snapshot)
     targets = _resolve_class(args, store)
     lines = []
@@ -270,7 +243,6 @@ def cmd_query_unknown(args: argparse.Namespace) -> int:
         for sid, w in sorted(vec.items(), key=lambda kv: (-kv[1], kv[0])):
             lines.append(f"{cid}\t{sid}\t{w:.6f}")
     formats.write_lines(args.out, lines)
-    return EXIT_OK
 
 
 # -- parser -------------------------------------------------------------------
@@ -279,6 +251,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sinograph",
                      description="Subcharacter inclusion graph toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the classes chains and query-unknown answer for: listed, or all
+    selector = argparse.ArgumentParser(add_help=False)
+    group = selector.add_mutually_exclusive_group(required=True)
+    group.add_argument("--class", dest="cls", action="append",
+                       help="class id, or a member codepoint as U+XXXX")
+    group.add_argument("--all", action="store_true")
 
     p = sub.add_parser("build-graph", help="mine inclusions, build the "
                        "reduced class graph")
@@ -290,7 +268,7 @@ def build_parser() -> _Parser:
     p.add_argument("--codepoint-range", metavar="LO-HI",
                    help="restrict to a hex codepoint range, e.g. 4E00-9FFF")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_graph)
+    p.set_defaults(func=cmd_build_graph, outputs=("out",))
 
     p = sub.add_parser("annotate", help="compute phoneticity, semanticity "
                        "and synset annotations")
@@ -308,25 +286,23 @@ def build_parser() -> _Parser:
                    metavar=("F1", "F2", "R"))
     p.add_argument("--phi-histogram", help="write a phi histogram CSV here")
     p.add_argument("--bins", type=formats.decimal, default=DEFAULT_BINS)
-    p.set_defaults(func=cmd_annotate)
+    p.set_defaults(func=cmd_annotate, outputs=("out", "phi_histogram"))
 
-    p = sub.add_parser("chains", help="least-phonetic / most-semantic chains")
+    p = sub.add_parser("chains", parents=[selector],
+                       help="least-phonetic / most-semantic chains")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--kind", choices=list(CHAIN_KINDS), required=True)
     p.add_argument("--language", default=DEFAULT_LANGUAGE.value)
-    p.add_argument("--class", dest="cls", action="append",
-                   help="class id, or a member codepoint as U+XXXX")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_chains)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=cmd_chains, outputs=("out",))
 
     p = sub.add_parser("freqdist", help="pairwise frequency-list distances")
     p.add_argument("--lists", nargs="+", required=True)
     p.add_argument("--n", type=formats.decimal, default=3000)
     p.add_argument("--ufl-out", help="write the aggregated list here")
     p.add_argument("--renormalize", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_freqdist)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=cmd_freqdist, outputs=("out", "ufl_out"))
 
     p = sub.add_parser("features", help="document feature vectors")
     p.add_argument("--snapshot", required=True)
@@ -336,26 +312,23 @@ def build_parser() -> _Parser:
     p.add_argument("--language", default=DEFAULT_LANGUAGE.value)
     p.add_argument("--vocab-out")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_features)
+    p.set_defaults(func=cmd_features, outputs=("out", "vocab_out"))
 
     p = sub.add_parser("evaluate", help="cross-validated classification")
     p.add_argument("--vectors", required=True)
     p.add_argument("--k", type=formats.decimal, default=DEFAULT_K)
     p.add_argument("--C", type=formats.real, default=DEFAULT_C)
     p.add_argument("--seed", type=formats.decimal, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_evaluate)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=cmd_evaluate, outputs=("out",))
 
-    p = sub.add_parser("query-unknown", help="approximate the semantics of "
-                       "an unannotated class")
+    p = sub.add_parser("query-unknown", parents=[selector],
+                       help="approximate the semantics of an unannotated class")
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--class", dest="cls", action="append",
-                   help="class id, or a member codepoint as U+XXXX")
-    p.add_argument("--all", action="store_true")
     p.add_argument("--max-depth", type=formats.decimal, default=DEFAULT_MAX_DEPTH)
     p.add_argument("--direction", choices=["sub", "super"], default="sub")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_query_unknown)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=cmd_query_unknown, outputs=("out",))
 
     return parser
 
@@ -367,7 +340,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # at most one artefact takes standard output, and then the summary
+        # goes to standard error
+        on_stdout = [f"--{flag.replace('_', '-')}" for flag in args.outputs
+                     if getattr(args, flag) == "-"]
+        if len(on_stdout) > 1:
+            raise InputError(f"{' and '.join(on_stdout)} both write to "
+                             f"standard output")
+        summary = args.func(args) or {}
+        for key, value in summary.items():
+            print(f"{key}\t{value}", file=sys.stderr if on_stdout else sys.stdout)
+        return EXIT_OK
     except InputError as exc:
         print(f"sinograph: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -21,7 +21,8 @@ number in [lo, hi]`` (or ``an integer``; ``>= lo`` with no upper bound).
 * corpus.tsv       ``<label>\\t<document text>`` (one document per line)
 * feature table    ``C\\t<symbol>\\t<4 numbers>`` or ``V\\t<symbol>\\t<3 numbers>``
 * vectors file     ``#sparse-vectors v1`` header, then
-                   ``<label>\\t<id>:<weight>[ <id>:<weight>...]``
+                   ``<label>\\t<id>:<weight>[ <id>:<weight>...]``, cells
+                   separated by one ASCII space
 
 Every error a record raises names its ``file:line``.
 
@@ -398,7 +399,8 @@ def parse_vectors(text: str, path: str = "vectors", min_per_label: int = 0
                 raise InputError("no tab after the label")
             first_line.setdefault(label, reader.lineno)
             vec: dict[int, float] = {}
-            for cell in cells.split():
+            # cells are separated by one " "; an empty document has none
+            for cell in cells.split(" ") if cells else ():
                 try:
                     cid_tok, w_tok = cell.split(":")
                     cid, w = decimal(cid_tok), real(w_tok)
@@ -479,9 +481,10 @@ def parse_snapshot(text: str, path: str = "snapshot"
     """Read a snapshot written by ``write_snapshot``: its graph, the
     ``CharacterStore`` its NODES fill, and the synset annotations.
 
-    Members and representatives must be codepoints in 0..10FFFF, the
-    classes must form a partition (``CharacterStore.add``), and every
-    edge endpoint must be a class declared earlier in NODES.
+    Class ids must be integers >= 0 and members and representatives
+    codepoints in 0..10FFFF; the classes must form a partition
+    (``CharacterStore.add``), and every edge endpoint must be a class
+    declared earlier in NODES.
     An edge line has exactly its 13 fields.  Edge weights must be finite
     and nonnegative, and phi, r and s at most 1.  A META key and an edge
     are given once.  Any other content raises ``InputError`` naming the
@@ -505,7 +508,7 @@ def parse_snapshot(text: str, path: str = "snapshot"
                     g.meta[key] = value
                 elif section == "NODES":
                     cid_tok, members_tok, rep_tok, synsets_tok = fields
-                    cid = decimal(cid_tok, "class id")
+                    cid = decimal(cid_tok, "class id", 0)
                     members = frozenset(codepoint(m) for m in members_tok.split())
                     store.add(AllographClass(cid, members, codepoint(rep_tok)))
                     g.add_node(cid)
@@ -515,8 +518,8 @@ def parse_snapshot(text: str, path: str = "snapshot"
                     if len(fields) != _EDGE_FIELDS:
                         raise InputError(f"expected {_EDGE_FIELDS} tab-separated "
                                          f"fields, got {len(fields)}")
-                    sub = decimal(fields[0], "class id")
-                    sup = decimal(fields[1], "class id")
+                    sub = decimal(fields[0], "class id", 0)
+                    sup = decimal(fields[1], "class id", 0)
                     if sub not in g or sup not in g:
                         missing = sup if sub in g else sub
                         raise InputError(f"edge endpoint {missing} is not a "

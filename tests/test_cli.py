@@ -227,7 +227,7 @@ def test_chains_and_histogram(chain_inputs, capsys, tmp_path):
     assert len(lines) == 3
     # class of 4E02 descends to its least phonetic subcharacter
     rc = main(["chains", "--snapshot", out, "--kind", "semantic",
-               "--class", "4E02", "--out", chains_file])
+               "--class", "U+4E02", "--out", chains_file])
     assert rc == 0
     hist = open(chain_inputs["dir"] / "h.csv", encoding="utf-8").read()
     assert hist.startswith("language,bin_lo,bin_hi,count")
@@ -430,7 +430,7 @@ def test_evaluate_notes_models_at_epoch_cap(tmp_path, capsys, monkeypatch):
 
 def test_query_unknown(chain_inputs, capsys):
     snap = _annotate(chain_inputs)
-    rc = main(["query-unknown", "--snapshot", snap, "--class", "4E02"])
+    rc = main(["query-unknown", "--snapshot", snap, "--class", "U+4E02"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.strip()  # emits synset weights or a '-' line
@@ -1061,13 +1061,12 @@ def test_a_non_decimal_class_id_is_an_input_error(pipeline_files, capsys,
     rc = main(command.split() + ["--snapshot", pipeline_files["snap"],
                                  "--class", token])
     assert rc == 2
-    assert f"cannot resolve class {token!r}" in capsys.readouterr().err
+    assert f"bad class id {token!r}" in capsys.readouterr().err
 
 
 def _with_member_1(pipeline_files):
     """The annotated snapshot with class 2's member U+4E02 swapped for
-    U+0001, so that the bare token "1" names class 1 by id and class 2
-    by a member."""
+    U+0001, so that "1" and "U+1" name different classes."""
     with open(pipeline_files["snap"], encoding="utf-8") as fh:
         text = fh.read()
     assert "\n2\t4E02\t4E02\t" in text
@@ -1079,14 +1078,12 @@ def _with_member_1(pipeline_files):
 @pytest.mark.parametrize("token, rc, message", [
     ("U+2", 3, "U+0002 is in no class"),
     ("u+4E03", 3, "U+4E03 is in no class"),
-    ("U+", 2, "cannot resolve class 'U+'"),
-    ("U+-1", 2, "cannot resolve class 'U+-1'"),
+    ("U+", 2, "bad hex codepoint ''"),
+    ("U+-1", 2, "codepoint '-1' out of range"),
     ("U+110000", 2, "codepoint '110000' out of range"),
-    ("1", 2, "--class 1 names class 1 by id and class 2 by its member "
-             "U+0001; name a class by a member, as U+XXXX"),
-    ("9", 3, "no class with id 9; U+0009 is in no class"),
-    ("-1", 3, "no class with id -1"),
-    ("4E03", 3, "U+4E03 is in no class"),
+    ("9", 3, "no class with id 9"),
+    ("-1", 2, "class id '-1' is not an integer >= 0"),
+    ("4E03", 2, "bad class id '4E03'"),
     ("110000", 3, "no class with id 110000"),
 ])
 def test_class_tokens_are_resolved_without_guessing(pipeline_files, capsys,
@@ -1100,7 +1097,8 @@ def test_class_tokens_are_resolved_without_guessing(pipeline_files, capsys,
 
 
 @pytest.mark.parametrize("token, cid", [("U+1", 2), ("u+0001", 2), ("U+4E00", 0),
-                                        ("4E01", 1), ("2", 2), ("0", 0)])
+                                        ("U+4E01", 1), ("1", 1), ("2", 2),
+                                        ("0", 0)])
 def test_a_class_token_with_one_reading_names_its_class(pipeline_files, capsys,
                                                         token, cid):
     snap = _with_member_1(pipeline_files)
@@ -1126,3 +1124,78 @@ def test_every_reader_of_a_missing_semanticity_says_the_same(pipeline_files,
     assert capsys.readouterr().err == (
         "sinograph: edge 0 -> 1 has no semanticity; compute it with the "
         "annotate subcommand\n")
+
+
+@pytest.mark.parametrize("command", ["chains --kind semantic", "query-unknown"])
+@pytest.mark.parametrize("selector, message", [
+    ("--all --class 0", "argument --class: not allowed with argument --all"),
+    ("--class 0 --all", "argument --all: not allowed with argument --class"),
+    ("", "one of the arguments --class --all is required"),
+])
+def test_class_and_all_are_one_required_choice(pipeline_files, capsys, command,
+                                                selector, message):
+    capsys.readouterr()
+    rc = main(command.split() + ["--snapshot", pipeline_files["snap"],
+                                 *selector.split()])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (f"sinograph {command.split()[0]}: "
+                                    f"error: {message}")
+
+
+@pytest.mark.parametrize("command", ["chains --kind semantic", "query-unknown"])
+def test_a_class_named_twice_is_answered_once(pipeline_files, capsys, command):
+    argv = command.split() + ["--snapshot", pipeline_files["snap"]]
+    capsys.readouterr()
+    assert main(argv + ["--class", "2", "--class", "0"]) == 0
+    once = capsys.readouterr().out
+    assert list(dict.fromkeys(line.split("\t")[0]
+                              for line in once.splitlines())) == ["2", "0"]
+    # class 2 by its id twice and by its member U+4E02
+    assert main(argv + ["--class", "2", "--class", "0", "--class", "U+4E02",
+                        "--class", "2"]) == 0
+    assert capsys.readouterr().out == once
+
+
+@pytest.mark.parametrize("argv, parse", [
+    ("build-graph --strokes {strokes} --variants {variants} --ufl {ufl}",
+     formats.parse_snapshot),
+    ("annotate --snapshot {snap} --readings {readings} --synsets {synsets} "
+     "--phi-histogram {hist}", formats.parse_snapshot),
+    ("features --snapshot {snap} --corpus {corpus} --strategy combined "
+     "--vocab-out {hist}", formats.parse_vectors),
+])
+def test_an_artefact_on_standard_output_is_its_file(pipeline_files, capsysbinary,
+                                                    argv, parse):
+    argv = argv.format(**pipeline_files).split()
+    capsysbinary.readouterr()
+    assert main(argv + ["--out", pipeline_files["out"]]) == 0
+    summary, notes = capsysbinary.readouterr()
+    assert summary
+    with open(pipeline_files["out"], "rb") as fh:
+        artefact = fh.read()
+    assert main(argv + ["--out", "-"]) == 0
+    # the artefact alone on standard output, the summary after the notes
+    assert capsysbinary.readouterr() == (artefact, notes + summary)
+    parse(artefact.decode("utf-8"))
+
+
+@pytest.mark.parametrize("argv, flags", [
+    ("annotate --snapshot {missing} --readings {readings} --out - "
+     "--phi-histogram -", "--out and --phi-histogram"),
+    ("features --snapshot {missing} --corpus {corpus} --out - --vocab-out -",
+     "--out and --vocab-out"),
+    ("freqdist --lists {missing} {ufl} --ufl-out -", "--out and --ufl-out"),
+    ("freqdist --lists {missing} {ufl} --ufl-out - --out -",
+     "--out and --ufl-out"),
+])
+def test_two_artefacts_on_standard_output_are_refused(pipeline_files, capsys,
+                                                       argv, flags):
+    """Refused before any file is read: the snapshot or list is missing."""
+    missing = str(pipeline_files["dir"] / "missing")
+    capsys.readouterr()
+    rc = main(argv.format(missing=missing, **pipeline_files).split())
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"sinograph: input error: {flags} both "
+                                       f"write to standard output\n")

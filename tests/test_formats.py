@@ -181,6 +181,22 @@ def test_vectors_roundtrip():
         formats.parse_vectors("no header\n")
 
 
+@pytest.mark.parametrize("cells, cell", [
+    ("1:0.5\u30002:0.25", "1:0.5\u30002:0.25"),
+    ("3:1\xa04:1", "3:1\xa04:1"),
+    ("1:0.5\t2:0.25", "1:0.5\t2:0.25"),
+    ("1:0.5\x0c2:0.25", "1:0.5\x0c2:0.25"),
+    ("1:0.5\u20282:0.25", "1:0.5\u20282:0.25"),
+    ("1:0.5  2:0.25", ""),
+    (" 1:0.5", ""),
+    ("1:0.5 ", ""),
+])
+def test_a_cell_separator_but_one_space_is_a_bad_cell(cells, cell):
+    with pytest.raises(InputError) as exc:
+        formats.parse_vectors(f"{formats.VECTORS_HEADER}\na\t{cells}\n")
+    assert str(exc.value) == f"vectors:2: bad cell {cell!r}"
+
+
 def written_snapshot(g, store, annotations=None) -> str:
     """The text ``formats.write_snapshot`` writes."""
     buf = io.StringIO()
@@ -324,6 +340,20 @@ def test_snapshot_integers_take_ascii_digits_only(token, section, field, name):
     with pytest.raises(InputError) as exc:
         formats.parse_snapshot("\n".join(lines) + "\n", "g.snap")
     assert str(exc.value) == f"g.snap:{lineno}: bad {name} {token!r}"
+
+
+@pytest.mark.parametrize("section, field", [("NODES", 0), ("EDGES", 0),
+                                            ("EDGES", 1)])
+def test_a_snapshot_class_id_is_an_integer_at_least_0(section, field):
+    g, store, _ = _sample_graph()
+    lines = written_snapshot(g, store).splitlines()
+    lineno = lines.index(section) + 2
+    fields = lines[lineno - 1].split("\t")
+    fields[field] = "-5"
+    lines[lineno - 1] = "\t".join(fields)
+    with pytest.raises(InputError) as exc:
+        formats.parse_snapshot("\n".join(lines) + "\n", "g.snap")
+    assert str(exc.value) == f"g.snap:{lineno}: class id '-5' is not an integer >= 0"
 
 
 # float() alone reads each of these: "_" separators, blanks, "+" and
