@@ -225,7 +225,7 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     formats.write_lines(args.out, report.lines())
     if report.models_capped:
         print(f"note: {report.models_capped} of {report.models} one-vs-rest "
-              f"models stopped at the {report.max_epochs}-epoch cap",
+              f"models stopped at the {report.max_iterations}-iteration cap",
               file=sys.stderr)
 
 

@@ -197,15 +197,15 @@ def load_file(parse: Callable[..., T], path: str, **options) -> T:
     return parse(read_text(path), path=path, **options)
 
 
-def open_output(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
-    """Standard output for ``None`` or ``-``, left open on exit; otherwise
-    ``path`` opened for writing as UTF-8 with ``\\n`` line ends."""
-    if path is None or path == "-":
+def open_output(path: str) -> contextlib.AbstractContextManager[TextIO]:
+    """Standard output for ``-``, left open on exit; otherwise ``path``
+    opened for writing as UTF-8 with ``\\n`` line ends."""
+    if path == "-":
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def write_lines(path: str | None, lines: Iterable[str]) -> None:
+def write_lines(path: str, lines: Iterable[str]) -> None:
     """Write each line and a ``\\n`` to ``open_output(path)``."""
     with open_output(path) as fh:
         for line in lines:
@@ -509,7 +509,9 @@ def parse_snapshot(text: str, path: str = "snapshot"
                 elif section == "NODES":
                     cid_tok, members_tok, rep_tok, synsets_tok = fields
                     cid = decimal(cid_tok, "class id", 0)
-                    members = frozenset(codepoint(m) for m in members_tok.split())
+                    # members are separated by one " ", as written
+                    members = frozenset(codepoint(m)
+                                        for m in members_tok.split(" "))
                     store.add(AllographClass(cid, members, codepoint(rep_tok)))
                     g.add_node(cid)
                     if synsets_tok != MISSING:

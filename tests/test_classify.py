@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, minimize
 
 from sinograph import classify
 from sinograph.classify import (
-    DEFAULT_MAX_EPOCHS,
+    DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOL,
-    MARGIN_SLACK,
-    _densify,
+    _design_matrix,
     _label_matrix,
     _train_one_vs_rest,
     cross_validate,
@@ -40,18 +40,20 @@ def top_category(categories, scores):
     return categories[int(np.argmax(scores))]
 
 
-def fit_all(vectors, labels, C=1.0, max_epochs=DEFAULT_MAX_EPOCHS,
+def fit_all(vectors, labels, C=1.0, max_iterations=DEFAULT_MAX_ITERATIONS,
             tol=DEFAULT_TOL):
-    """The batched trainer on one training set of every example: the
-    categories, X, and the (K, d) weights, bias and epochs it returns."""
-    categories, Y = _label_matrix(labels, np.ones((1, len(labels)), dtype=bool))
-    X = _densify(vectors, sorted({fid for vec in vectors for fid in vec}))
-    return (categories, X, *_train_one_vs_rest(X, Y, C, max_epochs, tol))
+    """The trainer on one training set of every example: the categories,
+    the (N, d + 1) design matrix, and the (K, d + 1) weights (bias last),
+    support-vector mask and iterations it returns."""
+    categories, Y = _label_matrix(labels)
+    X = _design_matrix(vectors, sorted({fid for vec in vectors for fid in vec}))
+    return (categories, X, *_train_one_vs_rest(
+        X, Y, np.arange(len(labels)), C, max_iterations, tol))
 
 
 def fitted_labels(vectors, labels, C=1.0):
-    categories, X, W, b, _ = fit_all(vectors, labels, C=C)
-    return [top_category(categories, s) for s in X @ W.T + b]
+    categories, X, W, _, _ = fit_all(vectors, labels, C=C)
+    return [top_category(categories, s) for s in X @ W.T]
 
 
 def test_separable_training_accuracy():
@@ -69,7 +71,7 @@ def test_contradictory_labels_no_crash():
 def test_small_c_shrinks_weights():
     vectors, labels = separable_corpus(n_per_class=10, n_classes=2)
     _, _, W, _, _ = fit_all(vectors, labels, C=1e-9)
-    assert float(abs(W).max()) < 1e-3
+    assert float(abs(W[:, :-1]).max()) < 1e-3
 
 
 def test_single_category_rejected():
@@ -84,8 +86,9 @@ def test_cross_validate_ties_go_to_the_first_category():
     labels = ["z"] * 3 + ["m"] * 6 + ["a"] * 9
     vectors = [{i % 4: 1.0} for i in range(len(labels))]
 
-    def zero_trainer(X, Y, C, max_epochs, tol):
-        return np.zeros((len(Y), X.shape[1])), np.zeros(len(Y)), [1] * len(Y)
+    def zero_trainer(X, Y, train, C, max_iterations, tol):
+        return (np.zeros((len(Y), X.shape[1])), np.zeros(len(train), dtype=bool),
+                [1] * len(Y))
 
     with mock.patch.object(classify, "_train_one_vs_rest", zero_trainer):
         report = cross_validate(vectors, labels, k=3, seed=0)
@@ -145,14 +148,15 @@ def test_cross_validate_reproducible():
     assert c.fold_accuracies is not None  # different seed still valid
 
 
-def test_cross_validate_reports_epochs_and_capped_models():
+def test_cross_validate_reports_iterations_and_capped_models():
     vectors, labels = separable_corpus(n_per_class=10, n_classes=3)
-    capped = cross_validate(vectors, labels, k=5, seed=0, max_epochs=1)
-    assert capped.fold_epochs == ((1, 1, 1),) * 5
+    capped = cross_validate(vectors, labels, k=5, seed=0, max_iterations=1)
+    assert capped.fold_iterations == ((1, 1, 1),) * 5
     assert (capped.models, capped.models_capped) == (15, 15)
     free = cross_validate(vectors, labels, k=5, seed=0)
     assert free.models == 15
-    assert all(1 < e < free.max_epochs for fold in free.fold_epochs for e in fold)
+    assert all(1 < it < free.max_iterations
+               for fold in free.fold_iterations for it in fold)
     assert free.models_capped == 0
 
 
@@ -172,85 +176,85 @@ def test_chance_level_on_shuffled_labels():
     assert abs(report.mean_accuracy - 0.2) <= 0.05
 
 
-# -- the per-model trainer, kept as the oracle of the batched one ------------
 
-def train_binary(X, y, C, max_epochs, tol):
-    """Pegasos-style full-batch training of one binary classifier."""
+
+# -- the oracle: the same QP, solved by scipy ----------------------------------
+
+# the trainer run close to the optimum, so that it can be held to the
+# oracle's; on a degenerate model (w = 0 at the optimum) ADMM converges
+# slowly, and a few such need thousands of iterations at this tolerance
+TIGHT = {"max_iterations": 100_000, "tol": 1e-6}
+
+
+def hinge_objective(X, y, w, b, C):
+    """J(w, b) of one binary model on the (n, d) training rows ``X``."""
+    lam = 1.0 / (C * len(y))
+    return 0.5 * lam * float(w @ w) + float(
+        np.maximum(0.0, 1.0 - y * (X @ w + b)).mean())
+
+
+def qp_optimum(X, y, C):
+    """The weights and bias minimising J, found by SLSQP on the QP
+    min (lambda/2) |w|^2 + mean(xi)  s.t.  y (X w + b) + xi >= 1, xi >= 0."""
     n, d = X.shape
     lam = 1.0 / (C * n)
-    radius = 1.0 / math.sqrt(lam)
-    w = np.zeros(d)
-    b = 0.0
-    prev_obj = math.inf
-    epoch = 0
-    for epoch in range(1, max_epochs + 1):
-        margins = y * (X @ w + b)
-        active = margins < 1.0
-        eta = 1.0 / (lam * epoch)
-        grad_w = lam * w - (X[active].T @ y[active]) / n
-        grad_b = -np.sum(y[active]) / n
-        w = w - eta * grad_w
-        b = b - eta * grad_b
-        norm = np.linalg.norm(w)
-        if norm > radius:
-            w *= radius / norm
-        obj = 0.5 * lam * float(w @ w) + float(
-            np.mean(np.maximum(0.0, 1.0 - y * (X @ w + b))))
-        if abs(prev_obj - obj) < tol * max(abs(prev_obj), 1e-12):
-            break
-        prev_obj = obj
-    return w, b, epoch
+    A = np.hstack([y[:, None] * X, y[:, None], np.eye(n)])
+
+    def objective(v):
+        return 0.5 * lam * float(v[:d] @ v[:d]) + float(v[d + 1:].sum()) / n
+
+    def gradient(v):
+        return np.concatenate([lam * v[:d], [0.0], np.full(n, 1.0 / n)])
+
+    res = minimize(objective, np.concatenate([np.zeros(d + 1), np.ones(n)]),
+                   jac=gradient, method="SLSQP",
+                   bounds=Bounds(np.r_[np.full(d + 1, -np.inf), np.zeros(n)]),
+                   constraints=[{"type": "ineq", "fun": lambda v: A @ v - 1.0,
+                                 "jac": lambda v: A}],
+                   options={"ftol": 1e-13, "maxiter": 1000})
+    assert res.success, res.message
+    return res.x[:d], res.x[d]
 
 
-def per_model_train(vectors, labels, C=1.0, max_epochs=DEFAULT_MAX_EPOCHS,
-                    tol=DEFAULT_TOL):
-    """One-vs-rest models trained one category at a time: the categories,
-    feature ids, (K, d) weights, bias and epochs."""
-    categories = sorted(set(labels))
-    feature_ids = sorted({fid for vec in vectors for fid in vec})
-    X = _densify(vectors, feature_ids)
-    weights = np.zeros((len(categories), len(feature_ids)))
-    bias = np.zeros(len(categories))
-    epochs = []
-    for k, cat in enumerate(categories):
-        y = np.where(np.asarray([lab == cat for lab in labels]), 1.0, -1.0)
-        weights[k], bias[k], ep = train_binary(X, y, C, max_epochs, tol)
-        epochs.append(ep)
-    return categories, feature_ids, weights, bias, epochs
+def optimal_biases(scores, y):
+    """The interval of biases b minimising sum max(0, 1 - y (s + b)) for
+    fixed scores s = X w.  The bias is not regularized, so J may leave it
+    free over an interval; the loss is convex and piecewise linear in b,
+    so the interval's ends are among its breakpoints y - s."""
+    breaks = y - scores
+    loss = np.maximum(0.0, 1.0 - y * (scores + breaks[:, None])).sum(axis=1)
+    best = breaks[loss <= loss.min() + 1e-6]
+    return best.min(), best.max()
 
 
-def per_model_cross_validate(vectors, labels, k, seed, C, max_epochs, tol):
-    """Fold models, support-vector counts and epochs of the oracle."""
-    models, support_vectors, epochs = [], [], []
-    for fold in stratified_folds(labels, k, seed):
-        test = set(fold)
-        idx = [i for i in range(len(labels)) if i not in test]
-        tr_vectors = [vectors[i] for i in idx]
-        tr_labels = [labels[i] for i in idx]
-        model = per_model_train(tr_vectors, tr_labels, C=C,
-                                max_epochs=max_epochs, tol=tol)
-        categories, feature_ids, weights, bias, model_epochs = model
-        X = _densify(tr_vectors, feature_ids)
-        active = np.zeros(len(idx), dtype=bool)
-        for row, cat in enumerate(categories):
-            y = np.where(np.asarray([lab == cat for lab in tr_labels]), 1.0, -1.0)
-            active |= y * (X @ weights[row] + bias[row]) <= 1.0 + MARGIN_SLACK
-        support_vectors.append(int(active.sum()))
-        models.append(model)
-        epochs.append(tuple(model_epochs))
-    return models, tuple(support_vectors), tuple(epochs)
-
-
-def max_abs_diff(a, b):
-    return float(np.max(np.abs(a - b), initial=0.0))
+def assert_matches_qp_optimum(X, Y, W, C, test_rows, predicted):
+    """Each model's (d + 1) weights in ``W`` reach the optimal objective
+    on the training design rows ``X`` and labels ``Y``, and ``predicted``
+    (category indices of ``test_rows``) agrees with the QP optimum on
+    every row it predicts whatever optimal bias each model takes."""
+    low, high = [], []
+    for j, y in enumerate(Y):
+        w, b = qp_optimum(X[:, :-1], y, C)
+        want = hinge_objective(X[:, :-1], y, w, b, C)
+        got = hinge_objective(X[:, :-1], y, W[j, :-1], W[j, -1], C)
+        assert got == pytest.approx(want, rel=1e-3, abs=1e-5)
+        lo, hi = optimal_biases(X[:, :-1] @ w, y)
+        scores = test_rows[:, :-1] @ w
+        slack = 1e-3 * (np.abs(test_rows).sum(axis=1) + 1.0)
+        low.append(scores + lo - slack)
+        high.append(scores + hi + slack)
+    low, high = np.array(low), np.array(high)
+    for i, pred in enumerate(predicted):
+        certain = [j for j in range(len(Y))
+                   if low[j, i] > np.delete(high[:, i], j).max()]
+        if certain:
+            assert pred == certain[0]
 
 
 @st.composite
 def training_sets(draw, min_per_category=1):
     """K = 2..6 categories over up to 6 features.  Rows may be all zero
-    or repeat an earlier row under another label (contradictory labels);
-    a small epoch cap and a loose tolerance let some rows stop at the cap
-    while others converge, at different epochs."""
+    or repeat an earlier row under another label (contradictory labels)."""
     K = draw(st.integers(2, 6))
     d = draw(st.integers(1, 6))
     labels = [f"c{i % K}" for i in range(K * min_per_category)]
@@ -265,138 +269,103 @@ def training_sets(draw, min_per_category=1):
             vectors.append(draw(st.dictionaries(st.integers(0, d - 1), weight,
                                                 max_size=d)))
     C = draw(st.sampled_from([0.1, 1.0, 10.0]))
-    max_epochs = draw(st.sampled_from([1, 3, 20, 300]))
-    tol = draw(st.sampled_from([1e-2, 1e-3, DEFAULT_TOL]))
-    return vectors, labels, C, max_epochs, tol
+    return vectors, labels, C
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(training_sets())
 @example(([{0: 1.0}, {0: 1.0}, {}, {1: 0.5}, {}, {0: -1.0, 1: 1.0}],
-          ["c0", "c1", "c2", "c0", "c1", "c2"], 1.0, 20, 1e-2))
-def test_batched_training_equals_per_model(case):
-    vectors, labels, C, max_epochs, tol = case
-    categories, _, W, b, epochs = fit_all(vectors, labels, C=C,
-                                          max_epochs=max_epochs, tol=tol)
-    want_categories, _, want_W, want_b, want_epochs = per_model_train(
-        vectors, labels, C=C, max_epochs=max_epochs, tol=tol)
-    assert (categories, epochs) == (want_categories, want_epochs)
-    assert max_abs_diff(W, want_W) <= 1e-9
-    assert max_abs_diff(b, want_b) <= 1e-9
+          ["c0", "c1", "c2", "c0", "c1", "c2"], 1.0))
+def test_training_reaches_the_qp_optimum(case):
+    vectors, labels, C = case
+    _, X, W, _, iterations = fit_all(vectors, labels, C=C, **TIGHT)
+    assert max(iterations) < TIGHT["max_iterations"]
+    _, Y = _label_matrix(labels)
+    assert_matches_qp_optimum(X, Y, W, C, X, np.argmax(X @ W.T, axis=1))
 
 
-def test_rows_freeze_at_their_own_epoch():
-    # Three of five rows converge, each at its own epoch, and two stop
-    # at the cap.  Every row must match its model trained alone.
-    vectors, labels = separable_corpus(n_per_class=8, n_classes=5, seed=3)
-    labels[0], labels[9] = labels[9], labels[0]
-    _, _, W, b, epochs = fit_all(vectors, labels, max_epochs=500)
-    _, _, want_W, want_b, want_epochs = per_model_train(vectors, labels,
-                                                        max_epochs=500)
-    assert want_epochs == [380, 500, 460, 414, 500]
-    assert epochs == want_epochs
-    assert max_abs_diff(W, want_W) <= 1e-9
-    assert max_abs_diff(b, want_b) <= 1e-9
-
-
-def stacked_cross_validate(vectors, labels, k, seed, C, max_epochs, tol):
-    """cross_validate's report, with the (k*K, d) weights and the bias of
-    the one stacked training call it makes."""
+def recorded_folds(vectors, labels, k, seed, C, **options):
+    """cross_validate's report, and the training rows and weights of each
+    fold's training call."""
     trainer = classify._train_one_vs_rest
     calls = []
 
-    def recording_trainer(*args):
-        calls.append(trainer(*args))
-        return calls[-1]
+    def recording_trainer(X, Y, train, *args):
+        result = trainer(X, Y, train, *args)
+        calls.append((train, result[0]))
+        return result
 
     with mock.patch.object(classify, "_train_one_vs_rest", recording_trainer):
-        report = cross_validate(vectors, labels, k=k, C=C, seed=seed,
-                                max_epochs=max_epochs, tol=tol)
-    (weights, bias, _), = calls
-    return report, weights, bias
+        report = cross_validate(vectors, labels, k=k, C=C, seed=seed, **options)
+    return report, calls
 
 
-def assert_folds_match_per_model_loop(vectors, labels, k, seed, C=1.0,
-                                      max_epochs=DEFAULT_MAX_EPOCHS,
-                                      tol=DEFAULT_TOL):
-    """Each fold's (K x d) block of the stacked run against the models
-    trained one category and one fold at a time; returns the blocks."""
-    report, W, b = stacked_cross_validate(vectors, labels, k, seed, C,
-                                          max_epochs, tol)
-    models, support_vectors, epochs = per_model_cross_validate(
-        vectors, labels, k, seed, C, max_epochs, tol)
-    assert report.fold_epochs == epochs
-    assert report.fold_support_vectors == support_vectors
-    feature_ids = sorted({fid for vec in vectors for fid in vec})
-    K = len(report.categories)
-    # the predictions, scored as cross_validate scores them
-    scores = _densify(vectors, feature_ids) @ W.T + b
+def assert_folds_match_qp_optimum(vectors, labels, k, seed, C=1.0):
+    """Each fold's models against the QP optimum on its training rows, and
+    its accuracy against their predictions; returns each fold's weights."""
+    report, calls = recorded_folds(vectors, labels, k, seed, C, **TIGHT)
+    categories, Y = _label_matrix(labels)
+    assert list(report.categories) == categories
+    X = _design_matrix(vectors, sorted({fid for vec in vectors for fid in vec}))
     folds = stratified_folds(labels, k, seed)
-    blocks = []
-    for f, (fold, want, accuracy) in enumerate(zip(folds, models,
-                                                   report.fold_accuracies)):
-        rows = slice(f * K, (f + 1) * K)
-        blocks.append((W[rows], b[rows]))
-        categories, fold_ids, want_W, want_b, _ = want
-        assert list(report.categories) == categories
-        seen = [feature_ids.index(fid) for fid in fold_ids]
-        unseen = sorted(set(range(len(feature_ids))) - set(seen))
-        assert not W[rows][:, unseen].any()  # exactly 0, not merely small
-        assert max_abs_diff(W[rows][:, seen], want_W) <= 1e-9
-        assert max_abs_diff(b[rows], want_b) <= 1e-9
-        best = np.argmax(scores[fold, rows], axis=1)
-        got_pred = [report.categories[j] for j in best]
-        correct = sum(p == labels[i] for p, i in zip(got_pred, fold))
+    assert len(calls) == k
+    for fold, (train, W), accuracy in zip(folds, calls, report.fold_accuracies):
+        assert sorted([*fold, *train]) == list(range(len(labels)))
+        unseen = ~X[train].any(axis=0)
+        assert not W[:, unseen].any()  # exactly 0, not merely small
+        # ties go to the first category
+        best = np.argmax(X[fold] @ W.T, axis=1)
+        correct = sum(categories[j] == labels[i] for i, j in zip(fold, best))
         assert correct / len(fold) == accuracy
-        vocab = set(fold_ids)  # unseen test features score 0
-        for i, pred in zip(fold, got_pred):
-            row = {fid: w for fid, w in vectors[i].items() if fid in vocab}
-            oracle = want_W @ _densify([row], fold_ids)[0] + want_b
-            # weights and bias within 1e-9 move a score by at most
-            # slack, and a difference of two scores by twice that
-            slack = 1e-9 * (sum(abs(w) for w in row.values()) + 1.0)
-            near = [cat for cat, s in zip(categories, oracle)
-                    if s >= oracle.max() - 2 * slack]
-            if len(near) == 1:
-                assert pred == top_category(categories, oracle)
-            assert pred in near
-    return blocks
+        assert_matches_qp_optimum(X[train], Y[:, train], W, C, X[fold], best)
+    return [W for _, W in calls]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(st.integers(2, 4).flatmap(
     lambda k: st.tuples(st.just(k), training_sets(min_per_category=k),
                         st.integers(0, 3))))
-# Two categories with bit-equal batched weights tie exactly; the oracle
-# sums the rows in another order and breaks the tie the other way.
-@example((2, ([{0: 1.9999999999999998}] * 9,
-              ["c0", "c1", "c2", "c0", "c1", "c2", "c0", "c1", "c1"],
-              0.1, 1, 1e-2), 0))
-def test_cross_validate_equals_per_model_loop(case):
-    k, (vectors, labels, C, max_epochs, tol), seed = case
-    assert_folds_match_per_model_loop(vectors, labels, k, seed, C,
-                                      max_epochs, tol)
+def test_cross_validate_reaches_the_qp_optimum_in_each_fold(case):
+    k, (vectors, labels, C), seed = case
+    assert_folds_match_qp_optimum(vectors, labels, k, seed, C)
 
 
-def test_stacked_folds_of_unequal_size():
+def test_folds_of_unequal_size():
     # 7 examples per category in 3 folds: fold sizes 9, 6 and 6, so the
-    # stacked rows train on 12 or 15 examples, with their own lambda,
-    # step size and radius
+    # models train on 12 or 15 examples, with their own lambda and rho
     vectors, labels = separable_corpus(n_per_class=7, n_classes=3, seed=5)
     labels[0], labels[7] = labels[7], labels[0]
     folds = stratified_folds(labels, 3, seed=2)
     assert sorted(len(f) for f in folds) == [6, 6, 9]
-    assert_folds_match_per_model_loop(vectors, labels, 3, 2)
+    assert_folds_match_qp_optimum(vectors, labels, 3, 2)
 
 
 def test_feature_only_in_one_folds_test_rows_keeps_weight_zero():
     vectors, labels = separable_corpus(n_per_class=6, n_classes=2, seed=1)
     vectors[4] = {**vectors[4], 99: 0.5}
     folds = stratified_folds(labels, 3, seed=0)
-    blocks = assert_folds_match_per_model_loop(vectors, labels, 3, 0)
+    weights = assert_folds_match_qp_optimum(vectors, labels, 3, 0)
     col = sorted({fid for vec in vectors for fid in vec}).index(99)
-    for fold, (W, _) in zip(folds, blocks):
+    for fold, W in zip(folds, weights):
         if 4 in fold:
             assert (W[:, col] == 0.0).all()
         else:
             assert (W[:, col] != 0.0).any()
+
+
+def test_support_vectors_do_not_follow_the_tolerance():
+    # z puts every example within tau of the margin exactly on it, so the
+    # count is the same at the default tolerance and a tenfold tighter one
+    vectors, labels = separable_corpus(n_per_class=20, n_classes=4, seed=9)
+    labels[0], labels[25] = labels[25], labels[0]
+    report = cross_validate(vectors, labels, k=5, seed=1)
+    tight = cross_validate(vectors, labels, k=5, seed=1, tol=DEFAULT_TOL / 10)
+    assert report.models_capped == tight.models_capped == 0
+    assert report.fold_support_vectors == tight.fold_support_vectors
+
+
+def test_refuses_a_non_positive_or_infinite_c():
+    vectors, labels = separable_corpus(n_per_class=4, n_classes=2)
+    for C in (0.0, -1.0, math.inf):
+        with pytest.raises(InputError, match="C must be positive and finite"):
+            cross_validate(vectors, labels, k=2, C=C)

@@ -404,7 +404,7 @@ def test_crlf_inputs_write_the_same_artefacts(seed7_files, tmp_path, capsys):
     assert written[True] == written[False]
 
 
-def test_evaluate_notes_models_at_epoch_cap(tmp_path, capsys, monkeypatch):
+def test_evaluate_notes_models_at_iteration_cap(tmp_path, capsys, monkeypatch):
     labels = ["one", "two"] * 10
     base = {"one": 0, "two": 2}
     vectors = [{base[lab]: 0.9 + 0.01 * (i % 7),
@@ -418,14 +418,28 @@ def test_evaluate_notes_models_at_epoch_cap(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert (out, err) == ("", "")
     monkeypatch.setattr(cli, "cross_validate",
-                        functools.partial(cross_validate, max_epochs=1))
+                        functools.partial(cross_validate, max_iterations=1))
     assert main(["evaluate", "--vectors", vec_path, "--out", report]) == 0
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("note: 20 of 20 one-vs-rest models stopped at the "
-                   "1-epoch cap\n")
+                   "1-iteration cap\n")
     with open(report, encoding="utf-8") as fh:
         assert fh.read().startswith("examples\t20\n")
+
+
+def test_evaluate_converges_on_categories_of_disjoint_features(tmp_path, capsys):
+    # easy data on which a stopping rule on the objective's relative
+    # change never fires: every model must converge before the cap
+    labels = ["one", "two"] * 10
+    vectors = [{0: 1.0, 1: 0.1 * (i % 3)} if lab == "one"
+               else {2: 1.0, 3: 0.1 * (i % 3)} for i, lab in enumerate(labels)]
+    vec_path = str(tmp_path / "vec.txt")
+    with open(vec_path, "w", encoding="utf-8") as fh:
+        formats.write_vectors(fh, labels, vectors)
+    assert main(["evaluate", "--vectors", vec_path, "--k", "10",
+                 "--out", str(tmp_path / "report.txt")]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_query_unknown(chain_inputs, capsys):
@@ -599,6 +613,20 @@ def test_evaluate_refuses_weights_whose_norm_bound_overflows(tmp_path, capsys):
                "--out", str(tmp_path / "report.txt")])
     assert rc == 3
     assert "too large to train on" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_weights_whose_system_is_singular(tmp_path, capsys):
+    # two columns that repeat one another at 1e10: lambda = 1/(C n) is
+    # lost beside rho X'X, so the ADMM system has no inverse in floats
+    lines = [f"{lab}\t" + ("0:1e10 1:1e10" if lab == "one" else "2:1.0")
+             for lab in ["one", "two"] * 10]
+    vec_path = write(tmp_path / "vec.txt",
+                     formats.VECTORS_HEADER + "\n" + "\n".join(lines) + "\n")
+    rc = main(["evaluate", "--vectors", vec_path, "--k", "2",
+               "--out", str(tmp_path / "report.txt")])
+    assert rc == 3
+    assert ("too large to train on at C=1: rho X'X + lambda I is singular"
+            in capsys.readouterr().err)
 
 
 @pytest.fixture

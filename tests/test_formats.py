@@ -290,6 +290,28 @@ def test_snapshot_rejects_a_repeated_meta_key_or_edge(old, new, problem):
     assert str(exc.value) == f"g.snap:{at + 1}: {problem}"
 
 
+@pytest.mark.parametrize("members, token", [
+    ("4E09\u30004E8C", "4E09\u30004E8C"),
+    ("4E09\x0c4E8C", "4E09\x0c4E8C"),
+    ("4E09\xa04E8C", "4E09\xa04E8C"),
+    ("4E09  4E8C", ""),
+    (" 4E09 4E8C", ""),
+    ("4E09 4E8C ", ""),
+    ("", ""),
+])
+def test_snapshot_members_are_separated_by_one_space(members, token):
+    g, store, _ = _sample_graph()
+    lines = written_snapshot(g, store).splitlines()
+    lineno = lines.index("NODES") + 3  # class 1, members 4E09 and 4E8C
+    fields = lines[lineno - 1].split("\t")
+    assert fields[1] == "4E09 4E8C"
+    fields[1] = members
+    lines[lineno - 1] = "\t".join(fields)
+    with pytest.raises(InputError) as exc:
+        formats.parse_snapshot("\n".join(lines) + "\n", "g.snap")
+    assert str(exc.value) == f"g.snap:{lineno}: bad hex codepoint {token!r}"
+
+
 def test_writing_a_snapshot_stores_no_edge_data():
     g = from_edges([(0, 1)])
     written_snapshot(g, CharacterStore({0x4E00, 0x4E01}))
@@ -301,9 +323,8 @@ def test_write_lines_to_a_file_or_standard_output(tmp_path, capsys):
     path = tmp_path / "out.txt"
     formats.write_lines(str(path), ["一\tb", "c"])
     assert path.read_bytes() == "一\tb\nc\n".encode("utf-8")
-    for dash in (None, "-"):
-        formats.write_lines(dash, ["x"])
-    assert capsys.readouterr().out == "x\nx\n"
+    formats.write_lines("-", ["x"])
+    assert capsys.readouterr().out == "x\n"
 
 
 # int() alone reads each of these: "_" separators, blanks, "+" and
