@@ -25,7 +25,7 @@ from .classify import DEFAULT_C, DEFAULT_K, cross_validate
 from .errors import DataError, InputError
 from .features import DEFAULT_LANGUAGE, DEFAULT_MIN_COUNT, STRATEGIES, document_vectors
 from .freqlists import aggregate_ufl, distance_matrix
-from .graphcore import CHAIN_KINDS, from_edges, lift_to_classes, transitive_reduce
+from .graphcore import CHAIN_KINDS, lift_to_classes, transitive_reduce
 from .inferschar import DEFAULT_MAX_DEPTH, semantic_approximation
 from .phonetics import (
     DEFAULT_BINS,
@@ -65,12 +65,6 @@ def cmd_build_graph(args: argparse.Namespace) -> dict[str, object]:
     del strokes
     char_edges = detect_inclusions(sigs, tolerance=args.tolerance)
     del sigs
-    inclusions = len(char_edges)
-    char_graph = from_edges(char_edges, nodes=chars)
-    del char_edges
-    char_reduced = transitive_reduce(char_graph)
-    del char_graph
-    reduced_inclusions = char_reduced.edge_count()
 
     variant_pairs = (formats.load_file(formats.parse_variants, args.variants)
                      if args.variants else set())
@@ -79,15 +73,15 @@ def cmd_build_graph(args: argparse.Namespace) -> dict[str, object]:
     store = CharacterStore(set(chars) | {cp for pair in variant_pairs for cp in pair},
                            variant_pairs, frequencies)
 
-    lifted = lift_to_classes(char_reduced.edges(), store)
-    del char_reduced
+    lifted = lift_to_classes(char_edges, store)
+    inclusions = len(char_edges)
+    del char_edges
     reduced = transitive_reduce(lifted)
     del lifted
     reduced.meta["tolerance"] = repr(args.tolerance)
 
     formats.save_snapshot(args.out, reduced, store)
     return {"characters": len(chars), "character_inclusions": inclusions,
-            "character_inclusions_reduced": reduced_inclusions,
             "classes": reduced.node_count(),
             "class_inclusions": reduced.edge_count()}
 

@@ -112,9 +112,10 @@ class _Reader:
 def codepoint(token: str) -> int:
     """A codepoint in every file and flag: hex digits in 0..10FFFF, else
     an ``InputError``."""
-    # a leading minus passes here, so that a negative number is named
-    # out of range rather than malformed
-    if not HEX_NUMBER.fullmatch(token.removeprefix("-")):
+    # a leading minus before a nonzero number passes here, so that a
+    # negative number is named out of range rather than malformed
+    digits = token.removeprefix("-")
+    if not HEX_NUMBER.fullmatch(digits) or (digits != token and not int(digits, 16)):
         raise InputError(f"bad hex codepoint {token!r}")
     cp = int(token, 16)
     if not 0 <= cp <= 0x10FFFF:
@@ -298,6 +299,11 @@ def parse_synsets(text: str, path: str = "synsets.tsv") -> SynsetStore:
     store = SynsetStore()
     with _Reader(text, path) as reader:
         for sid, lemmas in reader.records(2):
+            # a snapshot joins a class's synset ids with "|" and writes
+            # none as "-", so it could not read such an id back
+            if sid in ("", MISSING) or "|" in sid:
+                raise InputError(f"bad synset id {sid!r}: it must be "
+                                 f"nonempty, not {MISSING!r}, and hold no '|'")
             store.add_synset(sid, lemmas.split("|"))
     return store
 

@@ -20,8 +20,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FrequencyList:
-    """Entries sorted by nonincreasing frequency; ``source_size`` is the
-    character count of the originating text.
+    """Entries sorted by nonincreasing frequency.
 
     Lists built from texts carry unit frequency mass; aggregated lists
     (see ``aggregate_ufl``) may exceed it, which is logged rather than
@@ -29,7 +28,6 @@ class FrequencyList:
     """
 
     entries: tuple[tuple[int, float], ...]
-    source_size: int = 0
 
     def __post_init__(self) -> None:
         cps = [cp for cp, _ in self.entries]
@@ -68,10 +66,7 @@ def from_counts(counts: Mapping[int, int]) -> FrequencyList:
         raise InputError("counts must be positive")
     total = sum(counts.values())
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return FrequencyList(
-        entries=tuple((cp, cnt / total) for cp, cnt in ordered),
-        source_size=total,
-    )
+    return FrequencyList(entries=tuple((cp, cnt / total) for cp, cnt in ordered))
 
 
 def comchar(a: FrequencyList, b: FrequencyList, n: int) -> set[int]:
@@ -182,8 +177,7 @@ def aggregate_ufl(lists: Sequence[FrequencyList],
         s = sum(agg.values())
         agg = {cp: f / s for cp, f in agg.items()}
     ordered = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))
-    source = sum(fl.source_size for fl in lists)
-    return FrequencyList(entries=tuple(ordered), source_size=source)
+    return FrequencyList(entries=tuple(ordered))
 
 
 def distance_matrix(lists: Sequence[FrequencyList], n: int) -> list[list[float]]:

@@ -39,9 +39,9 @@ class EdgeData:
 class InclusionGraph:
     """Directed graph over integer node ids with attributed edges.
 
-    Used both for the raw character-level inclusion graph (node ids are
-    codepoints) and for the lifted class-level graph (node ids are
-    allographic class ids).
+    The pipeline's graph is the class-level one: its node ids are
+    allographic class ids, and the character-level inclusions exist
+    only as the edge set that ``lift_to_classes`` reads.
     """
 
     def __init__(self) -> None:
@@ -221,6 +221,9 @@ def lift_to_classes(
     A class edge c1 -> c2 exists iff some member pair carries a character
     edge.  Edges between members of one class are allographic identities
     and are dropped.  All class ids become nodes, including isolated ones.
+    The character edges need no reduction first: lifting keeps
+    reachability, and a DAG has one transitive reduction per
+    reachability, so the reduced lift is the same either way.
     """
     class_of = store.class_of
     g = InclusionGraph()

@@ -67,6 +67,18 @@ def test_build_graph_reduces_chain(chain_inputs, capsys):
     assert g.edge_count() == 2
 
 
+def test_build_graph_refuses_a_class_cycle(chain_inputs, capsys):
+    # A in B in C, with A and C variants of one class: the lifted edges
+    # run from that class to B's and back
+    variants = write(chain_inputs["dir"] / "variants.tsv", "4E00\t4E02\n")
+    out = chain_inputs["dir"] / "g.snap"
+    rc = main(["build-graph", "--strokes", chain_inputs["strokes"],
+               "--variants", variants, "--out", str(out)])
+    assert rc == 3
+    assert "graph has a cycle: 0 -> 1 -> 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_graph_missing_file_exit_2(tmp_path, capsys):
     rc = main(["build-graph", "--strokes", str(tmp_path / "none.tsv"),
                "--out", str(tmp_path / "g.snap")])
@@ -474,6 +486,7 @@ def test_evaluate_missing_vectors_exit_2(tmp_path):
     ("2\t4E02\t", "1\t4E02\t", "class id 1 declared twice"),
     ("2\t4E02\t", "2\t4E01 4E02\t", "codepoint 4E01 is in classes 1 and 2"),
     ("2\t4E02\t", "2\t-1\t", "codepoint '-1' out of range"),
+    ("2\t4E02\t", "2\t-0\t", "bad hex codepoint '-0'"),
     ("2\t4E02\t4E02\t", "2\t4E02\t110000\t", "codepoint '110000' out of range"),
     ("2\t4E02\t", "2\t4E_02\t", "bad hex codepoint '4E_02'"),
     ("2\t4E02\t4E02\t", "2\t4E02\t+4E02\t", "bad hex codepoint '+4E02'"),
@@ -882,6 +895,9 @@ def test_chains_rejects_out_of_range_edge_weight(chain_inputs, capsys,
 
 @pytest.mark.parametrize("name, at, line, message", [
     ("synsets", 1, "s_sub\t上", "2: duplicate synset id 's_sub'"),
+    ("synsets", 1, "a|b\t上", "2: bad synset id 'a|b'"),
+    ("synsets", 1, "-\t上", "2: bad synset id '-'"),
+    ("synsets", 1, "\t上", "2: bad synset id ''"),
     ("relations", 0, "s_sup\thyponymy\ts_none",
      "1: relation target 's_none' is not a declared synset"),
     ("relations", 0, "s_none\thyponymy\ts_sup",

@@ -26,7 +26,6 @@ def fl(pairs):
 def test_from_counts_basic():
     a = from_counts({97: 3, 98: 1})
     assert a.entries == ((97, 0.75), (98, 0.25))
-    assert a.source_size == 4
     assert from_counts({97: 1}).entries == ((97, 1.0),)
 
 

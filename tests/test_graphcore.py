@@ -226,6 +226,38 @@ def test_lift_counts_bounded():
     assert g.edge_count() <= len(edges)
 
 
+@st.composite
+def dags_with_variants(draw):
+    """Edges of a DAG over 0..n-1 (each from a lower to a higher node),
+    and a store whose variant pairs merge some of its nodes."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.floats(0.1, 0.7))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    variants = [tuple(rng.sample(range(n), 2))
+                for _ in range(draw(st.integers(0, n // 2)))]
+    return edges, CharacterStore(range(n), variants)
+
+
+def _lifted_reduction(char_edges, store):
+    """The reduced class edges, or None where the lifted graph has a cycle."""
+    try:
+        return transitive_reduce(lift_to_classes(char_edges, store)).edges()
+    except DataError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags_with_variants())
+def test_reducing_characters_before_lifting_changes_nothing(case):
+    # the reduced character graph has the reachability of the unreduced
+    # one, so their lifts do too, and a DAG has one transitive reduction
+    char_edges, store = case
+    char_reduced = transitive_reduce(from_edges(char_edges)).edges()
+    assert (_lifted_reduction(char_edges, store)
+            == _lifted_reduction(char_reduced, store))
+
+
 def test_power_law_recovery_single():
     xs = zipf(2.5).rvs(size=1000, random_state=np.random.default_rng(0))
     assert abs(fit_power_law(xs) - 2.5) <= 0.15
