@@ -229,6 +229,11 @@ def parse_strokes(text: str, path: str = "strokes.tsv") -> dict[int, list[Stroke
 
 
 def _strokes(spec: str) -> list[Stroke]:
+    # In printable ASCII without "_", a point with no blank and no "+"
+    # holds only tokens that ``float`` reads as ``real`` does, so a finite
+    # pair is taken as read; every other token goes to ``real``, which
+    # gives the refusal its message.
+    plain = spec.isascii() and spec.isprintable() and "_" not in spec
     strokes = []
     for item in spec.split(";"):
         item = item.strip()
@@ -248,6 +253,15 @@ def _strokes(spec: str) -> list[Stroke]:
             xy = pt.split(",")
             if len(xy) != 2:
                 raise InputError(f"malformed point {pt!r} in stroke {item!r}")
+            if plain and " " not in pt and "+" not in pt:
+                try:
+                    x, y = float(xy[0]), float(xy[1])
+                except ValueError:
+                    pass
+                else:
+                    if math.isfinite(x) and math.isfinite(y):
+                        points.append((x, y))
+                        continue
             points.append((real(xy[0], "coordinate", -math.inf),
                            real(xy[1], "coordinate", -math.inf)))
         strokes.append(Stroke(code, tuple(points)))
@@ -299,13 +313,18 @@ def parse_synsets(text: str, path: str = "synsets.tsv") -> SynsetStore:
     store = SynsetStore()
     with _Reader(text, path) as reader:
         for sid, lemmas in reader.records(2):
-            # a snapshot joins a class's synset ids with "|" and writes
-            # none as "-", so it could not read such an id back
-            if sid in ("", MISSING) or "|" in sid:
-                raise InputError(f"bad synset id {sid!r}: it must be "
-                                 f"nonempty, not {MISSING!r}, and hold no '|'")
-            store.add_synset(sid, lemmas.split("|"))
+            store.add_synset(_synset_id(sid), lemmas.split("|"))
     return store
+
+
+def _synset_id(token: str) -> str:
+    """A synset id in every file: nonempty, not ``-`` and holding no
+    ``|``, else an ``InputError``.  A snapshot joins a class's synset ids
+    with "|" and writes none as "-", so it could not read such an id back."""
+    if token in ("", MISSING) or "|" in token:
+        raise InputError(f"bad synset id {token!r}: it must be "
+                         f"nonempty, not {MISSING!r}, and hold no '|'")
+    return token
 
 
 def parse_relations(text: str, store: SynsetStore,
@@ -464,15 +483,21 @@ def write_snapshot(
         synsets = "|".join(sorted(annotations.get(cls.id, ()))) or MISSING
         fh.write(f"{cls.id}\t{members}\t{cls.representative:X}\t{synsets}\n")
     fh.write("EDGES\n")
+    unset = _edge_cells(EdgeData())  # the cells of every edge storing none
     for sub, sup in g.edges():
-        d = g.peek(sub, sup)
-        cells = [str(sub), str(sup)]
-        for lang in _SNAPSHOT_LANGS:
-            cells.append(_fmt_float(d.d_min.get(lang)))
-            cells.append(_fmt_float(d.phi.get(lang)))
-        cells.extend([str(d.f1), str(d.f2), repr(d.r),
-                      _fmt_float(d.s_raw), _fmt_float(d.s)])
-        fh.write("\t".join(cells) + "\n")
+        d = g.stored(sub, sup)
+        fh.write(f"{sub}\t{sup}\t{unset if d is None else _edge_cells(d)}\n")
+
+
+def _edge_cells(d: EdgeData) -> str:
+    """An edge's attribute cells, from d_min to s, tab-joined."""
+    cells = []
+    for lang in _SNAPSHOT_LANGS:
+        cells.append(_fmt_float(d.d_min.get(lang)))
+        cells.append(_fmt_float(d.phi.get(lang)))
+    cells.extend([str(d.f1), str(d.f2), repr(d.r),
+                  _fmt_float(d.s_raw), _fmt_float(d.s)])
+    return "\t".join(cells)
 
 
 def save_snapshot(path: str, g: InclusionGraph, store: CharacterStore,
@@ -487,8 +512,10 @@ def parse_snapshot(text: str, path: str = "snapshot"
     """Read a snapshot written by ``write_snapshot``: its graph, the
     ``CharacterStore`` its NODES fill, and the synset annotations.
 
-    Class ids must be integers >= 0 and members and representatives
-    codepoints in 0..10FFFF; the classes must form a partition
+    Class ids must be integers >= 0, members and representatives
+    codepoints in 0..10FFFF, and a synsets cell ``-`` or synset ids, each
+    as ``parse_synsets`` reads one, joined by ``|``; the classes must
+    form a partition
     (``CharacterStore.add``), and every edge endpoint must be a class
     declared earlier in NODES.
     An edge line has exactly its 13 fields.  Edge weights must be finite
@@ -521,7 +548,8 @@ def parse_snapshot(text: str, path: str = "snapshot"
                     store.add(AllographClass(cid, members, codepoint(rep_tok)))
                     g.add_node(cid)
                     if synsets_tok != MISSING:
-                        annotations[cid] = set(synsets_tok.split("|"))
+                        annotations[cid] = {_synset_id(sid) for sid
+                                            in synsets_tok.split("|")}
                 elif section == "EDGES":
                     if len(fields) != _EDGE_FIELDS:
                         raise InputError(f"expected {_EDGE_FIELDS} tab-separated "

@@ -98,11 +98,15 @@ class InclusionGraph:
     def peek(self, sub: int, sup: int) -> EdgeData:
         """The attributes of the edge sub -> sup, to read only: for an
         edge that stores none, a fresh ``EdgeData`` that is not kept."""
+        data = self.stored(sub, sup)
+        return EdgeData() if data is None else data
+
+    def stored(self, sub: int, sup: int) -> EdgeData | None:
+        """The ``EdgeData`` the edge sub -> sup stores, None if none."""
         try:
-            data = self._succ[sub][sup]
+            return self._succ[sub][sup]
         except KeyError:
             raise DataError(f"no edge {sub} -> {sup}") from None
-        return EdgeData() if data is None else data
 
     def successors(self, node: int) -> set[int]:
         return set(self._succ[node])

@@ -14,7 +14,11 @@ inner character's stroke types to equal a contiguous window of the
 outer character's exactly, so mining indexes the characters by their
 stroke-type sequence and looks up only the windows of each outer
 character, at the lengths inner characters have; each hit is then
-verified with the tolerance check of ``signature_contains``.
+verified with the tolerance check of ``signature_contains``.  Each
+``CharSignature`` flattens its pair components once, so the check
+compares the inner components with one slice of the outer's; a
+one-stroke inner has no pair signature and is answered by its stroke
+type alone.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -66,31 +71,43 @@ class Stroke:
         return self.skeleton[-1]
 
 
-@dataclass(frozen=True)
-class StrokePairSignature:
+class StrokePairSignature(NamedTuple):
     p1: SigComponent
     p2: SigComponent
     p3: SigComponent
     p4: SigComponent
 
     def as_tuple(self) -> tuple[SigComponent, SigComponent, SigComponent, SigComponent]:
-        return (self.p1, self.p2, self.p3, self.p4)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
 class CharSignature:
-    """Ordered stroke types plus one pair signature per consecutive pair."""
+    """Ordered stroke types plus one pair signature per consecutive pair.
 
-    stroke_types: tuple[str, ...]
-    pair_sigs: tuple[StrokePairSignature, ...]
+    The pair signatures are kept only as ``components``, flattened once:
+    four per pair in order, so that pair ``i`` starts at ``4 * i``."""
 
-    def __post_init__(self) -> None:
-        if len(self.pair_sigs) != max(len(self.stroke_types) - 1, 0):
+    __slots__ = ("stroke_types", "components")
+
+    def __init__(self, stroke_types: tuple[str, ...],
+                 pair_sigs: Sequence[StrokePairSignature]) -> None:
+        if len(pair_sigs) != max(len(stroke_types) - 1, 0):
             raise InputError("need exactly one pair signature per consecutive "
                              "stroke pair")
+        self.stroke_types = stroke_types
+        self.components: tuple[SigComponent, ...] = tuple(
+            chain.from_iterable(pair_sigs))
+
+    @property
+    def pair_sigs(self) -> tuple[StrokePairSignature, ...]:
+        c = self.components
+        return tuple(StrokePairSignature(*c[i:i + 4]) for i in range(0, len(c), 4))
 
     def __len__(self) -> int:
         return len(self.stroke_types)
+
+    def __repr__(self) -> str:
+        return f"CharSignature({self.stroke_types!r}, {self.pair_sigs!r})"
 
 
 def _ratio(num: float, den: float) -> SigComponent:
@@ -114,8 +131,8 @@ def pair_signature(s1: Stroke, s2: Stroke) -> StrokePairSignature:
     A zero denominator, or parallel lines (no intersection), yields E for
     the affected components.
     """
-    (x1, y1), (x2, y2) = s1.start, s1.end
-    (x3, y3), (x4, y4) = s2.start, s2.end
+    (x1, y1), (x2, y2) = s1.skeleton[0], s1.skeleton[-1]
+    (x3, y3), (x4, y4) = s2.skeleton[0], s2.skeleton[-1]
     if (x1, y1) == (x2, y2):
         raise InputError("first stroke is degenerate (coincident endpoints)")
     if (x3, y3) == (x4, y4):
@@ -137,12 +154,8 @@ def pair_signature(s1: Stroke, s2: Stroke) -> StrokePairSignature:
         p1 = math.hypot(x0 - x1, y0 - y1) / len1
         p4 = math.hypot(x0 - x3, y0 - y3) / len2
 
-    return StrokePairSignature(
-        p1=p1,
-        p2=_ratio(abs(d2x), abs(d1x)),
-        p3=_ratio(abs(d2y), abs(d1y)),
-        p4=p4,
-    )
+    return StrokePairSignature(p1, _ratio(abs(d2x), abs(d1x)),
+                               _ratio(abs(d2y), abs(d1y)), p4)
 
 
 def char_signature(strokes: Sequence[Stroke]) -> CharSignature:
@@ -155,42 +168,44 @@ def char_signature(strokes: Sequence[Stroke]) -> CharSignature:
             sigs.append(pair_signature(strokes[i], strokes[i + 1]))
         except InputError as exc:
             raise InputError(f"stroke pair ({i}, {i + 1}): {exc}") from None
-    return CharSignature(
-        stroke_types=tuple(s.calligraphic_type for s in strokes),
-        pair_sigs=tuple(sigs),
-    )
-
-
-def _components_match(a: StrokePairSignature, b: StrokePairSignature,
-                      tolerance: float) -> bool:
-    for va, vb in zip(a.as_tuple(), b.as_tuple()):
-        if isinstance(va, str) or isinstance(vb, str):
-            if va != vb:  # E matches only E
-                return False
-        elif not abs(va - vb) <= tolerance:  # a NaN difference mismatches
-            return False
-    return True
+    return CharSignature(tuple(s.calligraphic_type for s in strokes), sigs)
 
 
 def signature_contains(inner: CharSignature, outer: CharSignature,
                        tolerance: float) -> bool:
     """True if ``inner`` occurs as a contiguous block inside ``outer``.
 
-    Stroke types must match exactly at some offset and every aligned pair
-    signature must match within ``tolerance`` (E only against E).  Only
+    Stroke types must match exactly at some offset and every aligned
+    component must match: E only E, and a number a number within
+    ``tolerance`` (a NaN nothing).  At each offset where the stroke types
+    match, the inner components are checked against one slice of the
+    outer's flat ``components``.  A one-stroke inner has no pair
+    signature, so its stroke type occurring in ``outer`` decides.  Only
     strict containment counts: an equal-length match is an identity, not
     an inclusion.
     """
-    k = len(inner.stroke_types)
-    n = len(outer.stroke_types)
+    types = inner.stroke_types
+    outer_types = outer.stroke_types
+    k = len(types)
+    n = len(outer_types)
     if k >= n:
         return False
+    if k == 1:
+        return types[0] in outer_types
+    inner_comps = inner.components
+    width = len(inner_comps)
+    outer_comps = outer.components
     for offset in range(n - k + 1):
-        if outer.stroke_types[offset:offset + k] != inner.stroke_types:
+        if outer_types[offset:offset + k] != types:
             continue
-        if all(_components_match(inner.pair_sigs[i],
-                                 outer.pair_sigs[offset + i], tolerance)
-               for i in range(k - 1)):
+        start = 4 * offset
+        for a, b in zip(inner_comps, outer_comps[start:start + width]):
+            if isinstance(a, str) or isinstance(b, str):
+                if a != b:  # E matches only E
+                    break
+            elif not abs(a - b) <= tolerance:  # a NaN difference mismatches
+                break
+        else:
             return True
     return False
 
@@ -211,7 +226,9 @@ def detect_inclusions(
     window of its stroke types, at each length some shorter signature
     has, is looked up.  Since ``signature_contains`` requires the stroke
     types to equal such a window exactly, no inclusion is missed; each
-    distinct candidate pair is then verified by ``signature_contains``.
+    distinct candidate pair is then verified by ``signature_contains``,
+    on the components each signature flattened once.  A one-stroke
+    candidate found this way is always included, since its type occurs.
     """
     if not 0 <= tolerance < math.inf:
         raise InputError("tolerance must be finite and nonnegative")

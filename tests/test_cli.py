@@ -14,6 +14,7 @@ from sinograph import cli, formats, synthdata
 from sinograph.charstore import CharacterStore, Language
 from sinograph.classify import cross_validate
 from sinograph.cli import main
+from sinograph.errors import InputError
 from sinograph.graphcore import EdgeData, InclusionGraph
 from sinograph.phonetics import FeatureTable, reading_distance
 from sinograph.synthdata import make_dataset
@@ -475,6 +476,31 @@ def test_query_unknown_walks_a_path_deeper_than_the_stack(tmp_path, capsys):
     assert main(["query-unknown", "--snapshot", snap, "--class", "0",
                  "--max-depth", "2000"]) == 0
     assert capsys.readouterr().out == "0\tsyn1\t1.000000\n"
+
+
+@pytest.mark.parametrize("cell, sid", [
+    ("", ""), ("syn1||syn2", ""), ("syn1|-", "-"), ("-|syn1", "-"),
+])
+def test_snapshot_synsets_cell_holds_synset_ids(tmp_path, capsys, cell, sid):
+    """A NODES synsets cell is "-" or synset ids joined by "|", each id
+    held to the rule of synsets.tsv."""
+    g = InclusionGraph()
+    g.add_edge(0, 1, EdgeData(s=1.0))
+    snap = str(tmp_path / "g.snap")
+    formats.save_snapshot(snap, g, CharacterStore({0x4E00, 0x4E01}),
+                          {1: {"syn1"}})
+    with open(snap, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lineno = lines.index("1\t4E01\t4E01\tsyn1") + 1
+    lines[lineno - 1] = f"1\t4E01\t4E01\t{cell}"
+    write(snap, "\n".join(lines) + "\n")
+    problem = (f"{snap}:{lineno}: bad synset id {sid!r}: it must be "
+               f"nonempty, not '-', and hold no '|'")
+    with pytest.raises(InputError) as exc:
+        formats.load_file(formats.parse_snapshot, snap)
+    assert str(exc.value) == problem
+    assert main(["query-unknown", "--snapshot", snap, "--class", "0"]) == 2
+    assert problem in capsys.readouterr().err
 
 
 def test_evaluate_missing_vectors_exit_2(tmp_path):

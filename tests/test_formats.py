@@ -2,6 +2,8 @@ import io
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sinograph import formats
 from sinograph.charstore import CharacterStore, Language
@@ -45,6 +47,33 @@ def test_parse_strokes_rejects_non_finite(point, token):
         _stroke_description(f"H:{point}-(9,5);S:(5,9)-(5,1)")
     assert str(exc.value) == (f"strokes.tsv:1: coordinate {token!r} is not "
                               f"a finite number")
+
+
+# pieces of a coordinate token: digits, number syntax, and what ``float``
+# reads but ``real`` refuses ("١" is an Arabic-Indic digit)
+COORDINATE = st.lists(st.sampled_from((
+    "0", "1", "7", ".", "e", "-", "+", "_", " ", "\x0b", "\x1c", "١",
+    "nan", "inf", "1e999", "1e+5", "-0")), max_size=4).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(COORDINATE, COORDINATE)
+# tokens float reads and real refuses, so each must take real's refusal
+@example("\x0b1", "1")
+@example("1", "7\x1c")
+@example("1_0", "1")
+@example("+1", "1")
+@example("１", "1")
+@example("1e999", "-0")
+def test_stroke_coordinates_are_read_as_real_reads_them(x, y):
+    try:
+        want = tuple(formats.real(tok, "coordinate", -math.inf) for tok in (x, y))
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            _stroke_description(f"H:({x},{y})-(1,1)")
+        assert str(got.value) == f"strokes.tsv:1: {exc}"
+    else:
+        assert _stroke_description(f"H:({x},{y})-(1,1)")[0].start == want
 
 
 def test_parse_strokes_rejects_degenerate_stroke_of_a_pair():

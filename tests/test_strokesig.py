@@ -213,18 +213,43 @@ def test_nan_component_does_not_match():
         assert not signature_contains(inner, outer, 1e9)
 
 
+def component_matches(a, b, tolerance):
+    """The definition: E matches only E, a number a number within the
+    tolerance, and NaN nothing."""
+    if a == E or b == E:
+        return a == b
+    if math.isnan(a) or math.isnan(b):
+        return False
+    return abs(a - b) <= tolerance
+
+
+def contains_by_definition(inner, outer, tolerance):
+    """Reference matcher: ``inner`` is strictly shorter and, at some
+    offset, its stroke types equal ``outer``'s and each component of each
+    pair signature matches the aligned one."""
+    k, n = len(inner.stroke_types), len(outer.stroke_types)
+    return k < n and any(
+        outer.stroke_types[offset:offset + k] == inner.stroke_types
+        and all(component_matches(a, b, tolerance)
+                for mine, theirs in zip(inner.pair_sigs,
+                                        outer.pair_sigs[offset:])
+                for a, b in zip((mine.p1, mine.p2, mine.p3, mine.p4),
+                                (theirs.p1, theirs.p2, theirs.p3, theirs.p4)))
+        for offset in range(n - k + 1))
+
+
 def all_pairs_inclusions(sigs, tolerance):
     """Reference: test every ordered pair of distinct characters."""
     return {(sub, sup)
             for sub, sub_sig in sigs.items()
             for sup, sup_sig in sigs.items()
-            if sub != sup and signature_contains(sub_sig, sup_sig, tolerance)}
+            if sub != sup and contains_by_definition(sub_sig, sup_sig, tolerance)}
 
 
 TOLERANCES = (0.0, 0.05, 0.5)
 # a few stroke types, so stroke-type windows recur across characters
 TYPES = st.sampled_from(("H", "S", "P"))
-COMPONENT = st.one_of(st.just(E), st.sampled_from((0.0, 1.0)),
+COMPONENT = st.one_of(st.just(E), st.sampled_from((0.0, 1.0, math.nan)),
                       st.floats(0.0, 4.0, allow_nan=False))
 
 
@@ -264,6 +289,7 @@ def inventories(draw):
     the tolerance to mine them with."""
     tolerance = draw(st.sampled_from(TOLERANCES))
     sigs = draw(st.lists(random_sig(), min_size=1, max_size=6))
+    sigs += draw(st.lists(random_sig(1, 1), max_size=2))  # one-stroke
     for _ in range(draw(st.integers(0, 6))):
         inner = draw(st.sampled_from(sigs))
         how = draw(st.sampled_from(("embed", "identical", "repeat")))
@@ -297,6 +323,14 @@ def test_indexed_detection_equals_all_pairs(case):
     sigs, tolerance = case
     assert detect_inclusions(sigs, tolerance) == \
         all_pairs_inclusions(sigs, tolerance)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_sig(1, 3), random_sig(1, 6), st.sampled_from(TOLERANCES))
+def test_signature_contains_follows_the_definition(inner, outer, tolerance):
+    # unlike mining, which asks only where the stroke types occur
+    assert signature_contains(inner, outer, tolerance) == \
+        contains_by_definition(inner, outer, tolerance)
 
 
 def test_match_at_a_later_repeated_window():
