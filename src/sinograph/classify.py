@@ -16,17 +16,18 @@ and w~ = [w; b]:
          v where y v >= 1, v + tau y where y v <= 1 - tau, else y
     u  = v - z
 
-with rho = RHO_N / n and a = RELAX.  The K one-vs-rest models of a
-training set share X~, so they share one inverted M and iterate as one
-(K x n) batch.  A model stops at the first iteration whose primal
-residual X~ w~ - z and dual residual rho X~'(z - z_prev) are within
-Boyd's section 3.3.1 bounds, with eps_abs = eps_rel = tol, and keeps
-that iteration's w~ and z.  Training is deterministic; the seed only
-drives fold assignment.  The support-vector count is the number of
-training examples with y z <= 1 for at least one category, summed over
-folds.  The z-update puts every example within tau of the margin exactly
-on it, so the count needs no slack; it still moves with ``tol`` where
-examples the solver has not yet resolved lie very near the margin.
+with rho = 2 RHO_N / tr(X~'X~), RHO_N / n on unit-norm rows, and
+a = RELAX.  The K one-vs-rest models of a training set share X~, so
+they share one inverted M and iterate as one (K x n) batch.  A model
+stops at the first iteration whose primal residual X~ w~ - z and dual
+residual rho X~'(z - z_prev) are within Boyd's section 3.3.1 bounds,
+with eps_abs = eps_rel = tol, and keeps that iteration's w~ and z.
+Training is deterministic; the seed only drives fold assignment.  The
+support-vector count is the number of training examples with y z <= 1
+for at least one category, summed over folds.  The z-update puts every
+example within tau of the margin exactly on it, so the count needs no
+slack; it still moves with ``tol`` where examples the solver has not
+yet resolved lie very near the margin.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ DEFAULT_K = 10
 DEFAULT_C = 1.0
 DEFAULT_MAX_ITERATIONS = 1000
 DEFAULT_TOL = 1e-4
-# rho * n and the over-relaxation a: of the pairs swept, these needed
-# about the fewest iterations and stopped nearest the optimum
+# rho * n on unit rows and the over-relaxation a: of the pairs swept,
+# these needed about the fewest iterations and stopped nearest the optimum
 RHO_N = 2.0
 RELAX = 1.8
 
@@ -89,28 +90,29 @@ def _train_one_vs_rest(X: np.ndarray, Y: np.ndarray, train: np.ndarray,
     """ADMM training of the K models of one training set (module doc).
 
     ``X`` is the (N, d + 1) design matrix, ``Y`` the (K, N) labels and
-    ``train`` the training rows.  X~ is one copy of those rows, restricted
-    to the columns they use, so a feature no training row has keeps a
-    weight of exactly 0.  Returns the (K, d + 1) weights w~ (bias last),
-    the support-vector mask of the training rows, and the iteration at
-    which each model stopped (``max_iterations`` if it never did).
+    ``train`` the training rows, of which X~ is one copy.  A feature no
+    training row has gets a weight of exactly 0: its row and column of
+    X~'X~ are 0, so M keeps it apart from every other column.  Returns
+    the (K, d + 1) weights w~ (bias last), the support-vector mask of the
+    training rows, and the iteration at which each model stopped
+    (``max_iterations`` if it never did).
     """
     import numpy as np
 
     if not 0 < C < math.inf:
         raise InputError("C must be positive and finite")
-    cols = np.flatnonzero(np.count_nonzero(X[train], axis=0))
-    Xt = X[np.ix_(train, cols)]
+    Xt = X[train]
     Y = Y[:, train]
     n, p = Xt.shape
     lam = 1.0 / (C * n)
-    rho = RHO_N / n
-    tau = 1.0 / (n * rho)
     with np.errstate(over="ignore", invalid="ignore"):
         M = Xt.T @ Xt
-    if not np.isfinite(M).all():
+        trace = np.trace(M)
+    if not (np.isfinite(M).all() and np.isfinite(trace)):
         raise DataError("feature weights too large to train on: "
                         "X'X of a training set overflows")
+    rho = 2.0 * RHO_N / trace
+    tau = 1.0 / (n * rho)
     M *= rho
     M[np.diag_indices(p - 1)] += lam  # every diagonal entry but the bias's
     try:
@@ -150,9 +152,7 @@ def _train_one_vs_rest(X: np.ndarray, Y: np.ndarray, train: np.ndarray,
             if not live.any():
                 break
     W_stop[live], Z_stop[live] = W[live], Z[live]
-    weights = np.zeros((K, X.shape[1]))
-    weights[:, cols] = W_stop
-    return weights, (Y * Z_stop <= 1.0).any(axis=0), iterations.tolist()
+    return W_stop, (Y * Z_stop <= 1.0).any(axis=0), iterations.tolist()
 
 
 def stratified_folds(labels: Sequence[Hashable], k: int,

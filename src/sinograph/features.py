@@ -12,15 +12,14 @@ outside the vocabulary are added to it, tagged with their provenance.
 over the whole corpus and compiles the chain steps, then builds and
 augments one document's vector at a time, so a caller can write each
 before the next is made and only one is held.  ``baseline_vectors``
-and ``augment`` collect the same per-document steps into lists.
+and ``augment`` collect the same per-document work into lists.
 
-``augment`` and ``document_vectors`` share one per-document
-augmentation step, and only the chain kind varies: ``STRATEGIES`` names
-the ``graphcore.CHAIN_KINDS`` each strategy adds, in summation order.
-Each class's chain of a kind is walked once into steps
-(member, (1/i) * edge_weight), the walk giving each step's weight; a
-document then gains coef * w at each step, the same product in the same
-order as (1/i) * edge_weight * w.
+One augmentation step serves both ``augment`` and ``document_vectors``,
+and only the chain kind varies: ``STRATEGIES`` names the
+``graphcore.CHAIN_KINDS`` each strategy adds, in summation order.  The
+step is made once, with each class's chain of a kind walked into steps
+(member, (1/i) * edge_weight); a document then gains coef * w at each
+step, the same product in the same order as (1/i) * edge_weight * w.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .charstore import Language
 from .errors import DataError, InputError
@@ -177,35 +176,35 @@ def _chain_steps(g: InclusionGraph, vocab: Vocabulary, parts: Sequence[str],
     return compiled
 
 
-def _chain_additions(vector: FeatureVector,
-                     steps: Mapping[int, list[tuple[int, float]]]) -> FeatureVector:
-    """Discounted chain weights triggered by one document's features."""
-    additions: FeatureVector = {}
-    for cid, w in vector.items():
-        for member, coef in steps.get(cid, ()):
-            gain = coef * w
-            if gain != 0.0:
-                additions[member] = additions.get(member, 0.0) + gain
-    return additions
+def _augmentation(g: InclusionGraph, vocab: Vocabulary, parts: Sequence[str],
+                  language: Language, normalize: bool
+                  ) -> tuple[Vocabulary, Callable[[FeatureVector], FeatureVector]]:
+    """The augmented vocabulary, and the step that augments one
+    document's vector with the gains of each part in ``parts``; the
+    chain members a step adds join the vocabulary."""
+    walks = _chain_steps(g, vocab, parts, language)
+    new_vocab = vocab.copy()
 
+    def step(vec: FeatureVector) -> FeatureVector:
+        adds: FeatureVector = {}
+        for steps in walks:
+            # each part's gains are summed on their own, then added
+            gains: FeatureVector = {}
+            for cid, w in vec.items():
+                for member, coef in steps.get(cid, ()):
+                    if (gain := coef * w) != 0.0:
+                        gains[member] = gains.get(member, 0.0) + gain
+            for cid, gain in gains.items():
+                adds[cid] = adds.get(cid, 0.0) + gain
+        merged = dict(vec)
+        for cid, gain in adds.items():
+            merged[cid] = merged.get(cid, 0.0) + gain
+            if cid not in new_vocab:
+                new_vocab.provenance[cid] = PROVENANCE_CHAIN
+        # untouched documents stay bit-identical
+        return _l2_normalize(merged) if (normalize and adds) else merged
 
-def _augmented_vector(vec: FeatureVector,
-                      walks: Sequence[Mapping[int, list[tuple[int, float]]]],
-                      new_vocab: Vocabulary, normalize: bool) -> FeatureVector:
-    """One document's vector with the gains of each part in ``walks``;
-    the chain members it adds join ``new_vocab``."""
-    adds: FeatureVector = {}
-    for steps in walks:
-        gains = _chain_additions(vec, steps)
-        for cid, gain in gains.items():
-            adds[cid] = adds.get(cid, 0.0) + gain
-    merged = dict(vec)
-    for cid, gain in adds.items():
-        merged[cid] = merged.get(cid, 0.0) + gain
-        if cid not in new_vocab:
-            new_vocab.provenance[cid] = PROVENANCE_CHAIN
-    # untouched documents stay bit-identical
-    return _l2_normalize(merged) if (normalize and adds) else merged
+    return new_vocab, step
 
 
 def augment(
@@ -226,10 +225,8 @@ def augment(
     document's total in the order of ``parts``.  Chain members missing
     from the vocabulary are added with chain provenance.
     """
-    walks = _chain_steps(g, vocab, parts, language)
-    new_vocab = vocab.copy()
-    return new_vocab, [_augmented_vector(vec, walks, new_vocab, normalize)
-                       for vec in vectors]
+    new_vocab, step = _augmentation(g, vocab, parts, language, normalize)
+    return new_vocab, [step(vec) for vec in vectors]
 
 
 def document_vectors(
@@ -249,12 +246,9 @@ def document_vectors(
     drawn, and is complete once all of them are.
     """
     vocab = _vocabulary(texts, class_of, min_count)
-    walks = _chain_steps(g, vocab, parts, language)
-    new_vocab = vocab.copy()
-    vectors = (_augmented_vector(
-        _baseline_vector(i, text, class_of, vocab, normalize=True),
-        walks, new_vocab, normalize=True) for i, text in enumerate(texts))
-    return new_vocab, vectors
+    new_vocab, step = _augmentation(g, vocab, parts, language, normalize=True)
+    return new_vocab, (step(_baseline_vector(i, text, class_of, vocab, True))
+                       for i, text in enumerate(texts))
 
 
 def augment_strategy1(

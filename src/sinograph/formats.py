@@ -61,6 +61,7 @@ VECTORS_HEADER = "#sparse-vectors v1"
 _SNAPSHOT_LANGS = tuple(lang.value for lang in Language)
 # sub, super, d_min and phi per language, then f1, f2, r, s_raw, s
 _EDGE_FIELDS = 2 + 2 * len(_SNAPSHOT_LANGS) + 5
+_SECTION_FIELDS = {"META": 2, "NODES": 4, "EDGES": _EDGE_FIELDS}
 MISSING = "-"
 
 
@@ -500,6 +501,25 @@ def _edge_cells(d: EdgeData) -> str:
     return "\t".join(cells)
 
 
+def _edge_data(cells: list[str]) -> EdgeData:
+    """The ``EdgeData`` of an edge's attribute cells, from d_min to s:
+    the inverse of ``_edge_cells``."""
+    d = EdgeData()
+    for i, lang in enumerate(_SNAPSHOT_LANGS):
+        if cells[2 * i] != MISSING:
+            d.d_min[lang] = real(cells[2 * i], "d_min", 0)
+        if cells[2 * i + 1] != MISSING:
+            d.phi[lang] = real(cells[2 * i + 1], "phi", 0, 1)
+    f1, f2, r, s_raw, s = cells[2 * len(_SNAPSHOT_LANGS):]
+    d.f1, d.f2 = decimal(f1, "f1", 0), decimal(f2, "f2", 0)
+    d.r = real(r, "r", 0, 1)
+    if s_raw != MISSING:
+        d.s_raw = real(s_raw, "s_raw", 0)
+    if s != MISSING:
+        d.s = real(s, "s", 0, 1)
+    return d
+
+
 def save_snapshot(path: str, g: InclusionGraph, store: CharacterStore,
                   annotations: Mapping[int, set[str]] | None = None) -> None:
     with open_output(path) as fh:
@@ -515,13 +535,12 @@ def parse_snapshot(text: str, path: str = "snapshot"
     Class ids must be integers >= 0, members and representatives
     codepoints in 0..10FFFF, and a synsets cell ``-`` or synset ids, each
     as ``parse_synsets`` reads one, joined by ``|``; the classes must
-    form a partition
-    (``CharacterStore.add``), and every edge endpoint must be a class
-    declared earlier in NODES.
-    An edge line has exactly its 13 fields.  Edge weights must be finite
-    and nonnegative, and phi, r and s at most 1.  A META key and an edge
-    are given once.  Any other content raises ``InputError`` naming the
-    line; edges that close a cycle raise it naming one.
+    form a partition (``CharacterStore.add``), and every edge endpoint
+    must be a class declared earlier in NODES.  A META line has exactly
+    2 fields, a NODES line 4 and an EDGES line 13.  Edge weights must be
+    finite and nonnegative, and phi, r and s at most 1.  A META key and
+    an edge are given once.  Any other content raises ``InputError``
+    naming the line; edges that close a cycle raise it naming one.
     """
     section = None
     g = InclusionGraph()
@@ -532,57 +551,36 @@ def parse_snapshot(text: str, path: str = "snapshot"
             if line in ("META", "NODES", "EDGES"):
                 section = line
                 continue
+            if section is None:
+                raise InputError("content before any section header")
             fields = line.split("\t")
-            try:
-                if section == "META":
-                    key, value = fields
-                    if key in g.meta:
-                        raise InputError(f"META key {key!r} repeated")
-                    g.meta[key] = value
-                elif section == "NODES":
-                    cid_tok, members_tok, rep_tok, synsets_tok = fields
-                    cid = decimal(cid_tok, "class id", 0)
-                    # members are separated by one " ", as written
-                    members = frozenset(codepoint(m)
-                                        for m in members_tok.split(" "))
-                    store.add(AllographClass(cid, members, codepoint(rep_tok)))
-                    g.add_node(cid)
-                    if synsets_tok != MISSING:
-                        annotations[cid] = {_synset_id(sid) for sid
-                                            in synsets_tok.split("|")}
-                elif section == "EDGES":
-                    if len(fields) != _EDGE_FIELDS:
-                        raise InputError(f"expected {_EDGE_FIELDS} tab-separated "
-                                         f"fields, got {len(fields)}")
-                    sub = decimal(fields[0], "class id", 0)
-                    sup = decimal(fields[1], "class id", 0)
-                    if sub not in g or sup not in g:
-                        missing = sup if sub in g else sub
-                        raise InputError(f"edge endpoint {missing} is not a "
-                                         f"declared node")
-                    data = EdgeData()
-                    i = 2
-                    for lang in _SNAPSHOT_LANGS:
-                        if fields[i] != MISSING:
-                            data.d_min[lang] = real(fields[i], "d_min", 0)
-                        if fields[i + 1] != MISSING:
-                            data.phi[lang] = real(fields[i + 1], "phi", 0, 1)
-                        i += 2
-                    data.f1 = decimal(fields[i], "f1", 0)
-                    data.f2 = decimal(fields[i + 1], "f2", 0)
-                    data.r = real(fields[i + 2], "r", 0, 1)
-                    if fields[i + 3] != MISSING:
-                        data.s_raw = real(fields[i + 3], "s_raw", 0)
-                    if fields[i + 4] != MISSING:
-                        data.s = real(fields[i + 4], "s", 0, 1)
-                    if not g.add_edge(sub, sup, data):
-                        raise InputError(f"edge {sub} -> {sup} repeated")
-                else:
-                    raise InputError("content before any section header")
-            except InputError:  # a ValueError too, but with its own message
-                raise
-            except ValueError:
-                raise InputError(f"malformed {section} line") from None
+            if len(fields) != _SECTION_FIELDS[section]:
+                raise InputError(f"expected {_SECTION_FIELDS[section]} "
+                                 f"tab-separated fields, got {len(fields)}")
+            if section == "META":
+                key, value = fields
+                if key in g.meta:
+                    raise InputError(f"META key {key!r} repeated")
+                g.meta[key] = value
+            elif section == "NODES":
+                cid_tok, members_tok, rep_tok, synsets_tok = fields
+                cid = decimal(cid_tok, "class id", 0)
+                # members are separated by one " ", as written
+                members = frozenset(codepoint(m) for m in members_tok.split(" "))
+                store.add(AllographClass(cid, members, codepoint(rep_tok)))
+                g.add_node(cid)
+                if synsets_tok != MISSING:
+                    annotations[cid] = {_synset_id(sid)
+                                        for sid in synsets_tok.split("|")}
+            else:
+                sub = decimal(fields[0], "class id", 0)
+                sup = decimal(fields[1], "class id", 0)
+                if sub not in g or sup not in g:
+                    missing = sup if sub in g else sub
+                    raise InputError(f"edge endpoint {missing} is not a "
+                                     f"declared node")
+                if not g.add_edge(sub, sup, _edge_data(fields[2:])):
+                    raise InputError(f"edge {sub} -> {sup} repeated")
         try:
             g.topological_order()  # a chain walk would circle a cycle forever
         except DataError as exc:

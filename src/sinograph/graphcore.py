@@ -59,8 +59,8 @@ class InclusionGraph:
 
     def add_edge(self, sub: int, sup: int, data: EdgeData | None = None) -> bool:
         """Add the edge sub -> sup unless it exists; True if added.  Without
-        ``data`` the edge stores no ``EdgeData`` until ``edge`` first reads
-        it, so a graph whose attributes are never read holds none."""
+        ``data`` the edge stores no ``EdgeData`` until ``edge`` creates
+        one, so a graph whose attributes are never set holds none."""
         if sub == sup:
             raise InputError(f"self-loop on node {sub} is not an inclusion")
         self.add_node(sub)
@@ -91,18 +91,16 @@ class InclusionGraph:
         return [(a, b) for a in sorted(self._succ) for b in sorted(self._succ[a])]
 
     def edge(self, sub: int, sup: int) -> EdgeData:
-        """The attributes of the edge sub -> sup, kept for the caller to set."""
-        data = self._succ[sub][sup] = self.peek(sub, sup)
+        """The attributes of the edge sub -> sup, to write: created if the
+        edge stores none, and kept."""
+        data = self.stored(sub, sup)
+        if data is None:
+            data = self._succ[sub][sup] = EdgeData()
         return data
 
-    def peek(self, sub: int, sup: int) -> EdgeData:
-        """The attributes of the edge sub -> sup, to read only: for an
-        edge that stores none, a fresh ``EdgeData`` that is not kept."""
-        data = self.stored(sub, sup)
-        return EdgeData() if data is None else data
-
     def stored(self, sub: int, sup: int) -> EdgeData | None:
-        """The ``EdgeData`` the edge sub -> sup stores, None if none."""
+        """The attributes of the edge sub -> sup, to read: None where
+        nothing has set them."""
         try:
             return self._succ[sub][sup]
         except KeyError:
@@ -167,7 +165,8 @@ class ChainKind(NamedTuple):
     def weight(self, g: InclusionGraph, sub: int, sup: int,
                language: Language | None = None) -> float | None:
         """The weight of the edge sub -> sup, None where it has none."""
-        w = self.read(g.peek(sub, sup), language)
+        data = g.stored(sub, sup)
+        w = None if data is None else self.read(data, language)
         if w is None and self.required:
             raise DataError(f"edge {sub} -> {sup} has no {self.name}; "
                             f"compute it with the annotate subcommand")
@@ -249,7 +248,7 @@ def transitive_reduce(g: InclusionGraph) -> InclusionGraph:
     Removes every edge (a, c) for which a path a -> ... -> c of length
     at least 2 exists; reachability is preserved exactly.  The reduced
     graph shares each kept edge's ``EdgeData`` with ``g``, not a copy,
-    and creates none for an edge whose attributes were never read.
+    and creates none for an edge whose attributes were never set.
     Raises DataError on a cyclic input.
     """
     order = g.topological_order()

@@ -187,9 +187,9 @@ def phoneticity(g: InclusionGraph, readings: ClassReadings, language: Language,
     d_max = max(finite)
     for sub, sup, d in distances:
         if d is None:
-            data = g.peek(sub, sup)
-            data.d_min.pop(lang, None)
-            data.phi.pop(lang, None)
+            if (data := g.stored(sub, sup)) is not None:
+                data.d_min.pop(lang, None)
+                data.phi.pop(lang, None)
         else:
             data = g.edge(sub, sup)
             data.d_min[lang] = d

@@ -93,9 +93,6 @@ class SynsetStore:
     def synsets_of_word(self, word: str) -> set[str]:
         return set(self._word_index.get(word, ()))
 
-    def synsets_containing_char(self, char: str) -> set[str]:
-        return set(self._char_index.get(char, ()))
-
     def lemma_char_counts(self, char: str) -> Mapping[str, int]:
         """Synset id -> number of its lemma words containing ``char``
         (read-only view)."""
@@ -124,7 +121,7 @@ def annotate_classes(
         for cp in cls.members:
             for gloss in definitions.get(cp, ()):
                 ids |= store.synsets_of_word(gloss)
-            ids |= store.synsets_containing_char(chr(cp))
+            ids.update(store.lemma_char_counts(chr(cp)))
         if ids:
             out[cls.id] = ids
     return out

@@ -160,6 +160,18 @@ def test_cross_validate_reports_iterations_and_capped_models():
     assert free.models_capped == 0
 
 
+@pytest.mark.parametrize("scale", [100.0, 1e7, 1e10])
+def test_rho_follows_the_scale_of_the_rows(scale):
+    """rho comes from the training rows' Gram trace, not from n alone, so
+    rows far from unit norm still converge to the separating models."""
+    labels = ["one", "two"] * 10
+    vectors = [{0: scale, 1: scale} if lab == "one" else {2: 1.0}
+               for lab in labels]
+    report = cross_validate(vectors, labels, k=2)
+    assert report.models_capped == 0
+    assert report.mean_accuracy == 1.0
+
+
 def test_scale_invariance_of_predictions():
     vectors, labels = separable_corpus(n_per_class=10, n_classes=2, seed=2)
     scaled_vectors = [{k: 3.0 * w for k, w in v.items()} for v in vectors]

@@ -517,6 +517,13 @@ def test_evaluate_missing_vectors_exit_2(tmp_path):
     ("2\t4E02\t", "2\t4E_02\t", "bad hex codepoint '4E_02'"),
     ("2\t4E02\t4E02\t", "2\t4E02\t+4E02\t", "bad hex codepoint '+4E02'"),
     ("1\t2\t", "1\t2\tgarbage\tmore\t", "expected 13 tab-separated fields, got 15"),
+    # every section refuses a wrong field count alike
+    ("tolerance\t", "tolerance\tx\t", "expected 2 tab-separated fields, got 3"),
+    ("2\t4E02\t4E02\t", "2\t4E02\t", "expected 4 tab-separated fields, got 3"),
+    ("2\t4E02\t4E02\t", "2\t4E02\t4E02\tx\t",
+     "expected 4 tab-separated fields, got 5"),
+    ("1\t2\t", "1\t", "expected 13 tab-separated fields, got 12"),
+    ("1\t2\t", "1\t2\tgarbage\t", "expected 13 tab-separated fields, got 14"),
 ])
 def test_chains_rejects_inconsistent_snapshot(chain_inputs, capsys,
                                               old, new, problem):
@@ -655,16 +662,16 @@ def test_evaluate_refuses_weights_whose_norm_bound_overflows(tmp_path, capsys):
 
 
 def test_evaluate_refuses_weights_whose_system_is_singular(tmp_path, capsys):
-    # two columns that repeat one another at 1e10: lambda = 1/(C n) is
-    # lost beside rho X'X, so the ADMM system has no inverse in floats
+    # two columns that repeat one another: at C = 1e20, lambda = 1/(C n)
+    # is lost beside rho X'X, so the ADMM system has no inverse in floats
     lines = [f"{lab}\t" + ("0:1e10 1:1e10" if lab == "one" else "2:1.0")
              for lab in ["one", "two"] * 10]
     vec_path = write(tmp_path / "vec.txt",
                      formats.VECTORS_HEADER + "\n" + "\n".join(lines) + "\n")
-    rc = main(["evaluate", "--vectors", vec_path, "--k", "2",
+    rc = main(["evaluate", "--vectors", vec_path, "--k", "2", "--C", "1e20",
                "--out", str(tmp_path / "report.txt")])
     assert rc == 3
-    assert ("too large to train on at C=1: rho X'X + lambda I is singular"
+    assert ("too large to train on at C=1e+20: rho X'X + lambda I is singular"
             in capsys.readouterr().err)
 
 
