@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.optimize import Bounds, minimize
 
 from sinograph import classify
 from sinograph.classify import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOL,
+    _TRI_BLOCK,
     _design_matrix,
     _label_matrix,
+    _lower_inverse,
     _train_one_vs_rest,
     cross_validate,
     stratified_folds,
@@ -374,6 +377,53 @@ def test_support_vectors_do_not_follow_the_tolerance():
     tight = cross_validate(vectors, labels, k=5, seed=1, tol=DEFAULT_TOL / 10)
     assert report.models_capped == tight.models_capped == 0
     assert report.fold_support_vectors == tight.fold_support_vectors
+
+
+def test_c_whose_lambda_overflows_trains_every_feature_weight_to_zero():
+    # lambda = 1/(C n) is inf: w = 0 is the limit, and each bias the
+    # optimal one of a category with a fifth of the examples
+    labels = [f"c{i % 5}" for i in range(20)]
+    vectors = [{i % 5: 1.0, 5: 0.5} for i in range(20)]
+    _, _, W, _, iterations = fit_all(vectors, labels, C=5e-324)
+    assert not W[:, :-1].any()
+    assert W[:, -1] == pytest.approx(-1.0, abs=1e-3)
+    assert max(iterations) < DEFAULT_MAX_ITERATIONS
+
+
+def spd_factor(p, seed, apart=()):
+    """The Cholesky factor of a (p, p) SPD matrix whose rows and columns
+    ``apart`` are 0 off the diagonal.  Its diagonal spans two decades, so
+    LAPACK's inverse of the factor swaps rows and can leave rounding
+    above the diagonal."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((p + 5, p))
+    A[:, list(apart)] = 0.0
+    d = 10.0 ** rng.uniform(-1.0, 1.0, p)
+    M = A.T @ A / (p + 5) + 0.5 * np.eye(p)
+    return np.linalg.cholesky(d[:, None] * M * d)
+
+
+@pytest.mark.parametrize("p", [1, _TRI_BLOCK - 1, _TRI_BLOCK,
+                               _TRI_BLOCK + 1, 2 * _TRI_BLOCK + 1, 259])
+def test_lower_inverse_matches_lapack(p):
+    L = spd_factor(p, seed=p)
+    got = _lower_inverse(L)
+    assert not np.triu(got, 1).any()
+    # cond(L) is under 200 here: 100 ulps of the largest entry bound the error
+    for want in (np.linalg.inv(L), solve_triangular(L, np.eye(p), lower=True)):
+        tol = 100 * np.finfo(float).eps * np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+def test_lower_inverse_keeps_a_decoupled_column_apart():
+    # an unseen feature's row and column of M are 0 off the diagonal, and
+    # so are they in L and its inverse: its weight stays exactly 0
+    p = 259
+    apart = [0, _TRI_BLOCK, p // 2, p - 2]
+    inv = _lower_inverse(spd_factor(p, seed=0, apart=apart))
+    for j in apart:
+        assert np.count_nonzero(inv[j]) == np.count_nonzero(inv[:, j]) == 1
+        assert inv[j, j] != 0.0
 
 
 def test_refuses_a_non_positive_or_infinite_c():

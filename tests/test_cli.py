@@ -675,6 +675,25 @@ def test_evaluate_refuses_weights_whose_system_is_singular(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("C, lines, accuracy", [
+    # lambda = 1/(C n) overflows to inf: the weights train to w = 0, and
+    # ties go to the first of five equal categories
+    ("5e-324", [f"c{i % 5}\t{i % 5}:1.0" for i in range(20)], 0.2),
+    # lambda is lost beside one 1e10 column, but no column repeats it
+    ("1e20", [f"{lab}\t" + ("0:1e10" if lab == "one" else "2:1.0")
+              for lab in ["one", "two"] * 10], 1.0),
+])
+def test_evaluate_trains_on_systems_beside_the_singular_ones(tmp_path, C, lines,
+                                                             accuracy):
+    vec_path = write(tmp_path / "vec.txt",
+                     formats.VECTORS_HEADER + "\n" + "\n".join(lines) + "\n")
+    report = tmp_path / "report.txt"
+    rc = main(["evaluate", "--vectors", vec_path, "--k", "2", "--C", C,
+               "--out", str(report)])
+    assert rc == 0
+    assert f"mean_accuracy\t{accuracy:.6f}" in report.read_text().splitlines()
+
+
 @pytest.fixture
 def pipeline_files(chain_inputs, tmp_path):
     """Real inputs of every subcommand, so that only a flag is out of range."""

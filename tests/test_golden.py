@@ -135,11 +135,28 @@ def test_seed7_artefacts_match_golden_digest(seed7):
     assert not changed, f"artefacts differ from {GOLDEN}: {changed}"
 
 
+# the iteration at which each fold model stops (k = 10, C = 1, seed 42),
+# which the printed report does not show
+SEED7_ITERATIONS = {
+    "baseline": ((28, 28, 28, 28, 28), (27, 28, 28, 28, 28),
+                 (27, 27, 28, 28, 28), (28, 27, 28, 28, 28),
+                 (28, 28, 28, 28, 28), (28, 28, 28, 28, 28),
+                 (28, 28, 28, 28, 28), (28, 28, 28, 28, 28),
+                 (28, 28, 28, 28, 28), (28, 28, 28, 28, 28)),
+    "combined": ((28, 29, 28, 32, 28), (28, 28, 28, 31, 28),
+                 (28, 29, 28, 31, 28), (28, 30, 27, 31, 29),
+                 (27, 31, 27, 32, 29), (27, 29, 28, 33, 28),
+                 (28, 30, 28, 30, 29), (28, 30, 28, 31, 28),
+                 (28, 29, 27, 31, 28), (28, 28, 28, 30, 28)),
+}
+
+
 @pytest.mark.parametrize("strategy", ["baseline", "combined"])
 def test_seed7_evaluate_converges(seed7, strategy):
     labels, vectors = formats.load_file(formats.parse_vectors,
                                         seed7[f"vectors_{strategy}.txt"])
     report = cross_validate(vectors, labels, k=10, C=1.0, seed=42)
+    assert report.fold_iterations == SEED7_ITERATIONS[strategy]
     tight = cross_validate(vectors, labels, k=10, C=1.0, seed=42,
                            tol=DEFAULT_TOL / 10)
     assert report.models_capped == tight.models_capped == 0
