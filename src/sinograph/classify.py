@@ -48,6 +48,7 @@ if TYPE_CHECKING:  # numpy loads only when a classifier trains
 FeatureVector = Mapping[int, float]
 
 DEFAULT_K = 10
+DEFAULT_SEED = 0
 DEFAULT_C = 1.0
 DEFAULT_MAX_ITERATIONS = 1000
 DEFAULT_TOL = 1e-4
@@ -124,10 +125,7 @@ def _train_one_vs_rest(X: np.ndarray, Y: np.ndarray, train: np.ndarray,
     M^-1 is formed.  A system where Cholesky fails, or leaves a pivot
     L_ii^2 within p eps of M_ii, is singular in floats and refused.  The
     iterations multiply by one contiguous copy of X~', which BLAS takes
-    about twice as fast as the transposed view, to the same bits.  On
-    bench vectors (n = 270, p = 250; one BLAS thread, 2-core Xeon) M^-1
-    takes 1.5 ms where the general inverse took 3.0 ms, and the fold
-    8.4 ms where it took 10.0 ms.
+    about twice as fast as the transposed view, to the same bits.
     """
     import numpy as np
 
@@ -226,15 +224,21 @@ def stratified_folds(labels: Sequence[Hashable], k: int,
 class EvalReport:
     mean_accuracy: float
     fold_accuracies: tuple[float, ...]
-    support_vector_count: int  # examples with y z <= 1, all folds
-    fold_support_vectors: tuple[int, ...]
-    k: int
+    fold_support_vectors: tuple[int, ...]  # examples with y z <= 1
     C: float
     seed: int
     n_examples: int
     categories: tuple
     fold_iterations: tuple[tuple[int, ...], ...]  # of each fold model
     max_iterations: int
+
+    @property
+    def k(self) -> int:
+        return len(self.fold_accuracies)
+
+    @property
+    def support_vector_count(self) -> int:
+        return sum(self.fold_support_vectors)
 
     @property
     def models(self) -> int:
@@ -263,7 +267,7 @@ class EvalReport:
 
 def cross_validate(vectors: Sequence[FeatureVector],
                    labels: Sequence[Hashable], k: int = DEFAULT_K,
-                   C: float = DEFAULT_C, seed: int = 0,
+                   C: float = DEFAULT_C, seed: int = DEFAULT_SEED,
                    max_iterations: int = DEFAULT_MAX_ITERATIONS,
                    tol: float = DEFAULT_TOL) -> EvalReport:
     """Stratified k-fold cross-validation with micro-averaged accuracy."""
@@ -292,9 +296,7 @@ def cross_validate(vectors: Sequence[FeatureVector],
     return EvalReport(
         mean_accuracy=correct_total / len(labels),
         fold_accuracies=tuple(fold_accs),
-        support_vector_count=sum(fold_svs),
         fold_support_vectors=tuple(fold_svs),
-        k=k,
         C=C,
         seed=seed,
         n_examples=len(labels),

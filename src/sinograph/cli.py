@@ -21,12 +21,14 @@ import sys
 
 from . import formats
 from .charstore import CharacterStore, Language
-from .classify import DEFAULT_C, DEFAULT_K, cross_validate
+from .classify import DEFAULT_C, DEFAULT_K, DEFAULT_SEED, cross_validate
 from .errors import DataError, InputError
-from .features import DEFAULT_LANGUAGE, DEFAULT_MIN_COUNT, STRATEGIES, document_vectors
-from .freqlists import aggregate_ufl, distance_matrix
+from .features import (DEFAULT_LANGUAGE, DEFAULT_MIN_COUNT, DEFAULT_STRATEGY,
+                       STRATEGIES, document_vectors)
+from .freqlists import DEFAULT_N, aggregate_ufl, distance_matrix
 from .graphcore import CHAIN_KINDS, lift_to_classes, transitive_reduce
-from .inferschar import DEFAULT_MAX_DEPTH, semantic_approximation
+from .inferschar import (DEFAULT_DIRECTION, DEFAULT_MAX_DEPTH, DIRECTIONS,
+                         semantic_approximation)
 from .phonetics import (
     DEFAULT_BINS,
     FeatureTable,
@@ -178,8 +180,6 @@ def cmd_chains(args: argparse.Namespace) -> None:
 
 def cmd_freqdist(args: argparse.Namespace) -> None:
     lists = [formats.load_file(formats.parse_freq_counts, p) for p in args.lists]
-    if len(lists) < 2:
-        raise InputError("need at least two frequency lists")
     mat = distance_matrix(lists, args.n)
     # each list is named by its path as given: basenames can repeat
     lines = ["\t".join(["list"] + args.lists)]
@@ -292,7 +292,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("freqdist", help="pairwise frequency-list distances")
     p.add_argument("--lists", nargs="+", required=True)
-    p.add_argument("--n", type=formats.decimal, default=3000)
+    p.add_argument("--n", type=formats.decimal, default=DEFAULT_N)
     p.add_argument("--ufl-out", help="write the aggregated list here")
     p.add_argument("--renormalize", action="store_true")
     p.add_argument("--out", default="-")
@@ -302,7 +302,7 @@ def build_parser() -> _Parser:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--min-count", type=formats.decimal, default=DEFAULT_MIN_COUNT)
-    p.add_argument("--strategy", choices=list(STRATEGIES), default="baseline")
+    p.add_argument("--strategy", choices=list(STRATEGIES), default=DEFAULT_STRATEGY)
     p.add_argument("--language", default=DEFAULT_LANGUAGE.value)
     p.add_argument("--vocab-out")
     p.add_argument("--out", required=True)
@@ -312,7 +312,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vectors", required=True)
     p.add_argument("--k", type=formats.decimal, default=DEFAULT_K)
     p.add_argument("--C", type=formats.real, default=DEFAULT_C)
-    p.add_argument("--seed", type=formats.decimal, default=0)
+    p.add_argument("--seed", type=formats.decimal, default=DEFAULT_SEED)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_evaluate, outputs=("out",))
 
@@ -320,7 +320,7 @@ def build_parser() -> _Parser:
                        help="approximate the semantics of an unannotated class")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--max-depth", type=formats.decimal, default=DEFAULT_MAX_DEPTH)
-    p.add_argument("--direction", choices=["sub", "super"], default="sub")
+    p.add_argument("--direction", choices=DIRECTIONS, default=DEFAULT_DIRECTION)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_query_unknown, outputs=("out",))
 

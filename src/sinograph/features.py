@@ -28,7 +28,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, KeysView, Mapping, Sequence
 
 from .charstore import Language
 from .errors import DataError, InputError
@@ -51,8 +51,8 @@ class Vocabulary:
     provenance: dict[int, str] = field(default_factory=dict)
 
     @property
-    def ids(self) -> set[int]:
-        return set(self.provenance)
+    def ids(self) -> KeysView[int]:
+        return self.provenance.keys()
 
     def __contains__(self, class_id: int) -> bool:
         return class_id in self.provenance
@@ -149,6 +149,7 @@ STRATEGIES: dict[str, tuple[str, ...]] = {
     "combined": ("semantic", "phonetic"),
     "phonetic": ("phonetic",),
 }
+DEFAULT_STRATEGY = "baseline"
 
 
 def semantic_chains(g: InclusionGraph, class_ids: set[int]) -> dict[int, list[int]]:

@@ -18,11 +18,12 @@ number in [lo, hi]`` (or ``an integer``; ``>= lo`` with no upper bound).
 * relations.tsv    ``<source id>\\t<type>\\t<target id>``
 * definitions.tsv  ``<hex cp>\\t<gloss word>[|<gloss word>...]``
 * freq.tsv         ``<hex cp>\\t<count>``
-* corpus.tsv       ``<label>\\t<document text>`` (one document per line)
+* corpus.tsv       ``<label>\\t<document text>`` (one document per line;
+                   a label is nonempty and holds no space)
 * feature table    ``C\\t<symbol>\\t<4 numbers>`` or ``V\\t<symbol>\\t<3 numbers>``
 * vectors file     ``#sparse-vectors v1`` header, then
                    ``<label>\\t<id>:<weight>[ <id>:<weight>...]``, cells
-                   separated by one ASCII space
+                   separated by one ASCII space, labels as in corpus.tsv
 
 Every error a record raises names its ``file:line``.
 
@@ -328,6 +329,16 @@ def _synset_id(token: str) -> str:
     return token
 
 
+def _label(token: str) -> str:
+    """A category label in every file: nonempty and holding no " ", else
+    an ``InputError``.  A report joins the categories with " ", so it
+    could not be read back with such a label."""
+    if not token or " " in token:
+        raise InputError(f"bad label {token!r}: it must be nonempty and "
+                         f"hold no ' '")
+    return token
+
+
 def parse_relations(text: str, store: SynsetStore,
                     path: str = "relations.tsv") -> SynsetStore:
     """``store`` with the relations added, each checked by the store."""
@@ -360,7 +371,7 @@ def parse_freq_counts(text: str, path: str = "freq.tsv") -> FrequencyList:
 
 def parse_corpus(text: str, path: str = "corpus.tsv") -> list[tuple[str, str]]:
     with _Reader(text, path) as reader:
-        docs = [(label, doc) for label, doc in reader.records(2)]
+        docs = [(_label(label), doc) for label, doc in reader.records(2)]
         if not docs:
             raise InputError("empty corpus")
     return docs
@@ -423,7 +434,7 @@ def parse_vectors(text: str, path: str = "vectors", min_per_label: int = 0
             label, tab, cells = line.partition("\t")
             if not tab:
                 raise InputError("no tab after the label")
-            first_line.setdefault(label, reader.lineno)
+            first_line.setdefault(_label(label), reader.lineno)
             vec: dict[int, float] = {}
             # cells are separated by one " "; an empty document has none
             for cell in cells.split(" ") if cells else ():

@@ -17,6 +17,8 @@ from .errors import InputError
 
 log = logging.getLogger(__name__)
 
+DEFAULT_N = 3000
+
 
 @dataclass(frozen=True)
 class FrequencyList:
@@ -133,8 +135,6 @@ def distance_dN(a: FrequencyList, b: FrequencyList, n: int) -> float:
     possible by construction (the coverage factor may exceed 1); they are
     logged, not clamped.
     """
-    if n < 1:
-        raise InputError("N must be >= 1")
     common = comchar(a, b, n)
     cov = len(common) / n
     if not common:
@@ -180,7 +180,8 @@ def aggregate_ufl(lists: Sequence[FrequencyList],
     return FrequencyList(entries=tuple(ordered))
 
 
-def distance_matrix(lists: Sequence[FrequencyList], n: int) -> list[list[float]]:
+def distance_matrix(lists: Sequence[FrequencyList],
+                    n: int = DEFAULT_N) -> list[list[float]]:
     """Symmetric pairwise list-distance matrix with zero diagonal."""
     if len(lists) < 2:
         raise InputError("need at least two lists for a distance matrix")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, KeysView, NamedTuple
 
 from .charstore import CharacterStore, Language
 from .errors import DataError, InputError
@@ -41,13 +41,15 @@ class InclusionGraph:
 
     The pipeline's graph is the class-level one: its node ids are
     allographic class ids, and the character-level inclusions exist
-    only as the edge set that ``lift_to_classes`` reads.
+    only as the edge set that ``lift_to_classes`` reads.  ``nodes``,
+    ``successors`` and ``predecessors`` are read-only views, not copies:
+    they follow later edits of the graph.
     """
 
     def __init__(self) -> None:
         # each node's successors, holding each edge's data (None until set)
         self._succ: dict[int, dict[int, EdgeData | None]] = {}
-        self._pred: dict[int, set[int]] = {}
+        self._pred: dict[int, dict[int, None]] = {}
         self.meta: dict[str, str] = {}
 
     # -- construction ------------------------------------------------------
@@ -55,7 +57,7 @@ class InclusionGraph:
     def add_node(self, node: int) -> None:
         if node not in self._succ:
             self._succ[node] = {}
-            self._pred[node] = set()
+            self._pred[node] = {}
 
     def add_edge(self, sub: int, sup: int, data: EdgeData | None = None) -> bool:
         """Add the edge sub -> sup unless it exists; True if added.  Without
@@ -69,14 +71,14 @@ class InclusionGraph:
         if sup in out:
             return False
         out[sup] = data
-        self._pred[sup].add(sub)
+        self._pred[sup][sub] = None
         return True
 
     # -- queries -----------------------------------------------------------
 
     @property
-    def nodes(self) -> set[int]:
-        return set(self._succ)
+    def nodes(self) -> KeysView[int]:
+        return self._succ.keys()
 
     def __contains__(self, node: int) -> bool:
         return node in self._succ
@@ -106,11 +108,11 @@ class InclusionGraph:
         except KeyError:
             raise DataError(f"no edge {sub} -> {sup}") from None
 
-    def successors(self, node: int) -> set[int]:
-        return set(self._succ[node])
+    def successors(self, node: int) -> KeysView[int]:
+        return self._succ[node].keys()
 
-    def predecessors(self, node: int) -> set[int]:
-        return set(self._pred[node])
+    def predecessors(self, node: int) -> KeysView[int]:
+        return self._pred[node].keys()
 
     def topological_order(self) -> list[int]:
         """Kahn topological order; raises DataError naming a cycle witness."""
@@ -183,7 +185,7 @@ class ChainKind(NamedTuple):
         while True:
             # "largest" is the smallest (-w, id), so ties go to the lowest id
             candidates = [(-w if self.largest else w, p, w)
-                          for p in g._pred[current]
+                          for p in g.predecessors(current)
                           if (w := self.weight(g, p, current, language)) is not None]
             if not candidates:
                 return steps
@@ -264,18 +266,18 @@ def transitive_reduce(g: InclusionGraph) -> InclusionGraph:
     for i, node in enumerate(reversed(order)):
         pos[node] = i
         via = direct = 0
-        for s in g._succ[node]:
+        for s in g.successors(node):
             via |= desc[s]
             direct |= 1 << pos[s]
         below[node] = via
         desc[node] = via | direct
 
     reduced = InclusionGraph()
-    for a, out in g._succ.items():
+    for a in g.nodes:
         reduced.add_node(a)
-        for c, data in out.items():
+        for c in g.successors(a):
             if not below[a] >> pos[c] & 1:
-                reduced.add_edge(a, c, data)
+                reduced.add_edge(a, c, g.stored(a, c))
     reduced.meta = dict(g.meta)
     return reduced
 

@@ -18,6 +18,8 @@ from .graphcore import CHAIN_KINDS, InclusionGraph
 SynsetVector = dict[str, float]
 
 DEFAULT_MAX_DEPTH = 4
+DIRECTIONS = ("sub", "super")
+DEFAULT_DIRECTION = "sub"
 
 
 def _normalize(weights: SynsetVector) -> SynsetVector:
@@ -32,7 +34,7 @@ def semantic_approximation(
     annotations: Mapping[int, set[str]],
     node: int,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    direction: str = "sub",
+    direction: str = DEFAULT_DIRECTION,
 ) -> SynsetVector:
     """Distribution over synset ids approximating ``node``'s meaning.
 
@@ -44,8 +46,9 @@ def semantic_approximation(
     to 1, or is empty when no annotated node is reachable.  An annotated
     start node returns its own synsets, uniformly weighted.
     """
-    if direction not in ("sub", "super"):
-        raise InputError(f"direction must be 'sub' or 'super', got {direction!r}")
+    if direction not in DIRECTIONS:
+        raise InputError(f"direction must be {' or '.join(map(repr, DIRECTIONS))}, "
+                         f"got {direction!r}")
     if max_depth < 1:
         raise InputError("max_depth must be >= 1")
     if node not in g:

@@ -15,7 +15,7 @@ outer character's exactly, so mining indexes the characters by their
 stroke-type sequence and looks up only the windows of each outer
 character, at the lengths inner characters have; each hit is then
 verified with the tolerance check of ``signature_contains``.  Each
-``CharSignature`` flattens its pair components once, so the check
+``CharSignature`` keeps its pair components flat, so the check
 compares the inner components with one slice of the outer's; a
 one-stroke inner has no pair signature and is answered by its stroke
 type alone.
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
@@ -90,24 +89,9 @@ class CharSignature:
     __slots__ = ("stroke_types", "components")
 
     def __init__(self, stroke_types: tuple[str, ...],
-                 pair_sigs: Sequence[StrokePairSignature]) -> None:
-        if len(pair_sigs) != max(len(stroke_types) - 1, 0):
-            raise InputError("need exactly one pair signature per consecutive "
-                             "stroke pair")
+                 components: tuple[SigComponent, ...]) -> None:
         self.stroke_types = stroke_types
-        self.components: tuple[SigComponent, ...] = tuple(
-            chain.from_iterable(pair_sigs))
-
-    @property
-    def pair_sigs(self) -> tuple[StrokePairSignature, ...]:
-        c = self.components
-        return tuple(StrokePairSignature(*c[i:i + 4]) for i in range(0, len(c), 4))
-
-    def __len__(self) -> int:
-        return len(self.stroke_types)
-
-    def __repr__(self) -> str:
-        return f"CharSignature({self.stroke_types!r}, {self.pair_sigs!r})"
+        self.components = components
 
 
 def _ratio(num: float, den: float) -> SigComponent:
@@ -162,13 +146,14 @@ def char_signature(strokes: Sequence[Stroke]) -> CharSignature:
     """Signature of a whole character from its ordered strokes."""
     if not strokes:
         raise InputError("character has no strokes")
-    sigs = []
+    components: list[SigComponent] = []
     for i in range(len(strokes) - 1):
         try:
-            sigs.append(pair_signature(strokes[i], strokes[i + 1]))
+            components.extend(pair_signature(strokes[i], strokes[i + 1]))
         except InputError as exc:
             raise InputError(f"stroke pair ({i}, {i + 1}): {exc}") from None
-    return CharSignature(tuple(s.calligraphic_type for s in strokes), sigs)
+    return CharSignature(tuple(s.calligraphic_type for s in strokes),
+                         tuple(components))
 
 
 def signature_contains(inner: CharSignature, outer: CharSignature,

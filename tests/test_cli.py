@@ -301,6 +301,19 @@ def test_features_and_evaluate_separable(chain_inputs, tmp_path, capsys):
     assert "mean_accuracy\t1.000000" in report
 
 
+def test_features_refuses_a_label_evaluate_would_refuse(chain_inputs, tmp_path,
+                                                       capsys):
+    snap = _annotate(chain_inputs)
+    corpus = write(tmp_path / "corpus.tsv", "one\t一\none two\t丂\n")
+    out = str(tmp_path / "vec.txt")
+    capsys.readouterr()
+    rc = main(["features", "--snapshot", snap, "--corpus", corpus,
+               "--min-count", "1", "--out", out])
+    assert rc == 2
+    assert f"{corpus}:2: bad label 'one two'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_features_on_an_unannotated_snapshot_writes_no_file(chain_inputs,
                                                            tmp_path, capsys):
     # the semantic walk needs S on every edge; the graph carries none
@@ -630,6 +643,9 @@ def test_evaluate_rejects_repeated_feature(tmp_path, capsys):
     ("two 1:0.5", "no tab after the label"),
     # a third category with one example cannot be in both folds
     ("three\t1:0.5", "category 'three' has 1 examples, fewer than 2"),
+    # the report joins the categories with " ", so it could not be read
+    ("t wo\t1:0.5", "bad label 't wo'"),
+    ("\t1:0.5", "bad label ''"),
 ])
 def test_evaluate_names_the_line_of_a_bad_label(tmp_path, capsys, line, problem):
     rc, vec_path = _evaluate_with_line(tmp_path, line)

@@ -165,8 +165,8 @@ def test_reduction_keeps_edge_attributes():
 
 
 def _stores_no_edge_data(g):
-    """True when no edge of ``g``, in its node's successor map, holds data."""
-    return all(data is None for out in g._succ.values() for data in out.values())
+    """True when no edge of ``g`` holds data."""
+    return all(g.stored(a, b) is None for a, b in g.edges())
 
 
 def test_edge_attributes_are_created_on_first_read():
@@ -182,6 +182,18 @@ def test_edge_attributes_are_created_on_first_read():
     assert _stores_no_edge_data(reduced)
     assert reduced.edge(2, 3) == EdgeData()
     assert reduced.edge(2, 3) is reduced.edge(2, 3)
+
+
+def test_accessors_are_read_only_views():
+    g = from_edges([(1, 2)])
+    nodes, succ, pred = g.nodes, g.successors(1), g.predecessors(2)
+    g.add_edge(1, 3)
+    g.add_edge(4, 2)
+    assert nodes == {1, 2, 3, 4}
+    assert succ == {2, 3}
+    assert pred == {1, 4}
+    for view in (nodes, succ, pred):
+        assert not hasattr(view, "add") and not hasattr(view, "discard")
 
 
 def test_self_loop_rejected():

@@ -10,7 +10,6 @@ from sinograph.strokesig import (
     E,
     CharSignature,
     Stroke,
-    StrokePairSignature,
     char_signature,
     detect_inclusions,
     pair_signature,
@@ -104,11 +103,11 @@ def test_p2_p3_invariant_under_anisotropic_scale():
 def test_char_signature_shapes():
     single = char_signature([DOT])
     assert single.stroke_types == ("D",)
-    assert single.pair_sigs == ()
+    assert single.components == ()
 
     two = char_signature([DOT, BAR])
-    assert len(two.stroke_types) == 2
-    assert len(two.pair_sigs) == 1
+    assert two.stroke_types == ("D", "H")
+    assert two.components == tuple(pair_signature(DOT, BAR))
 
     with pytest.raises(InputError):
         char_signature([])
@@ -172,9 +171,7 @@ def test_tolerance_widens_matches():
     sigs = {1: char_signature(inner), 2: char_signature(outer)}
     assert detect_inclusions(sigs, tolerance=0.0) == set()
     worst = max(abs(a - b)
-                for inner_sig, outer_sig in zip(sigs[1].pair_sigs,
-                                                sigs[2].pair_sigs[:2])
-                for a, b in zip(inner_sig.as_tuple(), outer_sig.as_tuple()))
+                for a, b in zip(sigs[1].components, sigs[2].components))
     assert (1, 2) in detect_inclusions(sigs, tolerance=worst + 0.01)
     for bad in (-0.1, math.inf, math.nan):
         with pytest.raises(InputError, match="finite and nonnegative"):
@@ -187,29 +184,28 @@ def test_containment_implies_shorter():
     for cp in range(12):
         sigs[cp] = char_signature(_chain_strokes(rng.randrange(1, 5), rng))
     for sub, sup in detect_inclusions(sigs, tolerance=0.05):
-        assert len(sigs[sub]) <= len(sigs[sup])
+        assert len(sigs[sub].stroke_types) <= len(sigs[sup].stroke_types)
 
 
 def test_e_matches_only_e():
     flat = CharSignature(("H", "H"),
-                         (pair_signature(Stroke("H", ((0, 0), (4, 0))),
-                                         Stroke("H", ((0, 2), (4, 2)))),))
+                         tuple(pair_signature(Stroke("H", ((0, 0), (4, 0))),
+                                              Stroke("H", ((0, 2), (4, 2))))))
     crossing = CharSignature(("H", "H"),
-                             (pair_signature(Stroke("H", ((0, 0), (4, 0.1))),
-                                             Stroke("H", ((0, 2), (4, 2)))),))
-    assert flat.pair_sigs[0].p1 == E
-    assert crossing.pair_sigs[0].p1 != E
+                             tuple(pair_signature(Stroke("H", ((0, 0), (4, 0.1))),
+                                                  Stroke("H", ((0, 2), (4, 2))))))
+    assert flat.components[0] == E
+    assert crossing.components[0] != E
     assert not signature_contains(flat, CharSignature(("H", "H", "S"),
-                                                      crossing.pair_sigs +
-                                                      crossing.pair_sigs[:1]), 1e9)
+                                                      crossing.components * 2), 1e9)
 
 
 def test_nan_component_does_not_match():
-    finite = StrokePairSignature(1.0, 1.0, 1.0, 1.0)
-    holed = StrokePairSignature(math.nan, 1.0, 1.0, 1.0)
+    finite = (1.0, 1.0, 1.0, 1.0)
+    holed = (math.nan, 1.0, 1.0, 1.0)
     for a, b in ((holed, finite), (finite, holed), (holed, holed)):
-        inner = CharSignature(("H", "S"), (a,))
-        outer = CharSignature(("H", "S", "P"), (b, finite))
+        inner = CharSignature(("H", "S"), a)
+        outer = CharSignature(("H", "S", "P"), b + finite)
         assert not signature_contains(inner, outer, 1e9)
 
 
@@ -231,11 +227,14 @@ def contains_by_definition(inner, outer, tolerance):
     return k < n and any(
         outer.stroke_types[offset:offset + k] == inner.stroke_types
         and all(component_matches(a, b, tolerance)
-                for mine, theirs in zip(inner.pair_sigs,
-                                        outer.pair_sigs[offset:])
-                for a, b in zip((mine.p1, mine.p2, mine.p3, mine.p4),
-                                (theirs.p1, theirs.p2, theirs.p3, theirs.p4)))
+                for i in range(k - 1)
+                for a, b in zip(pair(inner, i), pair(outer, offset + i)))
         for offset in range(n - k + 1))
+
+
+def pair(sig, i):
+    """The four components of pair signature ``i``."""
+    return sig.components[4 * i:4 * i + 4]
 
 
 def all_pairs_inclusions(sigs, tolerance):
@@ -254,33 +253,31 @@ COMPONENT = st.one_of(st.just(E), st.sampled_from((0.0, 1.0, math.nan)),
 
 
 @st.composite
-def pair_sigs(draw, n):
-    return tuple(StrokePairSignature(*draw(st.tuples(*[COMPONENT] * 4)))
-                 for _ in range(n))
+def components(draw, n):
+    """Flat components of ``n`` pair signatures."""
+    return draw(st.tuples(*[COMPONENT] * (4 * n)))
 
 
 @st.composite
 def random_sig(draw, min_len=1, max_len=5):
     types = tuple(draw(st.lists(TYPES, min_size=min_len, max_size=max_len)))
-    return CharSignature(types, draw(pair_sigs(len(types) - 1)))
+    return CharSignature(types, draw(components(max(len(types) - 1, 0))))
 
 
 @st.composite
 def near_copy(draw, sig, tolerance):
-    """``sig``'s pair signatures, each with at most one component moved
-    to or just past the tolerance boundary, or swapped with E."""
-    out = []
-    for pair in sig.pair_sigs:
-        comps = list(pair.as_tuple())
-        i = draw(st.integers(0, 3))
+    """``sig``'s components with, in each pair signature, at most one
+    moved to or just past the tolerance boundary, or swapped with E."""
+    comps = list(sig.components)
+    for start in range(0, len(comps), 4):
+        i = start + draw(st.integers(0, 3))
         how = draw(st.sampled_from(("same", "edge", "past", "E")))
         if how == "E":
             comps[i] = 1.0 if comps[i] == E else E
         elif how != "same" and comps[i] != E:
             step = tolerance if how == "edge" else tolerance + 1e-3
             comps[i] = max(0.0, comps[i] + draw(st.sampled_from((-1, 1))) * step)
-        out.append(StrokePairSignature(*comps))
-    return tuple(out)
+    return tuple(comps)
 
 
 @st.composite
@@ -303,15 +300,15 @@ def inventories(draw):
         if how == "repeat":
             # the same stroke-type window twice, only the later one exact
             blocks.append(inner)
-        types, pairs = left.stroke_types, left.pair_sigs
+        types, comps = left.stroke_types, left.components
         for block in blocks + [right]:
             if not block.stroke_types:
                 continue
             if types:  # the pair joining the previous block to this one
-                pairs += draw(pair_sigs(1))
+                comps += draw(components(1))
             types += block.stroke_types
-            pairs += block.pair_sigs
-        sigs.append(CharSignature(types, pairs))
+            comps += block.components
+        sigs.append(CharSignature(types, comps))
     cps = draw(st.lists(st.integers(0, 0xFFFF), min_size=len(sigs),
                         max_size=len(sigs), unique=True))
     return dict(zip(cps, sigs)), tolerance
@@ -334,11 +331,11 @@ def test_signature_contains_follows_the_definition(inner, outer, tolerance):
 
 
 def test_match_at_a_later_repeated_window():
-    inner = CharSignature(("H", "S"), (StrokePairSignature(1.0, 2.0, E, 0.5),))
-    wrong = StrokePairSignature(1.0, 2.2, E, 0.5)
-    joint = StrokePairSignature(0.3, 0.3, 0.3, 0.3)
+    inner = CharSignature(("H", "S"), (1.0, 2.0, E, 0.5))
+    wrong = (1.0, 2.2, E, 0.5)
+    joint = (0.3, 0.3, 0.3, 0.3)
     outer = CharSignature(("H", "S", "H", "S"),
-                          (wrong, joint) + inner.pair_sigs)
+                          wrong + joint + inner.components)
     sigs = {1: inner, 2: outer}
     assert detect_inclusions(sigs, 0.1) == {(1, 2)}
     assert detect_inclusions(sigs, 0.1) == all_pairs_inclusions(sigs, 0.1)
