@@ -84,7 +84,7 @@ def cmd_build_graph(args: argparse.Namespace) -> dict[str, object]:
 
     formats.save_snapshot(args.out, reduced, store)
     return {"characters": len(chars), "character_inclusions": inclusions,
-            "classes": reduced.node_count(),
+            "classes": len(reduced.nodes),
             "class_inclusions": reduced.edge_count()}
 
 

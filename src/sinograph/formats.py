@@ -30,8 +30,9 @@ Every error a record raises names its ``file:line``.
 The snapshot is line oriented with a version header and three sections
 (META, NODES, EDGES); see ``write_snapshot`` for the columns.
 
-Every input file but the bundled feature table is read by ``load_file``
-below, and every file the program writes is opened by ``open_output``.
+Every input file, the bundled feature table included, is read by
+``load_file`` below, and every file the program writes is opened by
+``open_output``.
 """
 
 from __future__ import annotations
@@ -364,9 +365,7 @@ def parse_freq_counts(text: str, path: str = "freq.tsv") -> FrequencyList:
         for cp_tok, cnt_tok in reader.records(2):
             cp = codepoint(cp_tok)
             counts[cp] = counts.get(cp, 0) + decimal(cnt_tok, "count", 1)
-        if not counts:
-            raise InputError("no frequency records")
-    return from_counts(counts)
+        return from_counts(counts)
 
 
 def parse_corpus(text: str, path: str = "corpus.tsv") -> list[tuple[str, str]]:
@@ -559,7 +558,7 @@ def parse_snapshot(text: str, path: str = "snapshot"
     annotations: dict[int, set[str]] = {}
     with _Reader(text, path) as reader:
         for line in reader.lines(SNAPSHOT_HEADER):
-            if line in ("META", "NODES", "EDGES"):
+            if line in _SECTION_FIELDS:
                 section = line
                 continue
             if section is None:

@@ -79,11 +79,6 @@ def comchar(a: FrequencyList, b: FrequencyList, n: int) -> set[int]:
     return (a.head_chars(n) & b.charset()) | (b.head_chars(n) & a.charset())
 
 
-def comcov(a: FrequencyList, b: FrequencyList, n: int) -> float:
-    """N-common coverage factor, in [0, 2]."""
-    return len(comchar(a, b, n)) / n
-
-
 def _average_ranks(restricted: Sequence[tuple[int, float]]) -> dict[int, float]:
     """Rank (1 = most frequent) of each codepoint, equal frequencies
     sharing their average rank."""
@@ -127,7 +122,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 def distance_dN(a: FrequencyList, b: FrequencyList, n: int) -> float:
     """Rank distance between two frequency lists.
 
-    d = 1 - comcov * (rho + 1) / 2, with rho the Spearman correlation of
+    d = 1 - cov * (rho + 1) / 2, with cov = |comchar| / N the N-common
+    coverage factor, in [0, 2], and rho the Spearman correlation of
     the two lists restricted to their N-common characters, each ordered by
     its own ranking (average ranks on frequency ties).  With fewer than
     two common characters rho carries no information and is taken as 0
@@ -148,7 +144,7 @@ def distance_dN(a: FrequencyList, b: FrequencyList, n: int) -> float:
         rho = spearman([ra[cp] for cp in order], [rb[cp] for cp in order])
     d = 1.0 - cov * (rho + 1.0) / 2.0
     if not 0.0 <= d <= 1.0 + 1e-12:
-        log.warning("list distance %.6f outside [0, 1] (comcov=%.4f, rho=%.4f)",
+        log.warning("list distance %.6f outside [0, 1] (cov=%.4f, rho=%.4f)",
                     d, cov, rho)
     return d
 

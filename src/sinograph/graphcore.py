@@ -10,6 +10,7 @@ between its endpoints exists, leaving reachability untouched.
 
 from __future__ import annotations
 
+import graphlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, KeysView, NamedTuple
@@ -83,9 +84,6 @@ class InclusionGraph:
     def __contains__(self, node: int) -> bool:
         return node in self._succ
 
-    def node_count(self) -> int:
-        return len(self._succ)
-
     def edge_count(self) -> int:
         return sum(map(len, self._succ.values()))
 
@@ -115,39 +113,27 @@ class InclusionGraph:
         return self._pred[node].keys()
 
     def topological_order(self) -> list[int]:
-        """Kahn topological order; raises DataError naming a cycle witness."""
-        indeg = {n: len(self._pred[n]) for n in self._succ}
-        ready = sorted(n for n, d in indeg.items() if d == 0)
-        order: list[int] = []
-        while ready:
-            n = ready.pop()
-            order.append(n)
-            for m in sorted(self._succ[n]):
+        """A topological order, by Kahn's algorithm.  On a cyclic graph
+        raises DataError naming one cycle along its edges, from its lowest
+        node back to it."""
+        indeg = {n: len(p) for n, p in self._pred.items()}
+        order = [n for n, d in indeg.items() if d == 0]
+        for n in order:  # the list grows as nodes become ready
+            for m in self._succ[n]:
                 indeg[m] -= 1
                 if indeg[m] == 0:
-                    ready.append(m)
+                    order.append(m)
         if len(order) != len(self._succ):
-            witness = self._find_cycle({n for n, d in indeg.items() if d > 0})
-            raise DataError("graph has a cycle: " +
-                            " -> ".join(str(n) for n in witness))
+            try:
+                graphlib.TopologicalSorter(self._pred).prepare()
+            except graphlib.CycleError as e:
+                # args[1] follows the edges and repeats its first node last
+                cycle = e.args[1][:-1]
+                low = cycle.index(min(cycle))
+                witness = cycle[low:] + cycle[:low + 1]
+                raise DataError("graph has a cycle: " +
+                                " -> ".join(map(str, witness))) from None
         return order
-
-    def _find_cycle(self, candidates: set[int]) -> list[int]:
-        # Every candidate kept a positive in-degree, so it has a
-        # predecessor among the candidates and a walk over predecessors
-        # must close a cycle; a walk over successors can instead stop at
-        # a node that only lies downstream of one.
-        start = min(candidates)
-        seen: dict[int, int] = {}
-        path = [start]
-        seen[start] = 0
-        node = start
-        while True:
-            node = min(p for p in self._pred[node] if p in candidates)
-            if node in seen:
-                return (path[seen[node]:] + [node])[::-1]
-            seen[node] = len(path)
-            path.append(node)
 
 
 class ChainKind(NamedTuple):

@@ -36,6 +36,8 @@ from .graphcore import CHAIN_KINDS, InclusionGraph
 
 FEATURE_WEIGHTS = (4.0, 1.0, 4.0, 1.0, 5.0, 1.0, 1.0)
 DEFAULT_BINS = 20
+#: The most histogram bins whose edges, printed with ``:g``, all differ.
+MAX_BINS = 10 ** 6
 
 #: Fraction of the maximum segmental distance added for a Mandarin tone
 #: mismatch.
@@ -69,9 +71,7 @@ class FeatureTable:
     @classmethod
     def load(cls, path: str | None = None) -> "FeatureTable":
         if path is None:
-            path = "data/phoneme_features.tsv"
-            text = resources.files("sinograph").joinpath(path).read_text("utf-8")
-            return cls(*parse_feature_table(text, path))
+            path = str(resources.files("sinograph") / "data" / "phoneme_features.tsv")
         return cls(*load_file(parse_feature_table, path))
 
     def syllable_features(self, token: str) -> tuple[float, ...]:
@@ -214,8 +214,8 @@ def phoneticity_histogram(g: InclusionGraph, language: Language,
     Returns (bin_edges, counts); the last bin includes 1.0.  Raises
     DataError when no edge has a defined phi for the language.
     """
-    if bins < 1:
-        raise InputError("bins must be >= 1")
+    if not 1 <= bins <= MAX_BINS:
+        raise InputError(f"bins must be in [1, {MAX_BINS}]")
     phonetic = CHAIN_KINDS["phonetic"]
     values = [phi for a, b in g.edges()
               if (phi := phonetic.weight(g, a, b, language)) is not None]

@@ -740,6 +740,8 @@ def pipeline_files(chain_inputs, tmp_path):
     "build-graph --strokes {strokes} --out {out} --codepoint-range 4E00-110000",
     "annotate --snapshot {snap} --out {out} --readings {readings} "
     "--phi-histogram {hist} --bins 0",
+    "annotate --snapshot {snap} --out {out} --readings {readings} "
+    "--phi-histogram {hist} --bins 100000000000000000000",
     "annotate --snapshot {snap} --out {out} --synsets {synsets} "
     "--coefficients 1 -1 0",
     "annotate --snapshot {snap} --out {out} --synsets {synsets} "

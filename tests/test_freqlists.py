@@ -11,7 +11,6 @@ from sinograph.freqlists import (
     FrequencyList,
     aggregate_ufl,
     comchar,
-    comcov,
     distance_dN,
     distance_matrix,
     from_counts,
@@ -54,15 +53,16 @@ def test_comchar_cases():
     a2 = from_counts({97: 3, 98: 2, 99: 1})
     b2 = from_counts({99: 3, 100: 2, 97: 1})
     assert comchar(a2, b2, 2) == {97, 99}
-    assert comcov(a2, b2, 2) == 1.0
     with pytest.raises(InputError):
         comchar(a, a, 0)
 
 
-def test_comcov_bounds():
+def test_distance_coverage_bounds():
     a = from_counts({97: 3, 98: 2, 99: 1})
-    assert comcov(a, a, 3) == 1.0
-    assert comcov(a, from_counts({120: 1}), 2) == 0.0
+    assert distance_dN(a, a, 3) == 0.0
+    # three common characters over N = 6: coverage 0.5, rho = 1
+    assert distance_dN(a, a, 6) == 0.5
+    assert distance_dN(a, from_counts({120: 1}), 2) == 1.0
 
 
 def brute_force_rank_corr(xs, ys):
@@ -124,7 +124,7 @@ def test_distance_symmetric_random():
 def test_singleton_overlap_uses_zero_rho():
     a = from_counts({97: 2, 98: 1})
     b = from_counts({97: 2, 99: 1})
-    # comchar at N=1 is {97}; rho := 0, comcov = 1
+    # comchar at N=1 is {97}; rho := 0, coverage = 1
     assert distance_dN(a, b, 1) == pytest.approx(1 - 1 * 0.5)
 
 
@@ -194,7 +194,7 @@ def test_distance_matrix_shapes():
 def test_distance_observed_in_unit_interval(ca, cb, n):
     a, b = from_counts(ca), from_counts(cb)
     d = distance_dN(a, b, n)
-    # comcov may exceed 1 by definition; on these inputs the head size
+    # the coverage factor may exceed 1 by definition; on these inputs the head size
     # bounds the overlap enough to stay inside [0, 1]
     assert -1.0 <= d <= 1.0
     assert distance_dN(b, a, n) == pytest.approx(d)

@@ -115,6 +115,30 @@ def test_bitset_reduction_rejects_a_cycle(g, data):
         transitive_reduce(g)
 
 
+@settings(max_examples=300, deadline=None)
+@given(labelled_dags(), st.data())
+def test_order_is_topological_and_a_cycle_is_named_from_its_lowest_node(g, data):
+    order = g.topological_order()
+    assert sorted(order) == sorted(g.nodes)
+    position = {n: i for i, n in enumerate(order)}
+    assert all(position[a] < position[b] for a, b in g.edges())
+
+    edges = g.edges()
+    if not edges:
+        a, b = min(g.nodes), max(g.nodes) + 1
+        g.add_edge(a, b)
+        edges = [(a, b)]
+    for a, c in data.draw(st.lists(st.sampled_from(edges), min_size=1,
+                                   max_size=2, unique=True)):
+        g.add_edge(c, a)  # a back edge
+    with pytest.raises(DataError, match="cycle: ") as raised:
+        g.topological_order()
+    witness = [int(n) for n in str(raised.value).split("cycle: ")[1].split(" -> ")]
+    assert witness[0] == witness[-1] == min(witness)
+    assert len(set(witness)) == len(witness) - 1
+    assert all(b in g.successors(a) for a, b in zip(witness, witness[1:]))
+
+
 def test_triangle_reduced():
     g = from_edges([(1, 2), (2, 3), (1, 3)])
     assert transitive_reduce(g).edges() == [(1, 2), (2, 3)]
@@ -219,7 +243,7 @@ def test_lift_drops_intra_class_edges():
     store = CharacterStore({10, 11}, {(10, 11)})
     g = lift_to_classes([(10, 11)], store)
     assert g.edge_count() == 0
-    assert g.node_count() == 1
+    assert len(g.nodes) == 1
 
 
 def test_lift_unknown_codepoint_rejected():
@@ -234,7 +258,7 @@ def test_lift_counts_bounded():
     store = CharacterStore(chars, pairs)
     edges = [tuple(rng.sample(sorted(chars), 2)) for _ in range(60)]
     g = lift_to_classes(edges, store)
-    assert g.node_count() <= len(chars)
+    assert len(g.nodes) <= len(chars)
     assert g.edge_count() <= len(edges)
 
 
