@@ -354,8 +354,11 @@ def parse_definitions(text: str, path: str = "definitions.tsv"
     out: dict[int, list[str]] = {}
     with _Reader(text, path) as reader:
         for cp_tok, words in reader.records(2):
+            cp = codepoint(cp_tok)
             glosses = [w for w in words.split("|") if w]
-            out.setdefault(codepoint(cp_tok), []).extend(glosses)
+            if not glosses:
+                raise InputError(f"codepoint {cp_tok} has no gloss words")
+            out.setdefault(cp, []).extend(glosses)
     return out
 
 

@@ -5,7 +5,9 @@ subcharacters.  Each path stops at the first node carrying a synset
 annotation; that node contributes its synsets with a weight equal to the
 product of edge semanticities along the path, discounted by the path
 length.  Summed per synset and normalized, this gives a distribution
-over synset ids that stands in for the unknown character's meaning.
+over synset ids that stands in for the unknown character's meaning.  The
+paths are summed one length at a time, so a query reads at most
+``max_depth * edges`` semanticities however many paths there are.
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ def semantic_approximation(
 ) -> SynsetVector:
     """Distribution over synset ids approximating ``node``'s meaning.
 
-    Paths of length <= ``max_depth`` are enumerated from ``node`` along
-    incoming edges (``direction="sub"``, toward subcharacters) or outgoing
-    edges (``direction="super"``).  A path contributes at its first
-    annotated node: every synset of that node gains
+    Paths of length <= ``max_depth`` lead from ``node`` along incoming
+    edges (``direction="sub"``, toward subcharacters) or outgoing edges
+    (``direction="super"``).  A path contributes at its first annotated
+    node: every synset of that node gains
     (product of edge S along the path) / (path length).  The result sums
     to 1, or is empty when no annotated node is reachable.  An annotated
-    start node returns its own synsets, uniformly weighted.
+    start node returns its own synsets, uniformly weighted.  ``g`` must be
+    acyclic, as every loaded graph is: no path may revisit a node.
     """
     if direction not in DIRECTIONS:
         raise InputError(f"direction must be {' or '.join(map(repr, DIRECTIONS))}, "
@@ -62,28 +65,21 @@ def semantic_approximation(
     s_of = CHAIN_KINDS["semantic"].weight
 
     weights: SynsetVector = {}
-    on_path = {node}
-    # depth-first over paths, one frame per node of the current path: the
-    # node, the product of S up to it and its neighbours not yet tried
-    stack = [(node, 1.0, iter(sorted(neighbors(node))))]
-    while stack:
-        current, product, untried = stack[-1]
-        nxt = next(untried, None)
-        if nxt is None:
-            on_path.remove(current)
-            stack.pop()
-            continue
-        if nxt in on_path:
-            continue
-        depth = len(stack)
-        sub, sup = (nxt, current) if direction == "sub" else (current, nxt)
-        p = product * s_of(g, sub, sup)
-        synsets = annotations.get(nxt)
-        if synsets:  # the first annotated node ends the path
-            contribution = p / depth
-            for sid in synsets:
-                weights[sid] = weights.get(sid, 0.0) + contribution
-        elif depth < max_depth:
-            on_path.add(nxt)
-            stack.append((nxt, p, iter(sorted(neighbors(nxt)))))
+    # end node of unannotated paths of the current length -> their summed S-products
+    frontier = {node: 1.0}
+    depth = 0
+    while frontier and depth < max_depth:
+        depth += 1
+        reached: dict[int, float] = {}
+        for current, product in frontier.items():
+            for nxt in sorted(neighbors(current)):
+                sub, sup = (nxt, current) if direction == "sub" else (current, nxt)
+                p = product * s_of(g, sub, sup)
+                synsets = annotations.get(nxt)
+                if synsets:  # the first annotated node ends the path
+                    for sid in synsets:
+                        weights[sid] = weights.get(sid, 0.0) + p / depth
+                else:
+                    reached[nxt] = reached.get(nxt, 0.0) + p
+        frontier = reached
     return _normalize(weights)

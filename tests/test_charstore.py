@@ -114,6 +114,9 @@ def test_store_add_keeps_the_partition_rules():
         store.add(AllographClass(2, frozenset({0x4E03}), 0x4E03))
     with pytest.raises(InputError, match="^codepoint 4E02 is in classes 2 and 1$"):
         store.add(AllographClass(1, frozenset({0x4E02, 0x4E04}), 0x4E04))
+    with pytest.raises(InputError,
+                       match="^allographic class must have at least one member$"):
+        AllographClass(0, frozenset(), 0)
     # a refused class leaves the store as it was
     assert store.class_of == {0x4E00: 0, 0x4E01: 2, 0x4E02: 2}
     assert sorted(store.by_id) == [0, 2]

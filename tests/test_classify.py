@@ -22,7 +22,7 @@ from sinograph.classify import (
     cross_validate,
     stratified_folds,
 )
-from sinograph.errors import InputError
+from sinograph.errors import DataError, InputError
 
 
 def separable_corpus(n_per_class=30, n_classes=3, seed=0):
@@ -80,6 +80,11 @@ def test_small_c_shrinks_weights():
 def test_single_category_rejected():
     with pytest.raises(InputError):
         cross_validate([{0: 1.0}, {0: 0.5}], ["same", "same"], k=2)
+
+
+def test_vectors_and_labels_of_different_lengths_rejected():
+    with pytest.raises(InputError, match="^vectors and labels differ in length$"):
+        cross_validate([{0: 1.0}] * 4, ["a", "b", "a"], k=2)
 
 
 def test_cross_validate_ties_go_to_the_first_category():
@@ -377,6 +382,16 @@ def test_support_vectors_do_not_follow_the_tolerance():
     tight = cross_validate(vectors, labels, k=5, seed=1, tol=DEFAULT_TOL / 10)
     assert report.models_capped == tight.models_capped == 0
     assert report.fold_support_vectors == tight.fold_support_vectors
+
+
+def test_refuses_a_system_whose_cholesky_factorization_fails():
+    # two repeated 1e3 columns at C = 1e20: lambda is lost beside rho X'X.
+    # Cholesky fails on this box's BLAS; another may leave a rounding-level
+    # pivot instead, with the same refusal
+    vectors = [{0: 1e3, 1: 1e3}] * 10 + [{2: 1.0}] * 10
+    labels = ["one"] * 10 + ["two"] * 10
+    with pytest.raises(DataError, match="rho X'X \\+ lambda I is singular$"):
+        cross_validate(vectors, labels, k=2, C=1e20)
 
 
 def test_c_whose_lambda_overflows_trains_every_feature_weight_to_zero():

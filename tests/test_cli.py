@@ -128,6 +128,33 @@ def test_build_graph_rejects_non_hex_codepoint(tmp_path, capsys, token):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("spec, problem", [
+    ("H:", "malformed coordinates in stroke 'H:'"),
+    ("H:(1,2,3)-(4,5)", "malformed point '1,2,3' in stroke 'H:(1,2,3)-(4,5)'"),
+    (";", "empty stroke description"),
+])
+def test_build_graph_rejects_a_malformed_stroke_description(tmp_path, capsys,
+                                                             spec, problem):
+    strokes = write(tmp_path / "strokes.tsv", f"4E00\t{spec}\n4E01\t{STROKE_B}\n")
+    rc = main(["build-graph", "--strokes", strokes,
+               "--out", str(tmp_path / "g.snap")])
+    assert rc == 2
+    assert f"strokes.tsv:1: {problem}" in capsys.readouterr().err
+
+
+def test_build_graph_skips_a_trailing_semicolon(tmp_path):
+    snaps = []
+    for end in ("", ";"):
+        strokes = write(tmp_path / "strokes.tsv",
+                        "".join(f"{cp}\t{spec}{end}\n" for cp, spec in
+                                (("4E00", STROKE_A), ("4E01", STROKE_B),
+                                 ("4E02", STROKE_C))))
+        out = tmp_path / f"g{len(snaps)}.snap"
+        assert main(["build-graph", "--strokes", strokes, "--out", str(out)]) == 0
+        snaps.append(out.read_bytes())
+    assert snaps[0] == snaps[1]
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["build-graph"]) == 1  # missing required arguments
     assert main(["no-such-command"]) == 1
@@ -489,6 +516,18 @@ def test_query_unknown_walks_a_path_deeper_than_the_stack(tmp_path, capsys):
     assert main(["query-unknown", "--snapshot", snap, "--class", "0",
                  "--max-depth", "2000"]) == 0
     assert capsys.readouterr().out == "0\tsyn1\t1.000000\n"
+
+
+def test_query_unknown_stops_where_no_path_goes_on(seed7_files, capsys):
+    """A depth far past the longest path answers as one just past it."""
+    g, _, _ = formats.load_file(formats.parse_snapshot, seed7_files["snap"])
+    outs = []
+    for depth in (len(g.nodes), 100000000000):
+        capsys.readouterr()
+        assert main(["query-unknown", "--snapshot", seed7_files["snap"], "--all",
+                     "--max-depth", str(depth)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("cell, sid", [
@@ -973,6 +1012,9 @@ def test_chains_rejects_out_of_range_edge_weight(chain_inputs, capsys,
     ("relations", 0, "s_none\thyponymy\ts_sup",
      "1: relation source 's_none' is not a declared synset"),
     ("radicals", 2, "4E01\t2", "3: duplicate codepoint 4E01"),
+    ("definitions", 1, "4E01\t", "2: codepoint 4E01 has no gloss words"),
+    ("definitions", 1, "4E01\t|", "2: codepoint 4E01 has no gloss words"),
+    ("definitions", 0, "4E02\t||", "1: codepoint 4E02 has no gloss words"),
 ])
 def test_annotate_names_the_line_of_a_bad_record(pipeline_files, capsys,
                                                  name, at, line, message):
@@ -986,7 +1028,8 @@ def test_annotate_names_the_line_of_a_bad_record(pipeline_files, capsys,
                "--out", pipeline_files["out"],
                "--radicals", pipeline_files["radicals"],
                "--synsets", pipeline_files["synsets"],
-               "--relations", pipeline_files["relations"]])
+               "--relations", pipeline_files["relations"],
+               "--definitions", pipeline_files["definitions"]])
     assert rc == 2
     assert f"{path}:{message}" in capsys.readouterr().err
 

@@ -414,7 +414,9 @@ def test_write_lines_to_a_file_or_standard_output(tmp_path, capsys):
 
 # int() alone reads each of these: "_" separators, blanks, "+" and
 # non-ASCII digits ("２" is fullwidth, "٣" Arabic-Indic)
-NOT_DECIMAL = ("1_4", "２１", " +3", "+3", "3 ", "٣", "")
+# the last holds more digits than int() converts
+NOT_DECIMAL = ("1_4", "２１", " +3", "+3", "3 ", "٣", "",
+               pytest.param("1" * 5000, id="5000 digits"))
 
 
 @pytest.mark.parametrize("token", NOT_DECIMAL)

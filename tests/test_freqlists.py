@@ -33,6 +33,8 @@ def test_from_counts_tie_order():
     assert [cp for cp, _ in a.entries] == [97, 98]
     with pytest.raises(InputError):
         from_counts({})
+    with pytest.raises(InputError, match="^counts must be positive$"):
+        from_counts({1: 0})
 
 
 def test_frequency_list_invariants():
@@ -91,6 +93,16 @@ def test_spearman_conventions():
     assert spearman([1.5, 1.5], [1, 2]) == 0.0  # zero variance side
     with pytest.raises(InputError):
         spearman([1], [1, 2])
+    with pytest.raises(InputError, match="^rank vectors must be nonempty$"):
+        spearman([], [])
+
+
+def test_distance_outside_the_unit_interval_is_logged_not_clamped(caplog):
+    # three shared characters among the top two of each list: coverage 1.5
+    a = from_counts({1: 6, 2: 5, 3: 4, 4: 3, 5: 2})
+    b = from_counts({1: 6, 3: 5, 2: 4, 4: 3, 5: 2})
+    assert distance_dN(a, b, 2) == pytest.approx(-0.125)
+    assert "list distance -0.125000 outside [0, 1]" in caplog.text
 
 
 def test_distance_identity_is_zero():

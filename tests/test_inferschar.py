@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sinograph.errors import DataError, InputError
-from sinograph.graphcore import from_edges
+from sinograph.graphcore import EdgeData, InclusionGraph, from_edges
 from sinograph.inferschar import semantic_approximation
 from sinograph.semantics import semanticity
 
@@ -133,6 +133,32 @@ def test_matches_path_enumeration_oracle_on_random_graphs():
         assert set(got) == set(oracle)
         for k in got:
             assert got[k] == pytest.approx(oracle[k], abs=1e-12)
+
+
+class CountingGraph(InclusionGraph):
+    """A graph that counts the reads of edge attributes."""
+
+    reads = 0
+
+    def stored(self, sub, sup):
+        self.reads += 1
+        return super().stored(sub, sup)
+
+
+def test_work_is_bounded_by_depth_times_edges():
+    # 9 layers of 4 nodes, each node a subcharacter of every node of the
+    # layer above: 4**8 paths lead from node 0 to the annotated bottom
+    width, layers = 4, 9
+    g = CountingGraph()
+    for layer in range(layers - 1):
+        for sup in range(layer * width, (layer + 1) * width):
+            for sub in range((layer + 1) * width, (layer + 2) * width):
+                g.add_edge(sub, sup, EdgeData(s=0.5))
+    bottom = range((layers - 1) * width, layers * width)
+    vec = semantic_approximation(g, {n: {f"syn{n}"} for n in bottom}, 0,
+                                 max_depth=layers)
+    assert vec == {f"syn{n}": pytest.approx(1 / width) for n in bottom}
+    assert g.reads <= layers * g.edge_count()
 
 
 def test_cutoff_blocks_nodes_behind_annotation():

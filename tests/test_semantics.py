@@ -43,6 +43,8 @@ def test_store_validation():
         store.add_synset("b", [])
     with pytest.raises(InputError):
         store.add_relation("a", "hyponymy", "missing")
+    with pytest.raises(DataError, match="^unknown synset 'x'$"):
+        SynsetStore().lemmas("x")
 
 
 def test_annotate_by_member_char_in_lemma():

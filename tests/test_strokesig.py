@@ -53,6 +53,9 @@ def test_degenerate_stroke_rejected():
     bad = Stroke("D", ((3, 3), (3, 3)))
     with pytest.raises(InputError, match="second"):
         pair_signature(DOT, bad)
+    with pytest.raises(InputError, match="^first stroke is degenerate "
+                                         "\\(coincident endpoints\\)$"):
+        pair_signature(bad, DOT)
     with pytest.raises(InputError, match="\\(0, 1\\)"):
         char_signature([DOT, bad])
 
