@@ -60,12 +60,12 @@ RELAX = 1.8
 _TRI_BLOCK = 48
 
 
-def _design_matrix(vectors: Sequence[FeatureVector],
-                   feature_ids: Sequence[int]) -> np.ndarray:
-    """The (N, d + 1) rows of ``vectors`` over ``feature_ids``, with a
-    last column of ones for the bias."""
+def _design_matrix(vectors: Sequence[FeatureVector]) -> np.ndarray:
+    """The (N, d + 1) rows of ``vectors`` over their d feature ids in
+    increasing order, with a last column of ones for the bias."""
     import numpy as np
 
+    feature_ids = sorted({fid for vec in vectors for fid in vec})
     index = {fid: i for i, fid in enumerate(feature_ids)}
     X = np.zeros((len(vectors), len(feature_ids) + 1))
     X[:, -1] = 1.0
@@ -277,7 +277,7 @@ def cross_validate(vectors: Sequence[FeatureVector],
         raise InputError("vectors and labels differ in length")
     folds = stratified_folds(labels, k, seed)
     categories, Y = _label_matrix(labels)
-    X = _design_matrix(vectors, sorted({fid for vec in vectors for fid in vec}))
+    X = _design_matrix(vectors)
     correct_total = 0
     fold_accs, fold_svs, fold_iterations = [], [], []
     for fold in folds:

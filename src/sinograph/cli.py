@@ -166,7 +166,8 @@ def _resolve_class(args, store: CharacterStore) -> list[int]:
     if args.all:
         return [cls.id for cls in store.classes]
     # each class once, in order of first mention
-    return list(dict.fromkeys(_class_id(token, store) for token in args.cls))
+    return list(dict.fromkeys(_class_id(token, store)
+                              for token in getattr(args, "class")))
 
 
 def cmd_chains(args: argparse.Namespace) -> None:
@@ -248,7 +249,7 @@ def build_parser() -> _Parser:
     # the classes chains and query-unknown answer for: listed, or all
     selector = argparse.ArgumentParser(add_help=False)
     group = selector.add_mutually_exclusive_group(required=True)
-    group.add_argument("--class", dest="cls", action="append",
+    group.add_argument("--class", action="append",
                        help="class id, or a member codepoint as U+XXXX")
     group.add_argument("--all", action="store_true")
 
@@ -334,6 +335,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     try:
+        # an empty value would read as the flag left out
+        for name, value in vars(args).items():
+            if "" in (value if isinstance(value, list) else [value]):
+                raise InputError(f"--{name.replace('_', '-')} has an empty value")
         # at most one artefact takes standard output, and then the summary
         # goes to standard error
         on_stdout = [f"--{flag.replace('_', '-')}" for flag in args.outputs

@@ -1,14 +1,19 @@
 """File formats: the TSV inputs and the graph snapshot.
 
-All files are UTF-8, tab-separated, one record per line, ``#`` starting
-a comment line.  This module alone reads the tokens of every file and
-flag.  A line ends at ``\\n`` alone, one ``\\r`` before it dropped.  A
-codepoint is hex digits in 0..10FFFF (``codepoint``), an integer ASCII
-digits after an optional ``-`` (``decimal``), and a real, a stroke
-coordinate too, ASCII ``float`` syntax without ``_``, blanks or a
-leading ``+`` (``real``).  A malformed number is refused as ``bad <name>
-'<token>'``, and one out of bounds as ``<name> '<token>' is not a finite
-number in [lo, hi]`` (or ``an integer``; ``>= lo`` with no upper bound).
+All files are UTF-8, tab-separated, one record per line.  One loop,
+``_Reader.records``, reads the lines of every file, the vectors file and
+the snapshot too.  A line ends at ``\\n`` alone, one ``\\r`` before it
+dropped; blank and ``#`` comment lines after any header are skipped; a
+record of the wrong width is refused as ``expected <n> tab-separated
+fields, got <m>``; and every error a record raises names its
+``file:line``.  This module alone reads the tokens of every file and
+flag.  A codepoint is hex digits in 0..10FFFF (``codepoint``), an
+integer ASCII digits after an optional ``-`` (``decimal``), and a real,
+a stroke coordinate too, ASCII ``float`` syntax without ``_``, blanks or
+a leading ``+`` (``real``).  A malformed number is refused as ``bad
+<name> '<token>'``, and one out of bounds as ``<name> '<token>' is not a
+finite number in [lo, hi]`` (or ``an integer``; ``>= lo`` with no
+upper bound).
 
 * strokes.tsv      ``<hex cp>\\t<TYPE>:(x1,y1)-(x2,y2)[-(x,y)...];...``
 * readings.tsv     ``<hex cp>\\t<cmn|ja_on|ja_kun>\\t<syll>[ <syll>...]``
@@ -24,8 +29,6 @@ number in [lo, hi]`` (or ``an integer``; ``>= lo`` with no upper bound).
 * vectors file     ``#sparse-vectors v1`` header, then
                    ``<label>\\t<id>:<weight>[ <id>:<weight>...]``, cells
                    separated by one ASCII space, labels as in corpus.tsv
-
-Every error a record raises names its ``file:line``.
 
 The snapshot is line oriented with a version header and three sections
 (META, NODES, EDGES); see ``write_snapshot`` for the columns.
@@ -68,8 +71,8 @@ MISSING = "-"
 
 
 class _Reader:
-    """One input text.  ``lines`` and ``records`` keep ``lineno`` at the
-    line last yielded, and at ``None`` when done; inside ``with``, an
+    """One input text.  ``records`` keeps ``lineno`` at the line last
+    yielded, and at ``None`` when done; inside ``with``, an
     ``InputError`` is prefixed with ``path:lineno:``, or ``path:``."""
 
     def __init__(self, text: str, path: str) -> None:
@@ -84,32 +87,25 @@ class _Reader:
             where = self.path if self.lineno is None else f"{self.path}:{self.lineno}"
             raise InputError(f"{where}: {exc}") from None
 
-    def lines(self, header: str | None = None) -> Iterator[str]:
-        """Each nonblank line, ended by ``\\n`` alone and without one
-        ``\\r`` before it; given a ``header``, line 1 must be it and is
-        not yielded."""
+    def records(self, *n_fields: int, header: str | None = None
+                ) -> Iterator[list[str]]:
+        """The tab-separated fields of each line but blank and ``#``
+        comment lines; given a ``header``, line 1 must be it and is not
+        yielded, and given ``n_fields``, a line must hold one of them."""
         numbered = enumerate(self.text.split("\n"), 1)
         if header is not None:
             self.lineno = 1
             if next(numbered)[1].strip() != header:
                 raise InputError(f"missing {header!r} header")
         for self.lineno, line in numbered:
-            if line.strip():
-                yield line.removesuffix("\r")
-        self.lineno = None
-
-    def records(self, *n_fields: int) -> Iterator[list[str]]:
-        """The tab-separated fields of each line but ``#`` comments; a
-        line must hold one of ``n_fields`` fields."""
-        for line in self.lines():
-            if line.lstrip().startswith("#"):
+            if line.lstrip()[:1] in ("", "#"):  # blank, or a comment
                 continue
-            fields = line.split("\t")
-            if len(fields) not in n_fields:
-                expected = " or ".join(map(str, n_fields))
-                raise InputError(f"expected {expected} tab-separated "
-                                 f"fields, got {len(fields)}")
+            fields = line.removesuffix("\r").split("\t")
+            if n_fields and len(fields) not in n_fields:
+                raise InputError(f"expected {' or '.join(map(str, n_fields))} "
+                                 f"tab-separated fields, got {len(fields)}")
             yield fields
+        self.lineno = None
 
 
 def codepoint(token: str) -> int:
@@ -432,10 +428,7 @@ def parse_vectors(text: str, path: str = "vectors", min_per_label: int = 0
     vectors: list[dict[int, float]] = []
     first_line: dict[str, int] = {}
     with _Reader(text, path) as reader:
-        for line in reader.lines(VECTORS_HEADER):
-            label, tab, cells = line.partition("\t")
-            if not tab:
-                raise InputError("no tab after the label")
+        for label, cells in reader.records(2, header=VECTORS_HEADER):
             first_line.setdefault(_label(label), reader.lineno)
             vec: dict[int, float] = {}
             # cells are separated by one " "; an empty document has none
@@ -549,24 +542,23 @@ def parse_snapshot(text: str, path: str = "snapshot"
     codepoints in 0..10FFFF, and a synsets cell ``-`` or synset ids, each
     as ``parse_synsets`` reads one, joined by ``|``; the classes must
     form a partition (``CharacterStore.add``), and every edge endpoint
-    must be a class declared earlier in NODES.  A META line has exactly
-    2 fields, a NODES line 4 and an EDGES line 13.  Edge weights must be
-    finite and nonnegative, and phi, r and s at most 1.  A META key and
-    an edge are given once.  Any other content raises ``InputError``
-    naming the line; edges that close a cycle raise it naming one.
+    must be a class declared earlier in NODES.  A META, NODES or EDGES
+    line opens that section, whose lines have 2, 4 or 13 fields.  Edge
+    weights must be finite and nonnegative, and phi, r and s at most 1.
+    A META key and an edge are given once.  Any other content raises
+    ``InputError`` naming the line, and a cycle of edges one naming it.
     """
     section = None
     g = InclusionGraph()
     store = CharacterStore()
     annotations: dict[int, set[str]] = {}
     with _Reader(text, path) as reader:
-        for line in reader.lines(SNAPSHOT_HEADER):
-            if line in _SECTION_FIELDS:
-                section = line
+        for fields in reader.records(header=SNAPSHOT_HEADER):
+            if len(fields) == 1 and fields[0] in _SECTION_FIELDS:
+                section = fields[0]
                 continue
             if section is None:
                 raise InputError("content before any section header")
-            fields = line.split("\t")
             if len(fields) != _SECTION_FIELDS[section]:
                 raise InputError(f"expected {_SECTION_FIELDS[section]} "
                                  f"tab-separated fields, got {len(fields)}")

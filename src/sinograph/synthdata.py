@@ -68,8 +68,9 @@ def _atom_strokes(i: int) -> list[Stroke]:
 
 
 def build_characters(rng: Random):
-    """(codepoint -> strokes, codepoint -> contained atom ids,
-    variant pairs)."""
+    """(codepoint -> strokes, codepoint -> contained atom ids, variant
+    pairs, the tier-1 codepoints of two atoms each, and the tier-2
+    codepoints of a tier-1 character and one more atom each)."""
     chars: dict[int, list[Stroke]] = {}
     atoms_of: dict[int, list[int]] = {}
 

@@ -49,7 +49,7 @@ def fit_all(vectors, labels, C=1.0, max_iterations=DEFAULT_MAX_ITERATIONS,
     the (N, d + 1) design matrix, and the (K, d + 1) weights (bias last),
     support-vector mask and iterations it returns."""
     categories, Y = _label_matrix(labels)
-    X = _design_matrix(vectors, sorted({fid for vec in vectors for fid in vec}))
+    X = _design_matrix(vectors)
     return (categories, X, *_train_one_vs_rest(
         X, Y, np.arange(len(labels)), C, max_iterations, tol))
 
@@ -326,7 +326,7 @@ def assert_folds_match_qp_optimum(vectors, labels, k, seed, C=1.0):
     report, calls = recorded_folds(vectors, labels, k, seed, C, **TIGHT)
     categories, Y = _label_matrix(labels)
     assert list(report.categories) == categories
-    X = _design_matrix(vectors, sorted({fid for vec in vectors for fid in vec}))
+    X = _design_matrix(vectors)
     folds = stratified_folds(labels, k, seed)
     assert len(calls) == k
     for fold, (train, W), accuracy in zip(folds, calls, report.fold_accuracies):

@@ -679,7 +679,7 @@ def test_evaluate_rejects_repeated_feature(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, problem", [
-    ("two 1:0.5", "no tab after the label"),
+    ("two 1:0.5", "expected 2 tab-separated fields, got 1"),
     # a third category with one example cannot be in both folds
     ("three\t1:0.5", "category 'three' has 1 examples, fewer than 2"),
     # the report joins the categories with " ", so it could not be read
@@ -1156,15 +1156,71 @@ def test_a_tone_only_syllable_names_its_line(chain_inputs, capsys, record, token
             in capsys.readouterr().err)
 
 
-def _integer_flags():
-    """(subcommand, flag, action) of every flag that takes an integer."""
+def _flag_actions():
+    """(subcommand, action) of every argument of every subcommand."""
     parser = cli.build_parser()
     commands = next(action.choices for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
     for name, sub in commands.items():
         for action in sub._actions:
-            if action.type in (int, formats.decimal) or type(action.default) is int:
-                yield name, action.option_strings[0], action
+            yield name, action
+
+
+def _string_flags():
+    """(subcommand, flag) of every flag that takes a string without fixed
+    choices; argparse itself refuses an empty value of the others."""
+    for name, action in _flag_actions():
+        if (action.option_strings and action.nargs != 0
+                and action.type is None and action.choices is None):
+            yield name, action.option_strings[0]
+
+
+# each subcommand with its required flags only, on real inputs
+REQUIRED_FLAGS = {
+    "build-graph": "--strokes {strokes} --out {out}",
+    "annotate": "--snapshot {snap} --out {out}",
+    "chains": "--snapshot {snap} --kind semantic --class 0",
+    "freqdist": "--lists {ufl} {ufl}",
+    "features": "--snapshot {snap} --corpus {corpus} --out {out}",
+    "evaluate": "--vectors {vectors}",
+    "query-unknown": "--snapshot {snap} --class 0",
+}
+
+
+def test_every_string_flag_has_an_empty_value_row():
+    assert {flag for _, flag in _string_flags()} == {
+        "--strokes", "--variants", "--ufl", "--codepoint-range", "--out",
+        "--snapshot", "--readings", "--radicals", "--synsets", "--relations",
+        "--definitions", "--languages", "--feature-table", "--phi-histogram",
+        "--class", "--language", "--lists", "--ufl-out", "--corpus",
+        "--vocab-out", "--vectors"}
+    assert {name for name, _ in _string_flags()} == set(REQUIRED_FLAGS)
+
+
+@pytest.mark.parametrize("command, flag", sorted(_string_flags()))
+def test_an_empty_flag_value_is_an_input_error(pipeline_files, capsys, command,
+                                               flag):
+    # a flag already given takes "" for its first value; any other is added
+    argv = [command, *(token.format(**pipeline_files)
+                       for token in REQUIRED_FLAGS[command].split())]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = ""
+    else:
+        argv += [flag, ""]
+    before = sorted(os.listdir(pipeline_files["dir"]))
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"input error: {flag} has an empty value" in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(pipeline_files["dir"])) == before
+
+
+def _integer_flags():
+    """(subcommand, flag, action) of every flag that takes an integer."""
+    for name, action in _flag_actions():
+        if action.type in (int, formats.decimal) or type(action.default) is int:
+            yield name, action.option_strings[0], action
 
 
 def test_every_integer_flag_takes_ascii_digits_only():

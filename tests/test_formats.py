@@ -1,5 +1,7 @@
+import ast
 import io
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -210,20 +212,21 @@ def test_vectors_roundtrip():
         formats.parse_vectors("no header\n")
 
 
-@pytest.mark.parametrize("cells, cell", [
-    ("1:0.5\u30002:0.25", "1:0.5\u30002:0.25"),
-    ("3:1\xa04:1", "3:1\xa04:1"),
-    ("1:0.5\t2:0.25", "1:0.5\t2:0.25"),
-    ("1:0.5\x0c2:0.25", "1:0.5\x0c2:0.25"),
-    ("1:0.5\u20282:0.25", "1:0.5\u20282:0.25"),
-    ("1:0.5  2:0.25", ""),
-    (" 1:0.5", ""),
-    ("1:0.5 ", ""),
+@pytest.mark.parametrize("cells, problem", [
+    ("1:0.5\u30002:0.25", "bad cell '1:0.5\\u30002:0.25'"),
+    ("3:1\xa04:1", "bad cell '3:1\\xa04:1'"),
+    # a tab ends the cells field, as it ends every field
+    ("1:0.5\t2:0.25", "expected 2 tab-separated fields, got 3"),
+    ("1:0.5\x0c2:0.25", "bad cell '1:0.5\\x0c2:0.25'"),
+    ("1:0.5\u20282:0.25", "bad cell '1:0.5\\u20282:0.25'"),
+    ("1:0.5  2:0.25", "bad cell ''"),
+    (" 1:0.5", "bad cell ''"),
+    ("1:0.5 ", "bad cell ''"),
 ])
-def test_a_cell_separator_but_one_space_is_a_bad_cell(cells, cell):
+def test_a_cell_separator_but_one_space_is_a_bad_cell(cells, problem):
     with pytest.raises(InputError) as exc:
         formats.parse_vectors(f"{formats.VECTORS_HEADER}\na\t{cells}\n")
-    assert str(exc.value) == f"vectors:2: bad cell {cell!r}"
+    assert str(exc.value) == f"vectors:2: {problem}"
 
 
 def written_snapshot(g, store, annotations=None) -> str:
@@ -347,6 +350,63 @@ def test_snapshot_file_io(tmp_path):
     g2, _, ann2 = formats.load_file(formats.parse_snapshot, str(path))
     assert g2.edges() == g.edges()
     assert ann2 == annotations
+
+
+# lines every reader skips after a file's header: blank ones, and ones
+# whose first nonblank character is "#", tabs in them or not
+SKIPPED = ("", " \t ", "\r", "# a comment", "  #\tthree\tfields")
+
+
+def _with_skipped_lines(text):
+    """``text`` with a line of ``SKIPPED`` after each of its lines, the
+    header included."""
+    lines = text.removesuffix("\n").split("\n")
+    return "".join(f"{line}\n{SKIPPED[i % len(SKIPPED)]}\n"
+                   for i, line in enumerate(lines))
+
+
+def test_vectors_skip_blank_and_comment_lines():
+    buf = io.StringIO()
+    formats.write_vectors(buf, ["a", "b", "a"], [{3: 0.5, 1: 0.25}, {}, {2: 1.0}])
+    text = _with_skipped_lines(buf.getvalue())
+    assert formats.parse_vectors(text, min_per_label=1) == (
+        ["a", "b", "a"], [{1: 0.25, 3: 0.5}, {}, {2: 1.0}])
+    # a record is still named by its own line
+    with pytest.raises(InputError) as exc:
+        formats.parse_vectors(text + "c 1:0.5\n")
+    assert str(exc.value) == "vectors:9: expected 2 tab-separated fields, got 1"
+
+
+def test_snapshot_skips_blank_and_comment_lines():
+    g, store, annotations = _sample_graph()
+    text = written_snapshot(g, store, annotations)
+    # after the header, in META, between sections and in NODES and EDGES
+    g2, store2, ann2 = formats.parse_snapshot(_with_skipped_lines(text))
+    assert (g2.nodes, g2.edges(), g2.meta) == (g.nodes, g.edges(), g.meta)
+    assert (store2.classes, ann2) == (store.classes, annotations)
+    assert written_snapshot(g2, store2, ann2) == text
+
+
+def _splits_a_line(node):
+    """Whether ``node`` splits a string at a tab or a newline."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and (node.func.attr == "splitlines"
+                 or node.func.attr in ("split", "rsplit", "partition", "rpartition")
+                 and any(isinstance(arg, ast.Constant) and arg.value in ("\t", "\n")
+                         for arg in node.args)))
+
+
+def test_only_the_reader_splits_lines_into_fields():
+    """Every input keeps one grammar: in ``formats``, only
+    ``_Reader.records`` cuts text into lines or a line into fields."""
+    tree = ast.parse(Path(formats.__file__).read_text(encoding="utf-8"))
+    reader = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Reader")
+    records = next(node for node in reader.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "records")
+    in_records = {id(node) for node in ast.walk(records) if _splits_a_line(node)}
+    assert len(in_records) == 2  # the text at "\n", a line at "\t"
+    assert {id(node) for node in ast.walk(tree) if _splits_a_line(node)} == in_records
 
 
 def test_snapshot_rejects_a_cycle():
