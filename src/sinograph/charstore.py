@@ -46,10 +46,11 @@ def strip_tone(token: str) -> tuple[str, int]:
     return token, 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reading:
     """One pronunciation of a character in one language; every syllable
-    has a body besides its tone digit."""
+    has a body besides its tone digit.  Slotted: an instance holds its
+    fields and no per-instance ``__dict__``."""
 
     language: Language
     syllables: tuple[str, ...]
@@ -68,9 +69,10 @@ class Reading:
                 raise InputError(f"empty syllable token {token!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllographClass:
-    """A set of codepoints treated as one graphical identity."""
+    """A set of codepoints treated as one graphical identity.  Slotted: an
+    instance holds its fields and no per-instance ``__dict__``."""
 
     id: int
     members: frozenset[int]

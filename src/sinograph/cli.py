@@ -61,9 +61,10 @@ def cmd_build_graph(args: argparse.Namespace) -> dict[str, object]:
         strokes = {cp: s for cp, s in strokes.items() if lo <= cp <= hi}
     if not strokes:
         raise DataError("no characters to build a graph from")
-    # each stage is dropped once the next holds what it needs
+    # each stage is dropped once the next holds what it needs, and each
+    # character's strokes once its signature is made
     chars = list(strokes)
-    sigs = {cp: char_signature(s) for cp, s in strokes.items()}
+    sigs = {cp: char_signature(strokes.pop(cp)) for cp in chars}
     del strokes
     char_edges = detect_inclusions(sigs, tolerance=args.tolerance)
     del sigs

@@ -19,13 +19,15 @@ from .charstore import CharacterStore, Language
 from .errors import DataError, InputError
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeData:
     """Attributes attached to one inclusion edge.
 
     ``d_min``/``phi`` are per-language maps; a missing key means the
     distance (and hence the phoneticity) is unknown for that language.
     ``s`` is the globally normalized semanticity, ``None`` until computed.
+    Slotted: an instance holds these fields and no per-instance
+    ``__dict__``, so no other attribute can be set on it.
     """
 
     d_min: dict[str, float] = field(default_factory=dict)

@@ -38,8 +38,11 @@ from .graphcore import CHAIN_KINDS, InclusionGraph
 SEMANTICITY_COEFFICIENTS = (0.5, 0.25, 0.25)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemRelation:
+    """One typed relation between two synsets.  Slotted: an instance holds
+    its fields and no per-instance ``__dict__``."""
+
     source: str
     relation_type: str
     target: str

@@ -50,9 +50,10 @@ _PARALLEL_EPS = 1e-9
 DEFAULT_TOLERANCE = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stroke:
-    """One stroke: its calligraphic class and skeleton polyline."""
+    """One stroke: its calligraphic class and skeleton polyline.  Slotted:
+    an instance holds these two fields and no per-instance ``__dict__``."""
 
     calligraphic_type: str
     skeleton: tuple[tuple[float, float], ...]
@@ -84,7 +85,8 @@ class CharSignature:
     """Ordered stroke types plus one pair signature per consecutive pair.
 
     The pair signatures are kept only as ``components``, flattened once:
-    four per pair in order, so that pair ``i`` starts at ``4 * i``."""
+    four per pair in order, so that pair ``i`` starts at ``4 * i``.  Like
+    ``Stroke``, it holds no per-instance ``__dict__``."""
 
     __slots__ = ("stroke_types", "components")
 

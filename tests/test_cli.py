@@ -1,22 +1,27 @@
 import argparse
+import dataclasses
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import sinograph
 from sinograph import cli, formats, synthdata
-from sinograph.charstore import CharacterStore, Language
+from sinograph.charstore import AllographClass, CharacterStore, Language, Reading
 from sinograph.classify import cross_validate
 from sinograph.cli import main
 from sinograph.errors import InputError
 from sinograph.graphcore import EdgeData, InclusionGraph
 from sinograph.phonetics import FeatureTable, reading_distance
+from sinograph.semantics import SemRelation
+from sinograph.strokesig import Stroke, char_signature
 from sinograph.synthdata import make_dataset
 
 from test_formats import written_snapshot
@@ -263,13 +268,13 @@ def test_chains_and_histogram(chain_inputs, capsys, tmp_path):
     rc = main(["chains", "--snapshot", out, "--kind", "phonetic",
                "--language", "ja_on", "--all", "--out", chains_file])
     assert rc == 0
-    lines = open(chains_file, encoding="utf-8").read().strip().splitlines()
+    lines = Path(chains_file).read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 3
     # class of 4E02 descends to its least phonetic subcharacter
     rc = main(["chains", "--snapshot", out, "--kind", "semantic",
                "--class", "U+4E02", "--out", chains_file])
     assert rc == 0
-    hist = open(chain_inputs["dir"] / "h.csv", encoding="utf-8").read()
+    hist = (chain_inputs["dir"] / "h.csv").read_text(encoding="utf-8")
     assert hist.startswith("language,bin_lo,bin_hi,count")
 
 
@@ -324,7 +329,7 @@ def test_features_and_evaluate_separable(chain_inputs, tmp_path, capsys):
     rc = main(["evaluate", "--vectors", vec_path, "--k", "10",
                "--seed", "1", "--out", str(tmp_path / "report.txt")])
     assert rc == 0
-    report = open(tmp_path / "report.txt", encoding="utf-8").read()
+    report = (tmp_path / "report.txt").read_text(encoding="utf-8")
     assert "mean_accuracy\t1.000000" in report
 
 
@@ -390,6 +395,51 @@ def _traced_peak(argv):
 def test_build_graph_holds_one_stage_at_a_time(seed7_files, capsys):
     # held together to the end, the stages take about 2.4 MB
     assert _traced_peak(seed7_files["build_graph"]) < 1.5e6
+
+
+def test_build_graph_frees_each_characters_strokes_for_its_signature(
+        tmp_path, capsys):
+    """On 100 characters of 30 random strokes each (no inclusions, so
+    the parse and the signatures are the peak), build-graph holds the
+    strokes not yet signed and the signatures made so far; holding every
+    character's strokes until every signature exists would reach at
+    least their sum."""
+    rng = random.Random(0)
+    lines = []
+    for i in range(100):
+        items = []
+        for _ in range(30):
+            x1, y1, x2, y2 = rng.sample(range(100), 4)
+            items.append(f"{rng.choice('HSPDT')}:({x1},{y1})-({x2},{y2})")
+        lines.append(f"{0x4E00 + i:04X}\t" + ";".join(items))
+    path = write(tmp_path / "strokes.tsv", "\n".join(lines) + "\n")
+    peak = _traced_peak(["build-graph", "--strokes", path,
+                         "--out", str(tmp_path / "g.snap")])
+    tracemalloc.start()
+    try:
+        strokes = formats.load_file(formats.parse_strokes, path)
+        parsed = tracemalloc.get_traced_memory()[0]
+        sigs = [char_signature(s) for s in strokes.values()]
+        both = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sigs) == 100 and both > 1.3 * parsed
+    assert peak < 0.9 * both
+
+
+def test_pipeline_records_hold_no_attribute_dict():
+    """The records made in bulk keep their fields in slots, so no
+    instance carries a ``__dict__``; the frozen ones stay frozen."""
+    stroke = Stroke("H", ((0.0, 0.0), (1.0, 0.0)))
+    frozen = [stroke, Reading(Language.MANDARIN, ("ren2",)),
+              AllographClass(0, frozenset({0x4E00}), 0x4E00),
+              SemRelation("s1", "hyponymy", "s2")]
+    for record in frozen + [char_signature([stroke, stroke]), EdgeData()]:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    for record in frozen:
+        field = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_a_loaded_snapshot_holds_each_edge_once(seed7_files):

@@ -78,6 +78,44 @@ def test_stroke_coordinates_are_read_as_real_reads_them(x, y):
         assert _stroke_description(f"H:({x},{y})-(1,1)")[0].start == want
 
 
+# pieces of a vectors cell token, as COORDINATE without the blank that
+# separates cells
+CELL_TOKEN = st.lists(st.sampled_from((
+    "0", "1", "7", ".", "e", "-", "+", "_", "\x0b", "\x1c", "١",
+    "nan", "inf", "1e999", "1e+5", "-0", "1e200")), max_size=4).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(CELL_TOKEN, CELL_TOKEN, st.sampled_from(("", " 9:1", " 9:1e+0")))
+# tokens int or float reads and decimal or real refuses
+@example("\x0b1", "1", "")
+@example("1", "7\x1c", "")
+@example("1_0", "1", "")
+@example("1", "+1", " 9:1")
+@example("１", "1", "")
+@example("1", "1e999", " 9:1e+0")
+def test_vector_cells_are_read_as_decimal_and_real_read_them(cid, w, rest):
+    """A cell reads as ``decimal`` and ``real`` read its id and weight,
+    on a line of plain cells (``rest`` " 9:1") and on one that is not
+    (" 9:1e+0"): no generated id is 9."""
+    cell = f"{cid}:{w}"
+    text = f"{formats.VECTORS_HEADER}\na\t{cell}{rest}\n"
+    try:
+        feature, weight = formats.decimal(cid), formats.real(w)
+    except InputError:
+        with pytest.raises(InputError) as got:
+            formats.parse_vectors(text)
+        assert str(got.value) == f"vectors:2: bad cell {cell!r}"
+        return
+    if math.isfinite(weight * weight):
+        want = {feature: weight} | ({9: 1.0} if rest else {})
+        assert formats.parse_vectors(text) == (["a"], [want])
+    else:
+        with pytest.raises(InputError, match="^vectors:2: (non-finite weight|"
+                                             "squared norm of the weights)"):
+            formats.parse_vectors(text)
+
+
 def test_parse_strokes_rejects_degenerate_stroke_of_a_pair():
     # a lone stroke has no pair signature, so its endpoints may coincide
     assert _stroke_description("D:(3,3)-(3,3)")[0].start == (3.0, 3.0)

@@ -8,6 +8,7 @@ allowed outcomes are a parsed value whose every float is finite, or an
 one.
 """
 
+import dataclasses
 import math
 import os
 import re
@@ -93,8 +94,19 @@ def _floats(value):
     elif isinstance(value, (list, tuple, set, frozenset)):
         for item in value:
             yield from _floats(item)
+    elif dataclasses.is_dataclass(value):  # slotted ones have no vars()
+        for f in dataclasses.fields(value):
+            yield from _floats(getattr(value, f.name))
     elif hasattr(value, "__dict__") and not isinstance(value, str):
         yield from _floats(vars(value))
+
+
+@pytest.mark.parametrize("name, floats", [
+    ("parse_strokes", [1, 5, 9, 5, 4, 9, 4.5, 8, 2, 7.6, 6.5, 7.6]),
+    # the d_min, phi, r, s_raw and s of edge 0 -> 1, and the r of 2 -> 1
+    ("parse_snapshot", [1.25, 0.5, 0.75, 0.9, 0.5, 0.625, 1.0, 0.0])])
+def test_floats_sees_every_number_of_a_sample(name, floats):
+    assert sorted(_floats(PARSERS[name](VALID[name]))) == sorted(floats)
 
 
 def _mutate(draw, line: str) -> str:
