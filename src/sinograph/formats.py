@@ -431,17 +431,11 @@ def parse_vectors(text: str, path: str = "vectors", min_per_label: int = 0
         for label, cells in reader.records(2, header=VECTORS_HEADER):
             first_line.setdefault(_label(label), reader.lineno)
             vec: dict[int, float] = {}
-            # In printable ASCII without "_" and "+", ``int`` and ``float``
-            # read a token as ``decimal`` and ``real`` do, and refuse the
-            # same ones, so the refusal below keeps its message.
-            plain = (cells.isascii() and cells.isprintable()
-                     and "_" not in cells and "+" not in cells)
             # cells are separated by one " "; an empty document has none
             for cell in cells.split(" ") if cells else ():
                 try:
                     cid_tok, w_tok = cell.split(":")
-                    cid, w = ((int(cid_tok), float(w_tok)) if plain
-                              else (decimal(cid_tok), real(w_tok)))
+                    cid, w = decimal(cid_tok), real(w_tok)
                 except ValueError:
                     raise InputError(f"bad cell {cell!r}") from None
                 if not math.isfinite(w):

@@ -96,8 +96,8 @@ CELL_TOKEN = st.lists(st.sampled_from((
 @example("1", "1e999", " 9:1e+0")
 def test_vector_cells_are_read_as_decimal_and_real_read_them(cid, w, rest):
     """A cell reads as ``decimal`` and ``real`` read its id and weight,
-    on a line of plain cells (``rest`` " 9:1") and on one that is not
-    (" 9:1e+0"): no generated id is 9."""
+    alone or beside another cell (``rest``; no generated id is 9), and a
+    token either refuses is a bad cell named as written."""
     cell = f"{cid}:{w}"
     text = f"{formats.VECTORS_HEADER}\na\t{cell}{rest}\n"
     try:
