@@ -32,6 +32,7 @@ from typing import Callable, Iterator, KeysView, Mapping, Sequence
 
 from .charstore import Language
 from .errors import DataError, InputError
+from .freqlists import ordered_sum
 from .graphcore import CHAIN_KINDS, InclusionGraph
 
 log = logging.getLogger(__name__)
@@ -68,7 +69,7 @@ class Vocabulary:
 
 
 def _l2_normalize(vec: FeatureVector) -> FeatureVector:
-    norm = math.sqrt(sum(w * w for w in vec.values()))
+    norm = math.sqrt(ordered_sum(w * w for w in vec.values()))
     if norm == 0:
         return dict(vec)
     return {k: w / norm for k, w in vec.items()}

@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
 
 from .charstore import AllographClass, CharacterStore, Language, Reading
 from .errors import DataError, InputError
-from .freqlists import FrequencyList, from_counts
+from .freqlists import FrequencyList, from_counts, ordered_sum
 from .graphcore import EdgeData, InclusionGraph
 from .semantics import SynsetStore
 from .strokesig import STROKE_TYPES, Stroke
@@ -181,20 +181,16 @@ def _out_of_bounds(token: str, name: str, kind: str, lo: float,
     return InputError(f"{name} {token!r} is not {kind}{bounds}")
 
 
-def read_text(path: str) -> str:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise InputError(f"{path}:{line}: not valid UTF-8") from None
-
-
 def load_file(parse: Callable[..., T], path: str, **options) -> T:
     """``parse`` of the text of the file ``path``, its errors named by
     ``path``; ``options`` are ``parse``'s other keyword arguments."""
-    return parse(read_text(path), path=path, **options)
+    with open(path, "rb") as fh:
+        try:  # the bytes are dropped once decoded
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise InputError(f"{path}:{line}: not valid UTF-8") from None
+    return parse(text, path=path, **options)
 
 
 def open_output(path: str) -> contextlib.AbstractContextManager[TextIO]:
@@ -444,7 +440,7 @@ def parse_vectors(text: str, path: str = "vectors", min_per_label: int = 0
                     raise InputError(f"feature {cid} repeated")
                 vec[cid] = w
             # An infinite ||x||^2 would overflow the classifier's margins.
-            if not math.isfinite(sum(w * w for w in vec.values())):
+            if not math.isfinite(ordered_sum(w * w for w in vec.values())):
                 raise InputError("squared norm of the weights is not finite")
             labels.append(label)
             vectors.append(vec)

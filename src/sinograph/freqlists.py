@@ -4,20 +4,34 @@ A frequency list is an ordered tuple of (codepoint, relative frequency)
 pairs.  Two lists are compared through their N-common characters: the
 coverage factor says how many such characters there are relative to N,
 and a Spearman correlation of the two restricted rankings says how
-similarly they are ordered.
+similarly they are ordered.  ``ordered_sum`` here is the package's
+sum of floats outside numpy: left to right, alike on every interpreter.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 
 log = logging.getLogger(__name__)
 
 DEFAULT_N = 3000
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, rounded at each addition.  From
+    Python 3.12 the built-in ``sum`` compensates the rounding of floats,
+    so every float sum an artefact depends on is this one, which every
+    supported interpreter computes alike."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -40,8 +54,8 @@ class FrequencyList:
             raise InputError("frequencies must be positive")
         if any(freqs[i] < freqs[i + 1] for i in range(len(freqs) - 1)):
             raise InputError("entries must be sorted by nonincreasing frequency")
-        if sum(freqs) > 1.0 + 1e-6:
-            log.warning("frequency list mass %.6f exceeds 1", sum(freqs))
+        if (mass := ordered_sum(freqs)) > 1.0 + 1e-6:
+            log.warning("frequency list mass %.6f exceeds 1", mass)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -83,15 +97,11 @@ def _average_ranks(restricted: Sequence[tuple[int, float]]) -> dict[int, float]:
     """Rank (1 = most frequent) of each codepoint, equal frequencies
     sharing their average rank."""
     ranks: dict[int, float] = {}
-    i = 0
-    while i < len(restricted):
-        j = i
-        while j + 1 < len(restricted) and restricted[j + 1][1] == restricted[i][1]:
-            j += 1
-        avg = (i + j) / 2 + 1  # positions are 1-based
-        for k in range(i, j + 1):
-            ranks[restricted[k][0]] = avg
-        i = j + 1
+    done = 0
+    for _, run in groupby(restricted, key=itemgetter(1)):
+        cps = [cp for cp, _ in run]
+        ranks.update(dict.fromkeys(cps, done + (len(cps) + 1) / 2))
+        done += len(cps)
     return ranks
 
 
@@ -109,11 +119,11 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise InputError("rank vectors must be nonempty")
     if tuple(xs) == tuple(ys):
         return 1.0
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
+    mx = ordered_sum(xs) / n
+    my = ordered_sum(ys) / n
+    cov = ordered_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    vx = ordered_sum((x - mx) ** 2 for x in xs)
+    vy = ordered_sum((y - my) ** 2 for y in ys)
     if vx == 0 or vy == 0:
         return 0.0
     return cov / (vx * vy) ** 0.5
@@ -170,7 +180,7 @@ def aggregate_ufl(lists: Sequence[FrequencyList],
         for cp, f in fl.entries:
             agg[cp] += f * weight
     if renormalize:
-        s = sum(agg.values())
+        s = ordered_sum(agg.values())
         agg = {cp: f / s for cp, f in agg.items()}
     ordered = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))
     return FrequencyList(entries=tuple(ordered))

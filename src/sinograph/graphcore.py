@@ -241,31 +241,26 @@ def transitive_reduce(g: InclusionGraph) -> InclusionGraph:
     and creates none for an edge whose attributes were never set.
     Raises DataError on a cyclic input.
     """
-    order = g.topological_order()
-    # Descendant sets are int bitsets.  A node's bit is its position in
-    # reverse topological order, so descendants get lower bits and the
-    # sets near the sinks stay small.  below[a] ORs the descendants of
-    # all of a's successors, the target c of an edge (a, c) included:
-    # in a DAG c does not descend from itself, so c is in below[a] iff a
-    # reaches c by a path of length at least 2.
+    reduced = InclusionGraph()
+    for node in g.nodes:
+        reduced.add_node(node)
+    # Descendant sets are int bitsets: a node's bit is its position in
+    # reverse topological order, so the sets near the sinks stay small.
+    # That order sweeps a's successors before a, and in a DAG the target
+    # c of an edge (a, c) is in ``via``, the OR of their sets, iff a
+    # longer path reaches c.  A kept c joins ``via``, then a's own set.
     pos: dict[int, int] = {}
     desc: dict[int, int] = {}
-    below: dict[int, int] = {}
-    for i, node in enumerate(reversed(order)):
-        pos[node] = i
-        via = direct = 0
-        for s in g.successors(node):
-            via |= desc[s]
-            direct |= 1 << pos[s]
-        below[node] = via
-        desc[node] = via | direct
-
-    reduced = InclusionGraph()
-    for a in g.nodes:
-        reduced.add_node(a)
+    for i, a in enumerate(reversed(g.topological_order())):
+        pos[a] = i
+        via = 0
         for c in g.successors(a):
-            if not below[a] >> pos[c] & 1:
+            via |= desc[c]
+        for c in g.successors(a):
+            if not via >> pos[c] & 1:
                 reduced.add_edge(a, c, g.stored(a, c))
+                via |= 1 << pos[c]
+        desc[a] = via
     reduced.meta = dict(g.meta)
     return reduced
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import DataError, InputError
+from .freqlists import ordered_sum
 from .graphcore import CHAIN_KINDS, InclusionGraph
 
 SynsetVector = dict[str, float]
@@ -25,7 +26,7 @@ DEFAULT_DIRECTION = "sub"
 
 
 def _normalize(weights: SynsetVector) -> SynsetVector:
-    total = sum(weights.values())
+    total = ordered_sum(weights.values())
     if total <= 0:
         return {}
     return {sid: w / total for sid, w in weights.items()}

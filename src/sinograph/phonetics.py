@@ -32,6 +32,7 @@ from typing import Iterable, Mapping, Sequence
 from .charstore import CharacterStore, Language, Reading, strip_tone
 from .errors import DataError, InputError
 from .formats import load_file, parse_feature_table
+from .freqlists import ordered_sum
 from .graphcore import CHAIN_KINDS, InclusionGraph
 
 FEATURE_WEIGHTS = (4.0, 1.0, 4.0, 1.0, 5.0, 1.0, 1.0)
@@ -62,9 +63,9 @@ class FeatureTable:
         # which scales the tone penalty
         wc, wv = FEATURE_WEIGHTS[:4], FEATURE_WEIGHTS[4:]
         cons, vows = consonants.values(), vowels.values()
-        best_c = max(sum((w * (a - b)) ** 2 for w, a, b in zip(wc, ca, cb))
+        best_c = max(ordered_sum((w * (a - b)) ** 2 for w, a, b in zip(wc, ca, cb))
                      for ca in cons for cb in cons)
-        best_v = max(sum((w * (a - b)) ** 2 for w, a, b in zip(wv, va, vb))
+        best_v = max(ordered_sum((w * (a - b)) ** 2 for w, a, b in zip(wv, va, vb))
                      for va in vows for vb in vows)
         self.max_segmental = math.sqrt(best_c + best_v)
 
@@ -113,7 +114,7 @@ class FeatureTable:
 
 def syllable_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Euclidean distance after scaling each axis by its weight."""
-    return math.sqrt(sum(
+    return math.sqrt(ordered_sum(
         (w * (x - y)) ** 2 for w, x, y in zip(FEATURE_WEIGHTS, a, b)))
 
 
@@ -145,8 +146,8 @@ def reading_distance(r1: Reading, r2: Reading, table: FeatureTable) -> float:
     k = len(short)
     best = math.inf
     for offset in range(len(long_) - k + 1):
-        mean = sum(table.token_distance(r1.language, short[i], long_[offset + i])
-                   for i in range(k)) / k
+        mean = ordered_sum(table.token_distance(r1.language, a, b)
+                           for a, b in zip(short, long_[offset:])) / k
         best = min(best, mean)
     return best
 

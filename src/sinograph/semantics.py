@@ -198,18 +198,12 @@ def count_f2(sub: AllographClass, sup: AllographClass,
 
 def radical_agreement(sub: AllographClass, sup: AllographClass,
                       radicals: Mapping[int, int]) -> float:
-    """Fraction of member pairs sharing the same Kāng Xī radical; pairs
-    with a missing radical count as disagreement."""
-    n, m = len(sub.members), len(sup.members)
-    agree = 0
-    for s in sub.members:
-        rs = radicals.get(s)
-        if rs is None:
-            continue
-        for c in sup.members:
-            if radicals.get(c) == rs:
-                agree += 1
-    return agree / (n * m)
+    """Fraction of member pairs sharing the same Kāng Xī radical, counted
+    from one tally of the containing class's radicals; pairs with a
+    missing radical count as disagreement."""
+    tally = Counter(radicals[c] for c in sup.members if c in radicals)
+    agree = sum(tally[radicals.get(s)] for s in sub.members)
+    return agree / (len(sub.members) * len(sup.members))
 
 
 def semanticity(

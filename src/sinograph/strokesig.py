@@ -81,19 +81,15 @@ class StrokePairSignature(NamedTuple):
         return tuple(self)
 
 
-class CharSignature:
+class CharSignature(NamedTuple):
     """Ordered stroke types plus one pair signature per consecutive pair.
 
     The pair signatures are kept only as ``components``, flattened once:
     four per pair in order, so that pair ``i`` starts at ``4 * i``.  Like
     ``Stroke``, it holds no per-instance ``__dict__``."""
 
-    __slots__ = ("stroke_types", "components")
-
-    def __init__(self, stroke_types: tuple[str, ...],
-                 components: tuple[SigComponent, ...]) -> None:
-        self.stroke_types = stroke_types
-        self.components = components
+    stroke_types: tuple[str, ...]
+    components: tuple[SigComponent, ...]
 
 
 def _ratio(num: float, den: float) -> SigComponent:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sinograph.errors import InputError
 from sinograph.freqlists import (
     FrequencyList,
+    _average_ranks,
     aggregate_ufl,
     comchar,
     distance_dN,
@@ -65,6 +66,28 @@ def test_distance_coverage_bounds():
     # three common characters over N = 6: coverage 0.5, rho = 1
     assert distance_dN(a, a, 6) == 0.5
     assert distance_dN(a, from_counts({120: 1}), 2) == 1.0
+
+
+@pytest.mark.parametrize("restricted, ranks", [
+    ([], {}),
+    ([(1, .5), (2, .3), (3, .2)], {1: 1, 2: 2, 3: 3}),
+    # a tie of three in the middle shares ranks 2, 3 and 4
+    ([(10, .4), (11, .2), (12, .2), (13, .2), (14, .1)],
+     {10: 1, 11: 3, 12: 3, 13: 3, 14: 5}),
+    ([(1, .5), (2, .5)], {1: 1.5, 2: 1.5}),  # a leading tie
+    ([(7, .6), (8, .2), (9, .2)], {7: 1, 8: 2.5, 9: 2.5}),  # a trailing one
+])
+def test_tied_frequencies_share_their_average_rank(restricted, ranks):
+    assert _average_ranks(restricted) == ranks
+
+
+def test_distance_correlates_average_ranks():
+    # ranks 1, 3, 3, 3, 5 against 1, 2, 3, 4.5, 4.5: both means are 3,
+    # so cov = 4 + 3 = 7, the variances are 8 and 9.5, rho = 7 / sqrt(76)
+    a = fl([(10, .3), (11, .2), (12, .2), (13, .2), (14, .1)])
+    b = fl([(10, .4), (11, .3), (12, .2), (13, .05), (14, .05)])
+    rho = 7 / math.sqrt(76)
+    assert distance_dN(a, b, 5) == pytest.approx(1 - (rho + 1) / 2, abs=1e-15)
 
 
 def brute_force_rank_corr(xs, ys):

@@ -11,8 +11,10 @@ the same change and says why:
     PYTHONPATH=src python tests/test_golden.py > tests/golden/seed7.sha256
 """
 
+import builtins
 import contextlib
 import hashlib
+import math
 import os
 import tempfile
 from collections import Counter
@@ -149,6 +151,42 @@ SEED7_ITERATIONS = {
                  (28, 30, 28, 30, 29), (28, 30, 28, 31, 28),
                  (28, 29, 27, 31, 28), (28, 28, 28, 30, 28)),
 }
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 and later add floats: Neumaier-compensated
+    (CPython gh-100425).  Any input other than a nonempty run of floats
+    from the default start goes to the real ``sum``, so that int and bool
+    counts stay exact."""
+    items = list(iterable)
+    if (type(start) is not int or start or not items
+            or any(type(x) is not float for x in items)):
+        return _BUILTIN_SUM(items, start)
+    total = compensation = 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_seed7_artefacts_do_not_depend_on_the_float_sum(tmp_path, monkeypatch):
+    """Every artefact adds its floats left to right, so an interpreter
+    whose ``sum`` compensates rounding writes the same bytes."""
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    got = digests(run_pipeline(str(tmp_path)))
+    monkeypatch.undo()
+    want = load_golden()
+    changed = [name for name in sorted(want) if got[name] != want[name]]
+    assert not changed, f"artefacts differ under a compensated sum: {changed}"
 
 
 @pytest.mark.parametrize("strategy", ["baseline", "combined"])

@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import random
 import re
 from importlib import resources
@@ -70,12 +71,19 @@ def test_syllable_distance_single_axis_weight():
     assert syllable_distance(feat(), c) == pytest.approx(1.0)
 
 
+def added_in_order(values):
+    """The floats added left to right, the order every sum of the program
+    keeps (Python 3.12's ``sum`` would compensate the rounding)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def brute_window_distance(lang, short, long_, table):
     k = len(short)
     means = []
     for off in range(len(long_) - k + 1):
-        means.append(sum(table.token_distance(lang, short[i], long_[off + i])
-                         for i in range(k)) / k)
+        means.append(added_in_order(table.token_distance(lang, short[i],
+                                                         long_[off + i])
+                                    for i in range(k)) / k)
     return min(means)
 
 
@@ -324,10 +332,10 @@ def oracle_features(table, token):
 @functools.cache  # one value per table; recomputed per token pair it is slow
 def oracle_max_segmental_distance(table):
     wc, wv = FEATURE_WEIGHTS[:4], FEATURE_WEIGHTS[4:]
-    best_c = max(sum((w * (a - b)) ** 2 for w, a, b in zip(wc, ca, cb))
+    best_c = max(added_in_order((w * (a - b)) ** 2 for w, a, b in zip(wc, ca, cb))
                  for ca in table.consonants.values()
                  for cb in table.consonants.values())
-    best_v = max(sum((w * (a - b)) ** 2 for w, a, b in zip(wv, va, vb))
+    best_v = max(added_in_order((w * (a - b)) ** 2 for w, a, b in zip(wv, va, vb))
                  for va in table.vowels.values() for vb in table.vowels.values())
     return math.sqrt(best_c + best_v)
 
@@ -342,8 +350,9 @@ def oracle_token_distance(language, a, b, table):
 def oracle_reading_distance(r1, r2, table):
     short, long_ = sorted((r1.syllables, r2.syllables), key=len)
     k = len(short)
-    return min(sum(oracle_token_distance(r1.language, short[i], long_[off + i],
-                                         table) for i in range(k)) / k
+    return min(added_in_order(oracle_token_distance(r1.language, short[i],
+                                                    long_[off + i], table)
+                              for i in range(k)) / k
                for off in range(len(long_) - k + 1))
 
 
